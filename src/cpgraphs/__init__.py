@@ -41,6 +41,7 @@ from .reduction import (
 from .linalg import (
     Inertia,
     cofactor_sum,
+    det_and_inertia,
     determinant,
     inertia_congruence,
     inertia_leading_minors,
@@ -97,6 +98,7 @@ __all__ = [
     "count_neighborhood_sequences",
     "cp2_invariants",
     "cycle_graph",
+    "det_and_inertia",
     "determinant",
     "distance_invariants",
     "enumerate_neighborhood_sequences",

@@ -17,8 +17,7 @@ from .graphs import LabeledGraph, all_pairs_distances, build_cp_graph
 from .linalg import (
     Inertia,
     cofactor_sum,
-    determinant,
-    inertia_congruence,
+    det_and_inertia,
     inertia_leading_minors,
     leading_principal_minors,
     reduced_cofactor_sum,
@@ -75,15 +74,15 @@ def invariants_from_json_obj(obj: dict) -> GraphInvariants:
 def distance_invariants(g: LabeledGraph) -> GraphInvariants:
     """Brute force on the distance matrix itself."""
     d = all_pairs_distances(g)
-    return GraphInvariants(determinant(d), inertia_congruence(d), cofactor_sum(d))
+    det, inertia = det_and_inertia(d)
+    return GraphInvariants(det, inertia, cofactor_sum(d))
 
 
 def family_invariants(s: NonLeapingSequence) -> GraphInvariants:
     """Shared invariants of every member, from the reduced graph alone."""
     a = reduced_graph(s).adjacency_matrix()
-    return GraphInvariants(
-        determinant(a), inertia_congruence(a), reduced_cofactor_sum(a)
-    )
+    det, inertia = det_and_inertia(a)
+    return GraphInvariants(det, inertia, reduced_cofactor_sum(a))
 
 
 def cp2_invariants(spec: CliquePathSpec) -> GraphInvariants:

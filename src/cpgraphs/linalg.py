@@ -1,15 +1,17 @@
 """Exact determinant, inertia, and cofactor sums for integer matrices.
 
-Everything here is integer or rational arithmetic: determinants use the
-fraction-free Bareiss elimination, inertia either a symmetric congruence
-diagonalization over Fractions or Jones' leading-principal-minor sign rule,
-and cofactor sums the rank-one identity cof(A) = det(A + J) - det(A).
+Everything here is Python int arithmetic, with every division exact.
+Determinants use Bareiss' fraction-free elimination with row pivoting.
+Inertia and determinant of a symmetric matrix come together from one
+symmetric fraction-free elimination (det_and_inertia), whose pivot signs are
+read relative to the previous pivot; Jones' leading-principal-minor sign
+rule is kept as a second method. Cofactor sums are one bordered
+determinant each: u^T adj(A) u = -det([[A, u], [u^T, 0]]).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError
 from .matrices import IntMatrix
@@ -80,67 +82,84 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def inertia_congruence(m: IntMatrix) -> Inertia:
-    """Diagonalize by simultaneous row/column operations over Fractions.
+def _swap(b: list[list[int]], i: int, j: int) -> None:
+    """Exchange rows i, j and columns i, j: a symmetric permutation."""
+    b[i], b[j] = b[j], b[i]
+    for row in b:
+        row[i], row[j] = row[j], row[i]
 
-    A congruence never changes the signature (Sylvester's law), so counting
-    pivot signs on the diagonalized matrix gives the inertia exactly. When
-    the active diagonal is all zero but some off-diagonal entry A[r][c] is
-    not, adding row/column c into row/column r manufactures the pivot
-    2*A[r][c]; if nothing nonzero remains, the leftover block is zero.
+
+def _symmetric_bareiss(rows) -> tuple[int, int, int, int]:
+    """(n_plus, n_minus, n_zero, det) of a symmetric integer matrix.
+
+    Elimination on the active block b, which loses its first row and column
+    per step. A zero pivot is replaced by a symmetric swap with a nonzero
+    diagonal entry; failing that, adding row/column c into row/column r for
+    some b[r][c] != 0 makes the pivot 2*b[r][c]; failing that, the rest is a
+    zero block. Each update is (a*p - f*r) // prev, p the pivot.
+
+    Why `//` is exact: swaps and row/column adds are unimodular congruences
+    U^T A U on indices not yet eliminated, and act on the active entries as
+    on the matrix, a determinant being linear in each row and column. So
+    after k steps b[i][j] is the minor of M = U^T A U on rows 0..k-1, k+i
+    and columns 0..k-1, k+j, and Sylvester's identity makes each update the
+    next such integer minor. The pivots are the leading minors D_k of M, so
+    det(A) = det(M) is the last one, or 0 when a zero block is left (the
+    Schur complement of M's leading block is then zero).
     """
-    if not m.is_symmetric():
-        raise NotSymmetric("matrix is not symmetric")
-    n = m.n
-    a = [[Fraction(x) for x in row] for row in m.rows]
-    plus = minus = zero = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+    b = [list(r) for r in rows]
+    plus = minus = 0
+    prev = 1
+    while b:
+        if b[0][0] == 0:
+            k = len(b)
+            j = next((j for j in range(1, k) if b[j][j]), None)
             if j is not None:
-                a[i], a[j] = a[j], a[i]
-                for row in a:
-                    row[i], row[j] = row[j], row[i]
+                _swap(b, 0, j)
             else:
                 rc = next(
-                    (
-                        (r, c)
-                        for r in range(i, n)
-                        for c in range(r + 1, n)
-                        if a[r][c] != 0
-                    ),
-                    None,
+                    ((r, c) for r in range(k) for c in range(r + 1, k) if b[r][c]), None
                 )
                 if rc is None:
-                    zero += n - i
-                    break
+                    return plus, minus, k, 0
                 r, c = rc
-                for t in range(n):
-                    a[r][t] += a[c][t]
-                for t in range(n):
-                    a[t][r] += a[t][c]
-                if r != i:
-                    a[i], a[r] = a[r], a[i]
-                    for row in a:
-                        row[i], row[r] = row[r], row[i]
-        pivot = a[i][i]
-        if pivot > 0:
+                b[r] = [x + y for x, y in zip(b[r], b[c])]
+                for row in b:
+                    row[r] += row[c]
+                _swap(b, 0, r)
+        p = b[0][0]
+        if (p > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
-        for j in range(i + 1, n):
-            if a[j][i]:
-                f = a[j][i] / pivot
-                row_j = a[j]
-                row_i = a[i]
-                for t in range(i, n):
-                    row_j[t] -= f * row_i[t]
-        # the row pass already produced the congruent trailing block
-        # (column i below the pivot is now zero); mirror row i to keep
-        # the stored matrix symmetric
-        for j in range(i + 1, n):
-            a[i][j] = Fraction(0)
-    return Inertia(plus, minus, zero)
+        tail = b[0][1:]
+        nxt = []
+        for row in b[1:]:
+            # a row with f == 0 still has to be rescaled by p / prev
+            f = row[0]
+            nxt.append([(x * p - f * y) // prev for x, y in zip(row[1:], tail)])
+        b = nxt
+        prev = p
+    return plus, minus, 0, prev
+
+
+def det_and_inertia(m: IntMatrix) -> tuple[int, Inertia]:
+    """Determinant and inertia of a symmetric matrix from one integer pass."""
+    if not m.is_symmetric():
+        raise NotSymmetric("matrix is not symmetric")
+    plus, minus, zero, det = _symmetric_bareiss(m.rows)
+    return det, Inertia(plus, minus, zero)
+
+
+def inertia_congruence(m: IntMatrix) -> Inertia:
+    """Inertia by symmetric fraction-free elimination (see _symmetric_bareiss).
+
+    Only congruences are applied, so Sylvester's law keeps the signature.
+    Pivot k is the leading minor D_k of the transformed matrix, and counts
+    as positive exactly when it has the sign of the previous pivot D_(k-1),
+    because the true LDL^T pivot is D_k / D_(k-1).
+    """
+    return det_and_inertia(m)[1]
 
 
 def leading_principal_minors(m: IntMatrix) -> list[int]:
@@ -170,22 +189,26 @@ def inertia_leading_minors(m: IntMatrix) -> Inertia:
     return Inertia(n - changes, changes, 0)
 
 
+def _bordered(m: IntMatrix, u: list[int]) -> IntMatrix:
+    """[[A, u], [u^T, 0]]."""
+    rows = [list(r) + [x] for r, x in zip(m.rows, u)]
+    rows.append(u + [0])
+    return IntMatrix.from_rows(rows)
+
+
 def cofactor_sum(m: IntMatrix) -> int:
-    """Sum of all n^2 cofactors, via det(A + J) = det(A) + cof(A)."""
-    return determinant(m + IntMatrix.ones(m.n)) - determinant(m)
+    """Sum of all n^2 cofactors, 1^T adj(A) 1 = -det([[A, 1], [1^T, 0]])."""
+    return -determinant(_bordered(m, [1] * m.n))
 
 
 def reduced_cofactor_sum(m: IntMatrix) -> int:
     """det(A + J_2) - det(A), where J_2 is all-ones on the leading 2x2 block.
 
-    For a family's reduced matrix this reproduces the cofactor sum of every
+    With u = e_1 + e_2 this is u^T adj(A) u = -det([[A, u], [u^T, 0]]). For
+    a family's reduced matrix it reproduces the cofactor sum of every
     member's distance matrix, because the reducing matrix's columns beyond
     the second sum to zero.
     """
     if m.n < 2:
         raise DimensionTooSmall("need order at least 2")
-    bump = [[0] * m.n for _ in range(m.n)]
-    for i in range(2):
-        for j in range(2):
-            bump[i][j] = 1
-    return determinant(m + IntMatrix.from_rows(bump)) - determinant(m)
+    return -determinant(_bordered(m, [1, 1] + [0] * (m.n - 2)))

@@ -4,16 +4,13 @@ Each suite replays one verifiable claim about the library at desk scale:
 exhaustive where the instance space is small (all families up to n = 8, all
 labeled trees up to n = 7), seeded-random where it is not. Suites are pure
 given (seed, scale), so reports are reproducible byte for byte apart from
-the wall time. CPGRAPHS_THREADS caps the worker pool used to grind case
-lists; the default of 1 keeps everything on one thread.
+the wall time.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import product
@@ -120,23 +117,6 @@ class Report:
             "failures": self.failures,
             "wall_time_s": round(self.wall_time_s, 3),
         }
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("CPGRAPHS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def map_cases(fn, cases: list):
-    """Apply fn to each case, in order, on at most CPGRAPHS_THREADS workers."""
-    cap = _thread_cap()
-    if cap <= 1 or len(cases) <= 1:
-        return [fn(c) for c in cases]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, cases))
 
 
 # -- random instance generators (all driven by one seeded rng) --------------
@@ -294,8 +274,7 @@ def _suite_congruence(rec: Recorder, rng, scale) -> dict:
     members = 0
     for s in fams:
         members += count_neighborhood_sequences(s)
-    for sub in map_cases(_congruence_family, fams):
-        rec.absorb(sub)
+        rec.absorb(_congruence_family(s))
     random_checks = 100
     for _ in range(random_checks):
         s = random_nonleaping(rng, 12)
@@ -324,8 +303,8 @@ def _constancy_family(s: NonLeapingSequence) -> Recorder:
 def _suite_constancy(rec: Recorder, rng, scale) -> dict:
     n_max = scale if scale is not None else 8
     fams = list(_families(n_max))
-    for sub in map_cases(_constancy_family, fams):
-        rec.absorb(sub)
+    for s in fams:
+        rec.absorb(_constancy_family(s))
     return {"families": len(fams), "members": rec.passed + rec.failed}
 
 
@@ -349,8 +328,8 @@ def _cp2_spec(spec: CliquePathSpec) -> Recorder:
 def _suite_cp2(rec: Recorder, rng, scale) -> dict:
     m_max = scale if scale is not None else 4
     specs = [CliquePathSpec(p) for m in range(m_max + 1) for p in product((3, 4, 5), repeat=m)]
-    for sub in map_cases(_cp2_spec, specs):
-        rec.absorb(sub)
+    for spec in specs:
+        rec.absorb(_cp2_spec(spec))
     return {"specs": len(specs), "members": rec.passed + rec.failed - len(specs)}
 
 
@@ -398,13 +377,8 @@ def _trees_of_order(n: int) -> Recorder:
         f"n={n}: block composition {composed} disagrees with the tree formulas",
     )
     for code in product(range(1, n + 1), repeat=max(0, n - 2)):
-        t = tree_from_pruefer(n, code)
-        d = all_pairs_distances(t)
-        got_det = determinant(d)
-        got_cof = determinant(d + IntMatrix.ones(n)) - got_det
-        got_in = inertia_congruence(d)
-        ok = got_det == want.det and got_cof == want.cof and got_in == want.inertia
-        sub.check(ok, f"tree code={code}: ({got_det}, {got_in}, {got_cof}) != {want}")
+        got = distance_invariants(tree_from_pruefer(n, code))
+        sub.check(got == want, f"tree code={code}: {got} != {want}")
     return sub
 
 
@@ -412,7 +386,8 @@ def _suite_trees(rec: Recorder, rng, scale) -> dict:
     n_max = scale if scale is not None else 7
     orders = list(range(2, n_max + 1))
     trees = 0
-    for sub in map_cases(_trees_of_order, orders):
+    for n in orders:
+        sub = _trees_of_order(n)
         rec.absorb(sub)
         trees += sub.passed + sub.failed - 1
     return {"orders": orders, "trees": trees}

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpgraphs.crosschecks import det_by_cofactor_expansion, inertia_by_charpoly_signs
-from cpgraphs.graphs import all_pairs_distances, path_graph
+from cpgraphs.formulas import cp2_invariants, distance_invariants
+from cpgraphs.graphs import all_pairs_distances, build_cp_graph, path_graph
 from cpgraphs.linalg import (
     ConsecutiveZeroMinors,
     DimensionTooSmall,
@@ -12,6 +15,7 @@ from cpgraphs.linalg import (
     NotSymmetric,
     Singular,
     cofactor_sum,
+    det_and_inertia,
     determinant,
     inertia_congruence,
     inertia_leading_minors,
@@ -19,6 +23,8 @@ from cpgraphs.linalg import (
     reduced_cofactor_sum,
 )
 from cpgraphs.matrices import IntMatrix
+from cpgraphs.sequences import CliquePathSpec, expand_clique_path_spec
+from cpgraphs.suites import random_member
 
 
 def fraction_det(m):
@@ -233,3 +239,72 @@ def test_reduced_cofactor_sum():
     assert reduced_cofactor_sum(IntMatrix.from_rows([[0, 1], [1, 0]])) == -2
     with pytest.raises(DimensionTooSmall):
         reduced_cofactor_sum(IntMatrix.from_rows([[3]]))
+
+
+@st.composite
+def symmetric_matrices(draw, min_n=0, max_n=7):
+    """Dense, all-zero-diagonal, or low-rank symmetric integer matrices.
+
+    The zero-diagonal kind forces the row/column-add pivot; the low-rank
+    kind (a signed sum of r < n outer products) leaves a zero block behind.
+    """
+    n = draw(st.integers(min_n, max_n))
+    kind = draw(st.sampled_from(("dense", "zero_diagonal", "low_rank")))
+    if kind == "low_rank":
+        r = draw(st.integers(0, max(0, n - 1)))
+        terms = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from((-1, 1)),
+                    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                ),
+                min_size=r,
+                max_size=r,
+            )
+        )
+        rows = [
+            [sum(s * v[i] * v[j] for s, v in terms) for j in range(n)] for i in range(n)
+        ]
+        return IntMatrix.from_rows(rows)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and kind == "zero_diagonal":
+                continue
+            rows[i][j] = rows[j][i] = draw(st.integers(-5, 5))
+    return IntMatrix.from_rows(rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(symmetric_matrices())
+def test_det_and_inertia_vs_oracles(m):
+    det, inertia = det_and_inertia(m)
+    assert det == det_by_cofactor_expansion(m)
+    assert inertia == inertia_by_charpoly_signs(m)
+    assert inertia_congruence(m) == inertia
+
+
+@settings(derandomize=True, deadline=None)
+@given(symmetric_matrices())
+def test_cofactor_sum_vs_brute_force(m):
+    assert cofactor_sum(m) == brute_cofactor_sum(m)
+
+
+@settings(derandomize=True, deadline=None)
+@given(symmetric_matrices(min_n=2))
+def test_reduced_cofactor_sum_is_rank_one_update(m):
+    rows = [list(r) for r in m.rows]
+    for i in range(2):
+        for j in range(2):
+            rows[i][j] += 1
+    bumped = IntMatrix.from_rows(rows)
+    want = det_by_cofactor_expansion(bumped) - det_by_cofactor_expansion(m)
+    assert reduced_cofactor_sum(m) == want
+
+
+def test_large_two_clique_path_matches_closed_form():
+    # n = 2 + sum(p - 2) = 120; the closed form uses no linear algebra
+    spec = CliquePathSpec((3, 4, 5) * 19 + (4, 4))
+    assert spec.n == 120
+    g = build_cp_graph(random_member(random.Random(0), expand_clique_path_spec(spec)))
+    assert distance_invariants(g) == cp2_invariants(spec)

@@ -5,7 +5,6 @@ from cpgraphs.suites import (
     Report,
     UnknownSuite,
     available_suites,
-    map_cases,
     run_suite,
     tree_from_pruefer,
 )
@@ -58,25 +57,12 @@ def test_scale_caps_work():
     assert tiny.ok and tiny.results["matrices"] == 20
 
 
-def test_thread_cap_changes_nothing(monkeypatch):
-    serial = run_suite("constancy", scale=5)
-    monkeypatch.setenv("CPGRAPHS_THREADS", "4")
-    threaded = run_suite("constancy", scale=5)
-    assert serial.results == threaded.results
-    assert (serial.passed, serial.failed) == (threaded.passed, threaded.failed)
-
-
 def test_recorder_caps_failure_list():
     rec = Recorder()
     for i in range(30):
         rec.check(False, f"boom {i}")
     assert rec.failed == 30
     assert len(rec.failures) == 20
-
-
-def test_map_cases_keeps_order(monkeypatch):
-    monkeypatch.setenv("CPGRAPHS_THREADS", "3")
-    assert map_cases(lambda x: x * x, list(range(50))) == [x * x for x in range(50)]
 
 
 def test_pruefer_decoder():
