@@ -134,15 +134,20 @@ def is_connected(g: LabeledGraph) -> bool:
 
 def bfs_distances(g: LabeledGraph, source: int) -> list[int]:
     """Hop counts from source; -1 marks unreachable. 1-based, slot 0 unused."""
+    if not 1 <= source <= g.n:
+        raise InputError(f"vertex {source} outside 1..{g.n}")
+    adj = g._adj
     dist = [-1] * (g.n + 1)
     dist[source] = 0
     frontier = [source]
+    d = 0
     while frontier:
+        d += 1
         nxt = []
         for u in frontier:
-            for w in g.neighbors(u):
+            for w in adj[u]:
                 if dist[w] < 0:
-                    dist[w] = dist[u] + 1
+                    dist[w] = d
                     nxt.append(w)
         frontier = nxt
     return dist
@@ -152,10 +157,10 @@ def all_pairs_distances(g: LabeledGraph) -> IntMatrix:
     """The distance matrix, by BFS from every vertex."""
     rows = []
     for s in range(1, g.n + 1):
-        d = bfs_distances(g, s)
-        if any(d[v] < 0 for v in range(1, g.n + 1)):
+        row = bfs_distances(g, s)[1:]
+        if -1 in row:
             raise Disconnected(f"vertex {s} cannot reach every vertex")
-        rows.append(tuple(d[1:]))
+        rows.append(row)
     return IntMatrix(tuple(rows))
 
 
@@ -203,41 +208,50 @@ class Block:
 def blocks(g: LabeledGraph) -> list[Block]:
     """Block decomposition, sorted by smallest original vertex label.
 
-    Standard depth-first search with an edge stack; each popped edge batch is
-    one block. Isolated vertices contribute no blocks.
+    Hopcroft-Tarjan depth-first search with an edge stack, kept on an
+    explicit stack so long paths cannot hit the recursion limit; each popped
+    edge batch is one block. Isolated vertices contribute no blocks.
     """
     if g.n == 0:
         return []
+    adj = g._adj
     disc = [0] * (g.n + 1)
     low = [0] * (g.n + 1)
     timer = 1
     edge_stack: list[tuple[int, int]] = []
     out: list[list[tuple[int, int]]] = []
 
-    def dfs(u: int, parent: int):
-        nonlocal timer
-        disc[u] = low[u] = timer
+    for s in range(1, g.n + 1):
+        if disc[s]:
+            continue
+        disc[s] = low[s] = timer
         timer += 1
-        for w in g.neighbors(u):
-            if disc[w] == 0:
-                edge_stack.append((u, w))
-                dfs(w, u)
-                low[u] = min(low[u], low[w])
-                if low[w] >= disc[u]:
+        stack = [(s, 0, iter(adj[s]))]  # (vertex, DFS parent, unvisited neighbours)
+        while stack:
+            u, parent, nbrs = stack[-1]
+            for w in nbrs:
+                if disc[w] == 0:
+                    edge_stack.append((u, w))
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, u, iter(adj[w])))
+                    break
+                if w != parent and disc[w] < disc[u]:
+                    edge_stack.append((u, w))
+                    low[u] = min(low[u], disc[w])
+            else:  # u is finished
+                stack.pop()
+                if not parent:
+                    continue
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= disc[parent]:
                     batch = []
                     while True:
                         e = edge_stack.pop()
                         batch.append(e)
-                        if e == (u, w):
+                        if e == (parent, u):
                             break
                     out.append(batch)
-            elif w != parent and disc[w] < disc[u]:
-                edge_stack.append((u, w))
-                low[u] = min(low[u], disc[w])
-
-    for s in range(1, g.n + 1):
-        if disc[s] == 0:
-            dfs(s, 0)
 
     result = []
     for batch in out:

@@ -60,15 +60,19 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*self.rows))) if self.rows else self
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Row-combination product: row i sums a_ik * other[k] over the k with
+        a_ik != 0, so a left factor with s nonzeros per row costs O(s n) per row
+        instead of O(n^2). Put a sparse factor on the left."""
         if self.n != other.n:
             raise DimensionMismatch(f"orders differ: {self.n} vs {other.n}")
-        cols = tuple(zip(*other.rows)) if other.rows else ()
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
+        out = []
+        for row in self.rows:
+            acc = [0] * self.n
+            for a, brow in zip(row, other.rows):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, brow)]
+            out.append(acc)
+        return IntMatrix(tuple(out))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.n != other.n:

@@ -183,6 +183,8 @@ def enumerate_neighborhood_sequences(
     base: NonLeapingSequence, limit: int | None = None
 ) -> Iterator[NeighborhoodSequence]:
     """All anchor choices for the given size sequence, in ascending anchor order."""
+    if limit is not None and limit < 0:
+        raise InputError(f"limit must be nonnegative, got {limit}")
 
     def rec(prefix: list[int]) -> Iterator[NeighborhoodSequence]:
         k = len(prefix) + 3

@@ -54,6 +54,12 @@ def test_family_commands(capsys):
     assert obj["results"]["truncated"] is False
 
 
+def test_family_enumerate_negative_limit(capsys):
+    code, out, err = run(capsys, "family", "enumerate", "0,1,2,2,3", "--limit", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_graph_build(capsys):
     code, obj = run_json(capsys, "graph", "build", "0,1,2", "--anchors", "1")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -85,6 +86,9 @@ def test_bfs_and_distance_matrix():
     assert bfs_distances(g2, 1)[3] == -1
     with pytest.raises(Disconnected):
         all_pairs_distances(g2)
+    for bad in (0, 6):
+        with pytest.raises(InputError):
+            bfs_distances(g, bad)
 
 
 def test_distance_matrix_is_metric():
@@ -269,6 +273,21 @@ def test_blocks_partition_edges_and_cut_vertices():
                 membership[v] += 1
         cuts = sorted(v for v, c in membership.items() if c > 1)
         assert cuts == brute_cut_vertices(g)
+
+
+def test_blocks_deeper_than_recursion_limit():
+    bs = blocks(path_graph(3000))
+    assert len(bs) == 2999
+    assert all(b.vertices == (i, i + 1) for i, b in enumerate(bs, start=1))
+    # triangle i is {2i-1, 2i, 2i+1}; the depth-first search walks all 2k+1
+    # vertices in one branch
+    k = sys.getrecursionlimit()
+    edges = []
+    for i in range(1, k + 1):
+        edges += [(2 * i - 1, 2 * i), (2 * i, 2 * i + 1), (2 * i - 1, 2 * i + 1)]
+    bs = blocks(LabeledGraph(2 * k + 1, tuple(edges)))
+    assert [b.vertices for b in bs] == [(2 * i - 1, 2 * i, 2 * i + 1) for i in range(1, k + 1)]
+    assert all(b.graph == cycle_graph(3) for b in bs)
 
 
 def test_parse_edge_list():

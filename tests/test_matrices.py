@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cpgraphs.matrices import DimensionMismatch, IntMatrix
 
@@ -35,6 +37,42 @@ def test_matmul_against_reference():
         a = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         b = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         assert (a @ b).rows == tuple(tuple(r) for r in brute_matmul(a, b))
+
+
+def square_rows(n):
+    return st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def left_factors(draw, n):
+    """Left factors of every sparsity the row-combination product branches on."""
+    kind = draw(st.sampled_from(["dense", "zero_rows", "identity", "one_per_row"]))
+    if kind == "identity":
+        return IntMatrix.identity(n)
+    if kind == "one_per_row":
+        rows = [[0] * n for _ in range(n)]
+        for r in rows:
+            r[draw(st.integers(0, n - 1))] = draw(st.integers(-9, 9).filter(bool))
+        return IntMatrix.from_rows(rows)
+    rows = draw(square_rows(n))
+    if kind == "zero_rows":
+        rows = [r if draw(st.booleans()) else [0] * n for r in rows]
+    return IntMatrix.from_rows(rows)
+
+
+@st.composite
+def factor_pairs(draw):
+    n = draw(st.integers(0, 7))
+    return draw(left_factors(n)), IntMatrix.from_rows(draw(square_rows(n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(factor_pairs())
+@example((IntMatrix.zeros(0), IntMatrix.zeros(0)))
+@example((IntMatrix.zeros(3), IntMatrix.ones(3)))
+def test_matmul_any_sparsity_against_reference(pair):
+    a, b = pair
+    assert (a @ b).rows == tuple(tuple(r) for r in brute_matmul(a, b))
 
 
 def test_matmul_dimension_mismatch():

@@ -2,12 +2,14 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpgraphs import fixtures as fx
 from cpgraphs.errors import InputError
 from cpgraphs.graphs import all_pairs_distances, build_cp_graph
 from cpgraphs.linalg import Inertia, determinant, inertia_congruence
-from cpgraphs.matrices import IntMatrix
+from cpgraphs.matrices import DimensionMismatch, IntMatrix
 from cpgraphs.reduction import (
     SeesawParams,
     WeightedGraph,
@@ -143,6 +145,36 @@ def test_congruence_random_members():
         for ns in enumerate_neighborhood_sequences(s, limit=6):
             d = all_pairs_distances(build_cp_graph(ns))
             assert congruence_reduce(d, reducing_matrix(ns)) == h
+
+
+def brute_congruence(d, e):
+    # (E^T D E)_ij = sum_kl e_ki d_kl e_lj, with no intermediate product
+    n = d.n
+    pairs = [(k, l) for k in range(n) for l in range(n)]
+    return [
+        [sum(e.rows[k][i] * d.rows[k][l] * e.rows[l][j] for k, l in pairs) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@st.composite
+def square_pairs(draw):
+    n = draw(st.integers(0, 6))
+    square = st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+    return IntMatrix.from_rows(draw(square)), IntMatrix.from_rows(draw(square))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(square_pairs())
+def test_congruence_reduce_any_square_pair(pair):
+    # D need not be symmetric and E need not be a reducing matrix
+    d, e = pair
+    assert congruence_reduce(d, e).rows == tuple(tuple(r) for r in brute_congruence(d, e))
+
+
+def test_congruence_reduce_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        congruence_reduce(IntMatrix.identity(2), IntMatrix.identity(3))
 
 
 def test_weighted_path_matrix():
