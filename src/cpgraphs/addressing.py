@@ -4,14 +4,16 @@ An addressing scheme assigns each vertex a length-d word; the distance
 between two words counts positions where one has 0 and the other 1 (a *
 never contributes). A scheme is valid when word distance equals graph
 distance for every pair. The search is exhaustive at desk scale (graphs on
-at most 6 vertices) with an explicit node budget, so "no scheme of length d
-exists" is a real conclusion, not a timeout.
+at most 6 vertices, words of length at most 10) with an explicit node
+budget, so "no scheme of length d exists" is a real conclusion, not a
+timeout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
+from operator import or_
 
 from .errors import InputError, ResourceLimit
 from .graphs import LabeledGraph, all_pairs_distances
@@ -20,6 +22,7 @@ from .formulas import addressing_lower_bound
 
 ALPHABET = "01*"
 MAX_VERTICES = 6
+MAX_LENGTH = 10  # 3^10 = 59049 words
 
 
 class LengthMismatch(InputError):
@@ -31,7 +34,7 @@ class SizeMismatch(InputError):
 
 
 class TooLarge(ResourceLimit):
-    """The graph exceeds the exhaustive-search size guard."""
+    """The graph or address length exceeds the exhaustive-search size guard."""
 
 
 class BudgetExceeded(ResourceLimit):
@@ -64,9 +67,10 @@ def scheme_to_json_obj(s: AddressScheme) -> dict:
 
 def scheme_from_json_obj(obj: dict) -> AddressScheme:
     try:
-        return AddressScheme(int(obj["d"]), tuple(str(a) for a in obj["addr"]))
-    except (KeyError, TypeError) as e:
+        d, addr = int(obj["d"]), tuple(str(a) for a in obj["addr"])
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InputError(f"bad scheme object: {e}") from None
+    return AddressScheme(d, addr)
 
 
 def address_distance(a: str, b: str) -> int:
@@ -108,70 +112,147 @@ def _bfs_order(g: LabeledGraph) -> list[int]:
     return order
 
 
+def _digit_masks(d: int) -> list[list[int]]:
+    """masks[p][c] has bit i set when word i has digit c at position p.
+
+    Word i is i written in base 3 with d digits, most significant first,
+    which is the lexicographic order of {0, 1, 2}^d.
+    """
+    masks = []
+    for p in range(d):
+        width = 3 ** (d - 1 - p)
+        stride = 3 * width
+        # bit 0 of each of the 3^p blocks of stride bits
+        starts = ((1 << (stride * 3**p)) - 1) // ((1 << stride) - 1)
+        masks.append([(((1 << width) - 1) << (c * width)) * starts for c in range(3)])
+    return masks
+
+
 def search_scheme(
     g: LabeledGraph, d: int, budget: int | None = None
 ) -> AddressScheme | None:
     """Exhaustive search for a valid length-d scheme; None means none exists.
 
-    Vertices are assigned in BFS order. Symmetry breaking: the columns of
-    the growing address matrix must stay lexicographically nondecreasing,
-    which keeps one representative per column permutation without losing
-    any scheme. budget caps the number of candidate assignments tried;
-    exceeding it raises instead of guessing.
+    Vertices are assigned in BFS order, each trying the 3^d words in
+    lexicographic order. Symmetry breaking: the columns of the growing
+    address matrix must stay lexicographically nondecreasing, which keeps
+    one representative per column permutation without losing any scheme.
+
+    A vertex's candidates are a bitmask over word indices: the AND, over the
+    vertices already assigned, of the words at the right distance from each
+    one's word (one mask per distance, built once per search for each word
+    used), and of the words that keep every tied adjacent column pair in
+    order (memoized per set of tied pairs). The set bits are walked in
+    increasing order. budget caps the number of words scanned, and still
+    counts every word, rejected or not: the index gaps between candidates
+    and the rest of each level after the last one count too. Exceeding it
+    raises instead of guessing. A length above MAX_LENGTH is refused before
+    anything is built.
     """
     if g.n > MAX_VERTICES:
         raise TooLarge(f"{g.n} vertices exceeds the guard of {MAX_VERTICES}")
+    if d > MAX_LENGTH:
+        raise TooLarge(f"address length {d} exceeds the guard of {MAX_LENGTH}")
     if d < 0:
         raise InputError("address length must be nonnegative")
     if g.n == 0:
         return AddressScheme(d, ())
     dist = all_pairs_distances(g)
     order = _bfs_order(g)
-    # words as tuples over codes 0, 1, 2 (2 prints as *)
-    words = sorted(product((0, 1, 2), repeat=d))
-    assigned: list[tuple[int, ...]] = []
+    n_words = 3**d
+    full = (1 << n_words) - 1
+    digit = _digit_masks(d)
+    # words whose digits at p and p + 1 are in order
+    pair_in_order = [
+        reduce(or_, (digit[p][x] & digit[p + 1][y] for x in range(3) for y in range(x, 3)))
+        for p in range(d - 1)
+    ]
+    in_order: dict[int, int] = {}
+    at_distance: dict[int, list[int]] = {}
+    assigned: list[int] = []
     nodes = 0
 
-    def word_dist(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        return sum(1 for x, y in zip(a, b) if x + y == 1)
+    def word(i: int) -> list[int]:
+        out = [0] * d
+        for p in range(d - 1, -1, -1):
+            i, out[p] = divmod(i, 3)
+        return out
 
-    def columns_stay_sorted(cand: tuple[int, ...]) -> bool:
-        rows = assigned + [cand]
-        prev = tuple(r[0] for r in rows) if d else ()
-        for j in range(1, d):
-            col = tuple(r[j] for r in rows)
-            if col < prev:
-                return False
-            prev = col
-        return True
+    def keeps_order(ties: int) -> int:
+        """Words that keep each tied adjacent column pair (bit p: p, p + 1) in order."""
+        mask = in_order.get(ties)
+        if mask is None:
+            mask = full
+            for p in range(d - 1):
+                if ties >> p & 1:
+                    mask &= pair_in_order[p]
+            in_order[ties] = mask
+        return mask
 
-    def extend(t: int) -> tuple[str, ...] | None:
+    def distance_masks(i: int) -> list[int]:
+        """masks[k]: the words at word distance k from word i."""
+        masks = at_distance.get(i)
+        if masks is None:
+            masks = [full] + [0] * d
+            for p, x in enumerate(word(i)):
+                if x == 2:
+                    continue
+                far, near = digit[p][1 - x], digit[p][x] | digit[p][2]
+                for k in range(d, 0, -1):
+                    masks[k] = (masks[k] & near) | (masks[k - 1] & far)
+                masks[0] &= near
+            at_distance[i] = masks
+        return masks
+
+    def scan(count: int):
         nonlocal nodes
+        nodes += count
+        if budget is not None and nodes > budget:
+            raise BudgetExceeded(f"budget of {budget} nodes exhausted")
+
+    def extend(t: int, ties: int) -> tuple[str, ...] | None:
         if t == len(order):
             by_label = [""] * g.n
             for pos, v in enumerate(order):
-                by_label[v - 1] = "".join(ALPHABET[c] for c in assigned[pos])
+                by_label[v - 1] = "".join(ALPHABET[c] for c in word(assigned[pos]))
             return tuple(by_label)
         v = order[t]
-        for cand in words:
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(f"budget of {budget} nodes exhausted")
-            ok = all(
-                word_dist(assigned[pos], cand) == dist.rows[order[pos] - 1][v - 1]
-                for pos in range(t)
-            )
-            if not ok or not columns_stay_sorted(cand):
-                continue
-            assigned.append(cand)
-            found = extend(t + 1)
+        cands = keeps_order(ties)
+        for pos, i in enumerate(assigned):
+            k = dist.rows[order[pos] - 1][v - 1]
+            cands &= distance_masks(i)[k] if k <= d else 0
+        last = -1
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            i = low.bit_length() - 1
+            scan(i - last)
+            last = i
+            w = word(i)
+            assigned.append(i)
+            found = extend(t + 1, ties & sum(1 << p for p in range(d - 1) if w[p] == w[p + 1]))
             assigned.pop()
             if found is not None:
                 return found
+        scan(n_words - 1 - last)
         return None
 
-    found = extend(0)
+    found = extend(0, (1 << max(d - 1, 0)) - 1)
     return None if found is None else AddressScheme(d, found)
+
+
+def _minimum_scheme(g: LabeledGraph, budget: int | None = None) -> tuple[int, AddressScheme]:
+    """exact_n's scan, one search per length: (inertia lower bound, minimum scheme)."""
+    if g.n > MAX_VERTICES:
+        raise TooLarge(f"{g.n} vertices exceeds the guard of {MAX_VERTICES}")
+    if g.n <= 1:
+        return 0, AddressScheme(0, ("",) * g.n)
+    lb = addressing_lower_bound(inertia_congruence(all_pairs_distances(g)))
+    for d in range(max(lb, 1), g.n):
+        scheme = search_scheme(g, d, budget)
+        if scheme is not None:
+            return lb, scheme
+    raise RuntimeError("no scheme found up to n - 1; this contradicts the length bound")
 
 
 def exact_n(g: LabeledGraph, budget: int | None = None) -> int:
@@ -180,12 +261,4 @@ def exact_n(g: LabeledGraph, budget: int | None = None) -> int:
     The Winkler bound guarantees a scheme of length n - 1 exists, so the
     scan terminates. An exhausted budget raises rather than answering.
     """
-    if g.n > MAX_VERTICES:
-        raise TooLarge(f"{g.n} vertices exceeds the guard of {MAX_VERTICES}")
-    if g.n <= 1:
-        return 0
-    lb = addressing_lower_bound(inertia_congruence(all_pairs_distances(g)))
-    for d in range(max(lb, 1), g.n):
-        if search_scheme(g, d, budget) is not None:
-            return d
-    raise RuntimeError("no scheme found up to n - 1; this contradicts the length bound")
+    return _minimum_scheme(g, budget)[1].d

@@ -13,14 +13,20 @@ Exit codes: 0 success, 1 a verification answered "no" or a suite failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
-from .addressing import exact_n, scheme_from_json_obj, scheme_to_json_obj, search_scheme, verify_scheme
+from .addressing import (
+    _minimum_scheme,
+    scheme_from_json_obj,
+    scheme_to_json_obj,
+    search_scheme,
+    verify_scheme,
+)
 from .errors import InputError, ResourceLimit
 from .formulas import (
-    addressing_lower_bound,
     cp2_invariants,
     distance_invariants,
     family_invariants,
@@ -36,7 +42,6 @@ from .graphs import (
     graph_to_json_obj,
     parse_edge_list,
 )
-from .linalg import inertia_congruence
 from .reduction import (
     congruence_reduce,
     reduced_graph,
@@ -274,12 +279,8 @@ def _cmd_address_search(args) -> tuple[dict, int]:
 
 def _cmd_address_exact_n(args) -> tuple[dict, int]:
     g = _load_graph(args.graph)
-    lb = addressing_lower_bound(inertia_congruence(all_pairs_distances(g))) if g.n > 1 else 0
-    k = exact_n(g, budget=_budget(args))
-    results: dict = {"n": k, "lower_bound": lb}
-    scheme = search_scheme(g, k, budget=_budget(args))
-    if scheme is not None:
-        results["scheme"] = scheme_to_json_obj(scheme)
+    lb, scheme = _minimum_scheme(g, budget=_budget(args))
+    results = {"n": scheme.d, "lower_bound": lb, "scheme": scheme_to_json_obj(scheme)}
     inputs = {"graph": args.graph, "budget": args.budget}
     return _report("address exact-n", inputs, results), 0
 
@@ -301,7 +302,9 @@ def _cmd_check(args) -> tuple[dict, int]:
 # -- wiring ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, since parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="cpgraphs",
         description="Construct, enumerate, and analyze CP graphs and 2-clique paths.",

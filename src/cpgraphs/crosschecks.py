@@ -5,14 +5,19 @@ literal cofactor expansion, and the inertia comes from Descartes' rule of
 signs applied to the exact characteristic polynomial (computed by the
 Faddeev-LeVerrier trace recurrence over Fractions). Descartes' rule counts
 roots exactly for real-rooted polynomials, and symmetric matrices have only
-real eigenvalues, so the sign counts are the inertia.
+real eigenvalues, so the sign counts are the inertia. The address search
+here tests every candidate word against each assigned vertex and the column
+order one by one, where addressing.search_scheme works on bitmasks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
+from .addressing import ALPHABET, MAX_VERTICES, AddressScheme, BudgetExceeded, TooLarge, _bfs_order
 from .errors import InputError
+from .graphs import LabeledGraph, all_pairs_distances
 from .linalg import Inertia, NotSymmetric
 from .matrices import IntMatrix
 
@@ -89,3 +94,66 @@ def inertia_by_charpoly_signs(m: IntMatrix) -> Inertia:
     flipped = [c if i % 2 == 0 else -c for i, c in enumerate(reduced)]
     n_minus = variations(flipped)
     return Inertia(n_plus, n_minus, n_zero)
+
+
+def brute_search_scheme(
+    g: LabeledGraph, d: int, budget: int | None = None
+) -> AddressScheme | None:
+    """search_scheme's answer, node count and budget, one candidate at a time.
+
+    Same BFS vertex order, lexicographic word order and column-sort symmetry
+    break; each word scanned counts one node, whether it is rejected or not.
+    """
+    if g.n > MAX_VERTICES:
+        raise TooLarge(f"{g.n} vertices exceeds the guard of {MAX_VERTICES}")
+    if d < 0:
+        raise InputError("address length must be nonnegative")
+    if g.n == 0:
+        return AddressScheme(d, ())
+    dist = all_pairs_distances(g)
+    order = _bfs_order(g)
+    # words as tuples over codes 0, 1, 2 (2 prints as *)
+    words = sorted(product((0, 1, 2), repeat=d))
+    assigned: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def word_dist(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+        return sum(1 for x, y in zip(a, b) if x + y == 1)
+
+    def columns_stay_sorted(cand: tuple[int, ...]) -> bool:
+        rows = assigned + [cand]
+        prev = tuple(r[0] for r in rows) if d else ()
+        for j in range(1, d):
+            col = tuple(r[j] for r in rows)
+            if col < prev:
+                return False
+            prev = col
+        return True
+
+    def extend(t: int) -> tuple[str, ...] | None:
+        nonlocal nodes
+        if t == len(order):
+            by_label = [""] * g.n
+            for pos, v in enumerate(order):
+                by_label[v - 1] = "".join(ALPHABET[c] for c in assigned[pos])
+            return tuple(by_label)
+        v = order[t]
+        for cand in words:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded(f"budget of {budget} nodes exhausted")
+            ok = all(
+                word_dist(assigned[pos], cand) == dist.rows[order[pos] - 1][v - 1]
+                for pos in range(t)
+            )
+            if not ok or not columns_stay_sorted(cand):
+                continue
+            assigned.append(cand)
+            found = extend(t + 1)
+            assigned.pop()
+            if found is not None:
+                return found
+        return None
+
+    found = extend(0)
+    return None if found is None else AddressScheme(d, found)

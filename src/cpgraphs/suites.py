@@ -22,7 +22,6 @@ from .formulas import (
     BlockCliquePathRecipe,
     BlockPart,
     CrossCheckFailed,
-    addressing_lower_bound,
     block_2cp_inertia,
     compose_blocks,
     cp2_invariants,
@@ -41,7 +40,7 @@ from .graphs import (
     is_connected,
     path_graph,
 )
-from .addressing import exact_n, search_scheme, verify_scheme
+from .addressing import _minimum_scheme, search_scheme, verify_scheme
 from .linalg import (
     ConsecutiveZeroMinors,
     Inertia,
@@ -516,17 +515,12 @@ def _addressing_cases() -> list[tuple[str, LabeledGraph]]:
 def _suite_addressing(rec: Recorder, rng, scale) -> dict:
     for name, g in _addressing_cases():
         n = g.n
-        lb = addressing_lower_bound(inertia_congruence(all_pairs_distances(g)))
+        lb, scheme = _minimum_scheme(g)
         rec.check(lb == n - 1, f"{name}: lower bound {lb} != {n - 1}")
         shorter = search_scheme(g, n - 2)
         rec.check(shorter is None, f"{name}: found a scheme of length {n - 2}")
-        got = exact_n(g)
-        rec.check(got == n - 1, f"{name}: minimum length {got} != {n - 1}")
-        scheme = search_scheme(g, n - 1)
-        rec.check(
-            scheme is not None and verify_scheme(g, scheme),
-            f"{name}: no valid scheme of length {n - 1}",
-        )
+        rec.check(scheme.d == n - 1, f"{name}: minimum length {scheme.d} != {n - 1}")
+        rec.check(verify_scheme(g, scheme), f"{name}: no valid scheme of length {n - 1}")
     return {"graphs": [name for name, _ in _addressing_cases()]}
 
 

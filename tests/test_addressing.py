@@ -2,12 +2,15 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpgraphs.addressing import (
     ALPHABET,
     AddressScheme,
     BudgetExceeded,
     LengthMismatch,
+    MAX_LENGTH,
     MAX_VERTICES,
     SizeMismatch,
     TooLarge,
@@ -18,6 +21,7 @@ from cpgraphs.addressing import (
     search_scheme,
     verify_scheme,
 )
+from cpgraphs.crosschecks import brute_search_scheme
 from cpgraphs.errors import InputError
 from cpgraphs.graphs import (
     LabeledGraph,
@@ -134,6 +138,10 @@ def test_size_guard():
         search_scheme(big, 2)
     with pytest.raises(TooLarge):
         exact_n(big)
+    with pytest.raises(TooLarge):
+        search_scheme(path_graph(3), MAX_LENGTH + 1)
+    with pytest.raises(TooLarge):
+        search_scheme(path_graph(3), 10**9)
 
 
 def test_budget_guard():
@@ -146,3 +154,51 @@ def test_scheme_json_round_trip():
     assert scheme_from_json_obj(scheme_to_json_obj(s)) == s
     with pytest.raises(InputError):
         scheme_from_json_obj({"d": 2})
+
+
+@st.composite
+def connected_graphs(draw, max_n=5):
+    """A random spanning tree plus random extra edges, randomly labelled."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))) if pairs else set()
+    label = draw(st.permutations(range(1, n + 1)))
+    return LabeledGraph(n, tuple(sorted(tuple(sorted((label[u - 1], label[v - 1]))) for u, v in edges)))
+
+
+def outcome(search, g, d, budget):
+    try:
+        return search(g, d, budget)
+    except BudgetExceeded:
+        return "budget exceeded"
+
+
+def nodes_needed(g, d):
+    """The least budget under which search_scheme(g, d) answers."""
+    hi = 1
+    while outcome(search_scheme, g, d, hi) == "budget exceeded":
+        hi *= 2
+    lo = hi // 2  # too small, or 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if outcome(search_scheme, g, d, mid) == "budget exceeded":
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(connected_graphs(), st.integers(0, 4))
+def test_search_matches_slow_oracle(g, d):
+    found = search_scheme(g, d)
+    assert found == brute_search_scheme(g, d)
+    if found is not None:
+        assert verify_scheme(g, found)
+    need = nodes_needed(g, d)
+    # the oracle scans exactly as many words: it answers with that budget
+    # and runs out one node earlier
+    assert outcome(search_scheme, g, d, need - 1) == "budget exceeded"
+    assert outcome(brute_search_scheme, g, d, need) == found
+    assert outcome(brute_search_scheme, g, d, need - 1) == "budget exceeded"

@@ -1,10 +1,13 @@
 import io
 import json
+import time
 
 import pytest
 
-from cpgraphs.cli import main, parse_graph_input
-from cpgraphs.graphs import path_graph
+from cpgraphs import addressing, cli
+from cpgraphs.addressing import AddressScheme
+from cpgraphs.cli import build_parser, main, parse_graph_input
+from cpgraphs.graphs import LabeledGraph, path_graph
 
 
 def run(capsys, *argv):
@@ -162,6 +165,42 @@ def test_address_resource_limits(capsys, tmp_path):
     p2.write_text("1 2\n1 3\n2 3\n2 4\n3 4\n3 5\n4 5\n")
     code, out, err = run(capsys, "address", "search", str(p2), "--length", "4", "--budget", "5")
     assert code == 3
+    # the length guard trips before the 3^40 words would be built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "address", "search", str(p2), "--length", "40")
+    assert code == 3 and "resource limit" in err and not out
+    assert time.perf_counter() - start < 1.0
+
+
+def test_address_verify_malformed_scheme(capsys, tmp_path):
+    p = tmp_path / "k3.edges"
+    p.write_text("1 2\n2 3\n1 3\n")
+    sp = tmp_path / "scheme.json"
+    for text in ('{"d": "x", "addr": []}', '{"d": Infinity, "addr": []}', '{"d": 1}', "[1]"):
+        sp.write_text(text)
+        code, out, err = run(capsys, "address", "verify", str(p), "--scheme", str(sp))
+        assert code == 2 and err.startswith("error: bad scheme object") and not out, text
+
+
+def test_exact_n_searches_each_length_once(capsys, tmp_path, monkeypatch):
+    # K_{2,3}: the inertia bound is 3, the minimum length 4
+    edges = ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))
+    p = tmp_path / "k23.edges"
+    p.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    want = addressing.search_scheme(LabeledGraph(5, edges), 4)
+    lengths = []
+    real = addressing.search_scheme
+
+    def counting(g, d, budget=None):
+        lengths.append(d)
+        return real(g, d, budget)
+
+    monkeypatch.setattr(addressing, "search_scheme", counting)
+    monkeypatch.setattr(cli, "search_scheme", counting)
+    code, obj = run_json(capsys, "address", "exact-n", str(p))
+    assert code == 0 and lengths == [3, 4]
+    assert obj["results"]["lower_bound"] == 3 and obj["results"]["n"] == 4
+    assert AddressScheme(4, tuple(obj["results"]["scheme"]["addr"])) == want
 
 
 def test_check_command(capsys):
@@ -187,3 +226,16 @@ def test_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["seq"]) == 2
     assert main(["--help"]) == 0
+
+
+def test_cached_parser_keeps_no_state(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    p = tmp_path / "p3.edges"
+    p.write_text("1 2\n2 3\n")
+    code, obj = run_json(capsys, "address", "search", str(p), "--length", "2", "--budget", "1000")
+    assert code == 0 and obj["inputs"]["budget"] == 1000
+    assert run(capsys, "address", "search", str(p))[0] == 2
+    code, obj = run_json(capsys, "address", "search", str(p), "--length", "1")
+    assert code == 0 and obj["inputs"] == {"graph": str(p), "length": 1, "budget": 10_000_000}
+    code, obj = run_json(capsys, "seq", "validate", "0,1,2,2,3")
+    assert code == 0 and obj["command"] == "seq validate" and obj["results"]["n"] == 5
