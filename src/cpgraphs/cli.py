@@ -264,6 +264,8 @@ def _cmd_address_verify(args) -> tuple[dict, int]:
 
 
 def _budget(args) -> int | None:
+    if args.budget < 0:
+        raise InputError(f"--budget must be nonnegative (0 = unlimited), got {args.budget}")
     return None if args.budget == 0 else args.budget
 
 

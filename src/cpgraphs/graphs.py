@@ -4,6 +4,12 @@ Vertices are labeled 1..n everywhere; edges are stored as sorted (u, v)
 pairs with u < v. Instances stay small (the acceptance suites top out in the
 low hundreds of vertices), so plain BFS and a textbook block decomposition
 are all the machinery needed.
+
+Validation happens once, where a graph enters from outside: the LabeledGraph
+constructor (behind edge files, JSON and user calls) range-checks, orders and
+deduplicates every edge. Graphs built from an already-valid neighborhood
+sequence or Pruefer code go through the private LabeledGraph._of, which
+assumes sorted, distinct (u, v) pairs with 1 <= u < v <= n and checks nothing.
 """
 
 from __future__ import annotations
@@ -66,6 +72,16 @@ class LabeledGraph:
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     @classmethod
+    def _of(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "LabeledGraph":
+        """Wrap edges without checking them. Precondition: n >= 0 and edges is a
+        sorted tuple of distinct (u, v) with 1 <= u < v <= n; the graph then
+        equals, and hashes like, LabeledGraph(n, edges)."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "LabeledGraph":
         return cls(n, tuple(edges))
 
@@ -115,7 +131,8 @@ def build_cp_graph(ns: NeighborhoodSequence) -> LabeledGraph:
     for k in range(2, ns.n + 1):
         for w in ns.window(k):
             edges.append((w, k))
-    return LabeledGraph(ns.n, tuple(edges))
+    # windows hold earlier vertices, and each pair (w, k) arises at step k only
+    return LabeledGraph._of(ns.n, tuple(sorted(edges)))
 
 
 def is_connected(g: LabeledGraph) -> bool:
@@ -160,8 +177,8 @@ def all_pairs_distances(g: LabeledGraph) -> IntMatrix:
         row = bfs_distances(g, s)[1:]
         if -1 in row:
             raise Disconnected(f"vertex {s} cannot reach every vertex")
-        rows.append(row)
-    return IntMatrix(tuple(rows))
+        rows.append(tuple(row))
+    return IntMatrix._of(tuple(rows))
 
 
 class AttachResult(NamedTuple):

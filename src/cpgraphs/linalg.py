@@ -189,16 +189,16 @@ def inertia_leading_minors(m: IntMatrix) -> Inertia:
     return Inertia(n - changes, changes, 0)
 
 
-def _bordered(m: IntMatrix, u: list[int]) -> IntMatrix:
+def _bordered(m: IntMatrix, u: tuple[int, ...]) -> IntMatrix:
     """[[A, u], [u^T, 0]]."""
-    rows = [list(r) + [x] for r, x in zip(m.rows, u)]
-    rows.append(u + [0])
-    return IntMatrix.from_rows(rows)
+    rows = [r + (x,) for r, x in zip(m.rows, u)]
+    rows.append(u + (0,))
+    return IntMatrix._of(tuple(rows))
 
 
 def cofactor_sum(m: IntMatrix) -> int:
     """Sum of all n^2 cofactors, 1^T adj(A) 1 = -det([[A, 1], [1^T, 0]])."""
-    return -determinant(_bordered(m, [1] * m.n))
+    return -determinant(_bordered(m, (1,) * m.n))
 
 
 def reduced_cofactor_sum(m: IntMatrix) -> int:
@@ -211,4 +211,4 @@ def reduced_cofactor_sum(m: IntMatrix) -> int:
     """
     if m.n < 2:
         raise DimensionTooSmall("need order at least 2")
-    return -determinant(_bordered(m, [1, 1] + [0] * (m.n - 2)))
+    return -determinant(_bordered(m, (1, 1) + (0,) * (m.n - 2)))

@@ -4,6 +4,13 @@ Entries are Python ints, so nothing here ever rounds. Matrices are square
 (everything in this package is an n-by-n distance, adjacency, or change-of-
 basis matrix) and immutable. Rows are 0-indexed internally; translation from
 1-based vertex labels happens at the call sites that care.
+
+Validation happens once, where rows enter from outside: the constructor
+(and from_rows / from_json_rows, which go through it) re-tuples the rows and
+checks that they are square and hold ints. Matrices the package derives from
+already-valid ones (products, sums, transposes, submatrices, distance and
+change-of-basis matrices) are wrapped by the private IntMatrix._of, which
+assumes a tuple of n tuples of n ints and checks nothing.
 """
 
 from __future__ import annotations
@@ -35,21 +42,29 @@ class IntMatrix:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
+    def _of(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap rows without checking them. Precondition: rows is a tuple of n
+        tuples of n ints; it then equals, and hashes like, IntMatrix(rows)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
         # index() keeps int-like types but refuses floats; no silent rounding
         return cls(tuple(tuple(index(x) for x in r) for r in rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls._of(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, n: int) -> "IntMatrix":
-        return cls(tuple((0,) * n for _ in range(n)))
+        return cls._of(tuple((0,) * n for _ in range(n)))
 
     @classmethod
     def ones(cls, n: int) -> "IntMatrix":
-        return cls(tuple((1,) * n for _ in range(n)))
+        return cls._of(tuple((1,) * n for _ in range(n)))
 
     @property
     def n(self) -> int:
@@ -57,7 +72,7 @@ class IntMatrix:
 
     @property
     def t(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows))) if self.rows else self
+        return IntMatrix._of(tuple(zip(*self.rows))) if self.rows else self
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Row-combination product: row i sums a_ik * other[k] over the k with
@@ -71,28 +86,24 @@ class IntMatrix:
             for a, brow in zip(row, other.rows):
                 if a:
                     acc = [x + a * y for x, y in zip(acc, brow)]
-            out.append(acc)
-        return IntMatrix(tuple(out))
+            out.append(tuple(acc))
+        return IntMatrix._of(tuple(out))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.n != other.n:
             raise DimensionMismatch(f"orders differ: {self.n} vs {other.n}")
-        return IntMatrix(
+        return IntMatrix._of(
             tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows))
         )
 
     def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
+        return self.rows == tuple(zip(*self.rows))
 
     def leading(self, k: int) -> "IntMatrix":
         """Leading principal k-by-k submatrix."""
         if not 0 <= k <= self.n:
             raise InputError(f"leading submatrix order {k} out of range")
-        return IntMatrix(tuple(r[:k] for r in self.rows[:k]))
+        return IntMatrix._of(tuple(r[:k] for r in self.rows[:k]))
 
     def symmetric_permute(self, order: Sequence[int]) -> "IntMatrix":
         """Reindex rows and columns by a 1-based ordering.
@@ -103,7 +114,7 @@ class IntMatrix:
         if sorted(order) != list(range(1, self.n + 1)):
             raise InputError("order must be a permutation of 1..n")
         idx = [v - 1 for v in order]
-        return IntMatrix(tuple(tuple(self.rows[i][j] for j in idx) for i in idx))
+        return IntMatrix._of(tuple(tuple(self.rows[i][j] for j in idx) for i in idx))
 
     def to_json_rows(self) -> list[list[str]]:
         """Entries as decimal strings, so arbitrary precision survives JSON."""

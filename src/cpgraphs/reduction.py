@@ -10,6 +10,7 @@ seesaw/weighted-path shapes the reduced graphs of 2-clique paths take.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import InputError
 from .matrices import DimensionMismatch, IntMatrix
@@ -27,9 +28,12 @@ class WeightedGraph:
     def __post_init__(self):
         if len(self.vertex_weights) != self.n:
             raise InputError("need one vertex weight per vertex")
+        # index() refuses floats, so adjacency_matrix() can skip the matrix checks
+        vw = tuple(index(x) for x in self.vertex_weights)
         seen = set()
         norm = []
         for u, v, w in self.edges:
+            w = index(w)
             if u == v:
                 raise InputError(f"self loop at vertex {u}")
             if u > v:
@@ -43,16 +47,7 @@ class WeightedGraph:
             seen.add((u, v))
             norm.append((u, v, w))
         object.__setattr__(self, "edges", tuple(sorted(norm)))
-        object.__setattr__(self, "vertex_weights", tuple(self.vertex_weights))
-
-    def edge_weight(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return self._weights.get((u, v), 0)
-
-    @property
-    def _weights(self) -> dict[tuple[int, int], int]:
-        return {(u, v): w for u, v, w in self.edges}
+        object.__setattr__(self, "vertex_weights", vw)
 
     def adjacency_matrix(self) -> IntMatrix:
         rows = [[0] * self.n for _ in range(self.n)]
@@ -61,7 +56,7 @@ class WeightedGraph:
         for u, v, w in self.edges:
             rows[u - 1][v - 1] = w
             rows[v - 1][u - 1] = w
-        return IntMatrix.from_rows(rows)
+        return IntMatrix._of(tuple(map(tuple, rows)))
 
     def relabeled(self, mapping: dict[int, int]) -> "WeightedGraph":
         """Apply a vertex bijection 1..n -> 1..n."""
@@ -149,7 +144,7 @@ def reducing_matrix(ns: NeighborhoodSequence) -> IntMatrix:
         c[ns.ak(k) - 1] -= 1
         c[k - 2] -= 1
         c[ns.ak(k - 1) - 1] += 1
-    return IntMatrix(tuple(zip(*col)))
+    return IntMatrix._of(tuple(zip(*col)))
 
 
 def congruence_reduce(d: IntMatrix, e: IntMatrix) -> IntMatrix:
@@ -167,7 +162,7 @@ def weighted_path_matrix(n: int) -> IntMatrix:
     -2 on the diagonal, 1 on the off-diagonals. n = 0 gives the empty matrix."""
     if n < 0:
         raise InputError("order must be nonnegative")
-    return IntMatrix(
+    return IntMatrix._of(
         tuple(
             tuple(-2 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(n))
             for i in range(n)

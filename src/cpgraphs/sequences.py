@@ -10,6 +10,13 @@ W_{k-1}, which is what makes consecutive neighborhoods overlap in a clique.
 This module owns the combinatorics: validating q, expanding the p_1..p_m
 clique-path shorthand, computing the admissible anchors at each step, and
 enumerating or counting all anchor choices for a fixed q.
+
+Validation happens once, where a sequence enters from outside: the
+NonLeapingSequence and NeighborhoodSequence constructors check every term
+and every anchor. The members enumerate_neighborhood_sequences yields are
+admissible by construction, so it builds them with the private
+NeighborhoodSequence._of, which assumes a tuple of admissible anchors and
+checks nothing.
 """
 
 from __future__ import annotations
@@ -87,10 +94,6 @@ class NonLeapingSequence:
             raise IndexOutOfRange(f"index {k} outside 1..{self.n}")
 
 
-def validate_nonleaping(q: Sequence[int]) -> NonLeapingSequence:
-    return NonLeapingSequence(tuple(q))
-
-
 @dataclass(frozen=True)
 class CliquePathSpec:
     """Clique sizes p_1..p_m of a path of cliques glued along edges.
@@ -159,6 +162,16 @@ class NeighborhoodSequence:
             if a not in admissible_anchors(self.base, k, anchors[: k - 3]):
                 raise InputError(f"anchor a_{k} = {a} is not admissible")
 
+    @classmethod
+    def _of(cls, base: NonLeapingSequence, anchors: tuple[int, ...]) -> "NeighborhoodSequence":
+        """Wrap anchors without checking them. Precondition: anchors is a tuple
+        with a_k in admissible_anchors(base, k, anchors[:k - 3]) for k = 3..n;
+        the result then equals, and hashes like, NeighborhoodSequence(base, anchors)."""
+        ns = object.__new__(cls)
+        object.__setattr__(ns, "base", base)
+        object.__setattr__(ns, "anchors", anchors)
+        return ns
+
     @property
     def n(self) -> int:
         return self.base.n
@@ -185,19 +198,35 @@ def enumerate_neighborhood_sequences(
     """All anchor choices for the given size sequence, in ascending anchor order."""
     if limit is not None and limit < 0:
         raise InputError(f"limit must be nonnegative, got {limit}")
-
-    def rec(prefix: list[int]) -> Iterator[NeighborhoodSequence]:
-        k = len(prefix) + 3
-        if k > base.n:
-            yield NeighborhoodSequence(base, tuple(prefix))
-            return
-        for a in sorted(admissible_anchors(base, k, prefix)):
-            prefix.append(a)
-            yield from rec(prefix)
-            prefix.pop()
-
-    stream = rec([])
+    stream = _members(base)
     return stream if limit is None else itertools.islice(stream, limit)
+
+
+def _members(base: NonLeapingSequence) -> Iterator[NeighborhoodSequence]:
+    """Odometer over the sorted admissible sets, last step fastest.
+
+    Since a_{k-1} < b_{k-1} <= b_k, the step-k set sorts as a_{k-1}, b_{k-1},
+    ..., b_k - 1 (with a_2 = 1), so digit d at step k picks a_{k-1} for d = 0
+    and b_{k-1} + d - 1 otherwise. Anchors rise with the digit, so counting
+    the digits up lists the anchor vectors in ascending order; resetting the
+    digits after a carry to 0 repeats the anchor just changed.
+    """
+    b = base.b  # b[k - 1] = b_k
+    m = base.n - 2
+    anchors = [1] * m
+    digits = [0] * m
+    while True:
+        yield NeighborhoodSequence._of(base, tuple(anchors))
+        i = m - 1  # digit i is step k = i + 3, with radix 1 + b_k - b_{k-1}
+        while i >= 0 and digits[i] == b[i + 2] - b[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        digits[i] += 1
+        anchors[i] = b[i + 1] + digits[i] - 1
+        for j in range(i + 1, m):
+            digits[j] = 0
+            anchors[j] = anchors[i]
 
 
 def count_neighborhood_sequences(base: NonLeapingSequence) -> int:
@@ -224,17 +253,18 @@ def iter_nonleaping_sequences(n: int) -> Iterator[NonLeapingSequence]:
     """All non-leaping sequences of length n, lexicographically. Test-suite helper."""
     if n < 2:
         raise InputError("sequences have length at least 2")
-
-    def rec(q: list[int]) -> Iterator[NonLeapingSequence]:
-        if len(q) == n:
-            yield NonLeapingSequence(tuple(q))
+    q = [0, 1] + [2] * (n - 2)
+    while True:
+        yield NonLeapingSequence(tuple(q))
+        # odometer, last term fastest: raise the last term below its cap
+        # q_{k-1} + 1 and restart every later term at 2
+        i = n - 1
+        while i >= 2 and q[i] == q[i - 1] + 1:
+            i -= 1
+        if i < 2:
             return
-        for qk in range(2, q[-1] + 2):
-            q.append(qk)
-            yield from rec(q)
-            q.pop()
-
-    yield from rec([0, 1])
+        q[i] += 1
+        q[i + 1 :] = [2] * (n - 1 - i)
 
 
 def parse_sequence_literal(text: str) -> NonLeapingSequence:
@@ -248,7 +278,7 @@ def parse_sequence_literal(text: str) -> NonLeapingSequence:
         raise InputError(f"bad sequence literal: {text!r}") from None
     if len(q) != len(parts):
         raise InputError(f"bad sequence literal: {text!r}")
-    return validate_nonleaping(q)
+    return NonLeapingSequence(q)
 
 
 def parse_spec_literal(text: str) -> CliquePathSpec:

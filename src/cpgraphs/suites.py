@@ -179,6 +179,7 @@ def random_recipe(rng: random.Random, n_max: int) -> BlockCliquePathRecipe:
 
 
 def tree_from_pruefer(n: int, code: tuple[int, ...]) -> LabeledGraph:
+    """The labelled tree on 1..n with Pruefer code `code` (n - 2 labels in 1..n)."""
     if n == 1:
         return LabeledGraph(1, ())
     deg = [1] * (n + 1)
@@ -197,7 +198,7 @@ def tree_from_pruefer(n: int, code: tuple[int, ...]) -> LabeledGraph:
             heappush(leaves, v)
     a, b = heappop(leaves), heappop(leaves)
     edges.append((min(a, b), max(a, b)))
-    return LabeledGraph(n, tuple(edges))
+    return LabeledGraph._of(n, tuple(sorted(edges)))
 
 
 # -- the suites --------------------------------------------------------------

@@ -1,8 +1,13 @@
 import io
 import json
+import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpgraphs import addressing, cli
 from cpgraphs.addressing import AddressScheme
@@ -61,6 +66,14 @@ def test_family_enumerate_negative_limit(capsys):
     code, out, err = run(capsys, "family", "enumerate", "0,1,2,2,3", "--limit", "-1")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_family_enumerate_deeper_than_recursion_limit(capsys):
+    n = sys.getrecursionlimit() + 500
+    literal = ",".join(["0", "1"] + ["2"] * (n - 2))
+    code, obj = run_json(capsys, "family", "enumerate", literal, "--limit", "1")
+    assert code == 0 and obj["results"]["anchors"] == [[1] * (n - 2)]
+    assert obj["results"]["total"] == str(2 ** (n - 3))
 
 
 def test_graph_build(capsys):
@@ -172,6 +185,17 @@ def test_address_resource_limits(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+def test_negative_budget_is_bad_input(capsys, tmp_path):
+    # graphs with at most one vertex never reach the search, so the check comes first
+    for name, text in (("k3", "1 2\n2 3\n1 3\n"), ("k1", "n 1\n"), ("k0", "n 0\n")):
+        p = tmp_path / f"{name}.edges"
+        p.write_text(text)
+        for argv in (("address", "search", str(p), "--length", "1"), ("address", "exact-n", str(p))):
+            code, out, err = run(capsys, *argv, "--budget", "-5")
+            assert code == 2 and not out and err.startswith("error:") and "budget" in err, argv
+            assert run(capsys, *argv, "--budget", "0")[0] == 0, argv
+
+
 def test_address_verify_malformed_scheme(capsys, tmp_path):
     p = tmp_path / "k3.edges"
     p.write_text("1 2\n2 3\n1 3\n")
@@ -239,3 +263,60 @@ def test_cached_parser_keeps_no_state(capsys, tmp_path):
     assert code == 0 and obj["inputs"] == {"graph": str(p), "length": 1, "budget": 10_000_000}
     code, obj = run_json(capsys, "seq", "validate", "0,1,2,2,3")
     assert code == 0 and obj["command"] == "seq validate" and obj["results"]["n"] == 5
+
+
+def _literal(terms):
+    return ",".join(map(str, terms))
+
+
+sequence_literals = st.one_of(
+    st.lists(st.integers(-1, 5), max_size=10).map(_literal),
+    # longer than the recursion limit in force (hypothesis raises it while it
+    # runs a test), valid or leaping at the end
+    st.tuples(st.integers(0, 500), st.sampled_from([2, 3, 4])).map(
+        lambda t: _literal([0, 1] + [2] * (sys.getrecursionlimit() + t[0]) + [t[1]])
+    ),
+    st.text(alphabet="0123456789,: -x", max_size=12),
+)
+
+
+@st.composite
+def graph_texts(draw):
+    n = draw(st.integers(0, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=10))
+    if draw(st.booleans()):
+        return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    return draw(st.text(alphabet="0123456789 n#\n{}", max_size=20))
+
+
+budgets = st.one_of(st.integers(-50, -1), st.just(0), st.integers(1, 300))
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, stdin text): family enumerate, address search or address exact-n."""
+    kind = draw(st.sampled_from(["enumerate", "search", "exact-n"]))
+    if kind == "enumerate":
+        literal = draw(sequence_literals)
+        argv = ["family", "enumerate", literal]
+        # an unlimited enumeration of a long sequence has 2^n members
+        if len(literal) > 40 or draw(st.booleans()):
+            argv += ["--limit", str(draw(st.integers(-2, 3)))]
+        return argv, ""
+    argv = ["address", kind, "-"]
+    if kind == "search":
+        argv += ["--length", str(draw(st.integers(-3, 13)))]
+    if draw(st.booleans()):
+        argv += ["--budget", str(draw(budgets))]
+    return argv, draw(graph_texts())
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(cli_calls())
+def test_cli_fuzz_exit_codes(call):
+    argv, stdin = call
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -46,6 +46,14 @@ def test_weighted_graph_validation():
         WeightedGraph(3, (0, 0), ((1, 2, 1),))
 
 
+def test_weighted_graph_weights_must_be_int():
+    # adjacency_matrix() builds its IntMatrix unchecked, so the weights are
+    # checked when the graph is made
+    for vw, ew in (((0.5, 0), ((1, 2, 1),)), ((0, 0), ((1, 2, 1.5),))):
+        with pytest.raises(TypeError):
+            WeightedGraph(2, vw, ew).adjacency_matrix()
+
+
 def test_adjacency_matrix():
     h = WeightedGraph(3, (5, 0, -2), ((1, 2, 1), (2, 3, -1)))
     assert h.adjacency_matrix() == IntMatrix.from_rows([[5, 1, 0], [1, 0, -1], [0, -1, -2]])

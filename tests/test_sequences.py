@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -140,6 +141,16 @@ def test_enumeration_limit():
     s = NonLeapingSequence((0, 1, 2, 2, 2, 2, 3, 3))
     assert count_neighborhood_sequences(s) == 16
     assert len(list(enumerate_neighborhood_sequences(s, limit=5))) == 5
+
+
+def test_enumeration_deeper_than_recursion_limit():
+    n = sys.getrecursionlimit() + 500
+    assert next(iter_nonleaping_sequences(n)).q == (0, 1) + (2,) * (n - 2)
+    s = NonLeapingSequence((0, 1) + (2,) * (n - 2))
+    first, second = enumerate_neighborhood_sequences(s, limit=2)
+    # b_k = k - 1, so only the last step has a second choice below b_n = n - 1
+    assert first.anchors == (1,) * (n - 2)
+    assert second == NeighborhoodSequence(s, (1,) * (n - 3) + (n - 2,))
 
 
 def test_anchor_validation():
