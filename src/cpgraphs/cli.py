@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -100,6 +101,25 @@ def _member(seq_literal: str, anchors_literal: str | None) -> NeighborhoodSequen
     return NeighborhoodSequence(s, anchors)
 
 
+class TooManyDigits(ResourceLimit):
+    """A count has more decimal digits than the interpreter will render."""
+
+
+def _decimal(count: int) -> str:
+    """count >= 1 as a decimal string, or TooManyDigits naming its digit count."""
+    try:
+        return str(count)
+    except ValueError:
+        # (bit_length - 1) log10(2) <= log10(count), so this starts at or below the answer
+        digits = int((count.bit_length() - 1) * math.log10(2))
+        while 10**digits <= count:
+            digits += 1
+        raise TooManyDigits(
+            f"the member count has {digits} decimal digits, more than the"
+            f" {sys.get_int_max_str_digits()} this interpreter renders"
+        ) from None
+
+
 def _report(command: str, inputs: dict, results: dict, **extra) -> dict:
     out = {"command": command, "inputs": inputs, "results": results}
     out.update(extra)
@@ -128,12 +148,13 @@ def _cmd_seq_expand(args) -> tuple[dict, int]:
 
 def _cmd_family_enumerate(args) -> tuple[dict, int]:
     s = parse_sequence_literal(args.sequence)
-    members = [list(ns.anchors) for ns in enumerate_neighborhood_sequences(s, limit=args.limit)]
     total = count_neighborhood_sequences(s)
+    total_text = _decimal(total)
+    members = [list(ns.anchors) for ns in enumerate_neighborhood_sequences(s, limit=args.limit)]
     results = {
         "q": list(s.q),
         "count": len(members),
-        "total": str(total),
+        "total": total_text,
         "truncated": len(members) < total,
         "anchors": members,
     }
@@ -142,7 +163,7 @@ def _cmd_family_enumerate(args) -> tuple[dict, int]:
 
 def _cmd_family_count(args) -> tuple[dict, int]:
     s = parse_sequence_literal(args.sequence)
-    results = {"q": list(s.q), "members": str(count_neighborhood_sequences(s))}
+    results = {"q": list(s.q), "members": _decimal(count_neighborhood_sequences(s))}
     return _report("family count", {"sequence": args.sequence}, results), 0
 
 

@@ -81,10 +81,6 @@ class LabeledGraph:
         object.__setattr__(g, "edges", edges)
         return g
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "LabeledGraph":
-        return cls(n, tuple(edges))
-
     @cached_property
     def _adj(self) -> tuple[tuple[int, ...], ...]:
         nbrs: list[list[int]] = [[] for _ in range(self.n + 1)]
@@ -126,13 +122,15 @@ def complete_graph(n: int) -> LabeledGraph:
 
 
 def build_cp_graph(ns: NeighborhoodSequence) -> LabeledGraph:
-    """Realize a neighborhood sequence: join each vertex k to its window W_k."""
-    edges = []
-    for k in range(2, ns.n + 1):
-        for w in ns.window(k):
-            edges.append((w, k))
-    # windows hold earlier vertices, and each pair (w, k) arises at step k only
-    return LabeledGraph._of(ns.n, tuple(sorted(edges)))
+    """Realize a neighborhood sequence: join each vertex k to its window
+    W_k = {a_k} + [b_k, k-1] (W_2 = {1})."""
+    edges = [(1, 2)]
+    for k, a, bk in zip(range(3, ns.n + 1), ns.anchors, ns.base.b[2:]):
+        edges.append((a, k))
+        edges += [(w, k) for w in range(bk, k)]
+    # a_k < b_k, so each pair (w, k) arises once, at step k
+    edges.sort()
+    return LabeledGraph._of(ns.n, tuple(edges))
 
 
 def is_connected(g: LabeledGraph) -> bool:

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import product
+from typing import Callable
 
 from . import fixtures
 from .crosschecks import det_by_cofactor_expansion, inertia_by_charpoly_signs
@@ -45,6 +46,7 @@ from .linalg import (
     ConsecutiveZeroMinors,
     Inertia,
     Singular,
+    det_and_inertia,
     determinant,
     inertia_congruence,
     inertia_leading_minors,
@@ -74,13 +76,14 @@ class Recorder:
     failures: list[str] = field(default_factory=list)
     max_failures: int = 20
 
-    def check(self, ok: bool, label: str):
+    def check(self, ok: bool, label: str | Callable[[], str]):
+        """Count one check. A callable label is rendered only if the check fails."""
         if ok:
             self.passed += 1
         else:
             self.failed += 1
             if len(self.failures) < self.max_failures:
-                self.failures.append(label)
+                self.failures.append(label() if callable(label) else label)
 
     def absorb(self, other: "Recorder"):
         self.passed += other.passed
@@ -264,7 +267,7 @@ def _congruence_family(s: NonLeapingSequence) -> Recorder:
     for ns in enumerate_neighborhood_sequences(s):
         g = build_cp_graph(ns)
         r = congruence_reduce(all_pairs_distances(g), reducing_matrix(ns))
-        sub.check(r == h, f"congruence broken for q={s.q} anchors={ns.anchors}")
+        sub.check(r == h, lambda: f"congruence broken for q={s.q} anchors={ns.anchors}")
     return sub
 
 
@@ -295,7 +298,7 @@ def _constancy_family(s: NonLeapingSequence) -> Recorder:
         got = distance_invariants(build_cp_graph(ns))
         sub.check(
             got == want,
-            f"invariants vary within q={s.q}: anchors={ns.anchors} give {got}, family says {want}",
+            lambda: f"invariants vary within q={s.q}: anchors={ns.anchors} give {got}, family says {want}",
         )
     return sub
 
@@ -320,7 +323,7 @@ def _cp2_spec(spec: CliquePathSpec) -> Recorder:
         got = distance_invariants(build_cp_graph(ns))
         sub.check(
             got == want,
-            f"2:{spec.p} anchors={ns.anchors}: {got} differs from closed form {want}",
+            lambda: f"2:{spec.p} anchors={ns.anchors}: {got} differs from closed form {want}",
         )
     return sub
 
@@ -348,7 +351,7 @@ def _suite_linear_2tree(rec: Recorder, rng, scale) -> dict:
             got = distance_invariants(build_cp_graph(ns))
             rec.check(
                 got == want,
-                f"linear 2-tree n={n} anchors={ns.anchors}: {got} differs from {want}",
+                lambda: f"linear 2-tree n={n} anchors={ns.anchors}: {got} differs from {want}",
             )
     return {"orders": list(range(4, n_max + 1)), "members": members}
 
@@ -378,7 +381,7 @@ def _trees_of_order(n: int) -> Recorder:
     )
     for code in product(range(1, n + 1), repeat=max(0, n - 2)):
         got = distance_invariants(tree_from_pruefer(n, code))
-        sub.check(got == want, f"tree code={code}: {got} != {want}")
+        sub.check(got == want, lambda: f"tree code={code}: {got} != {want}")
     return sub
 
 
@@ -398,25 +401,25 @@ def _suite_attach(rec: Recorder, rng, scale) -> dict:
     chain = all_pairs_distances(fixtures.fixture_graph("c5_cp8_chain"))
     hub = all_pairs_distances(fixtures.fixture_graph("c5_cp8_hub"))
     rec.check(
-        determinant(chain) == determinant(hub),
-        "the two bundled five-cycle attachments have different determinants",
+        det_and_inertia(chain) == det_and_inertia(hub),
+        "the two bundled five-cycle attachments have different determinants or inertias",
     )
     for i in range(pairs):
         base = random_connected_graph(rng, rng.randint(3, 6))
         u, v = rng.choice(base.edges)
         edge = (u, v) if rng.random() < 0.5 else (v, u)
         s = random_nonleaping(rng, rng.randint(2, 7))
-        dets = set()
+        values = set()
         count = 0
         for ns in enumerate_neighborhood_sequences(s):
             combined = attach(base, edge, build_cp_graph(ns)).graph
             if combined.n != base.n + s.n - 2:
                 rec.check(False, f"pair {i}: wrong combined order")
-            dets.add(determinant(all_pairs_distances(combined)))
+            values.add(det_and_inertia(all_pairs_distances(combined)))
             count += 1
         rec.check(
-            len(dets) == 1,
-            f"pair {i}: {len(dets)} distinct determinants across {count} members of q={s.q}",
+            len(values) == 1,
+            f"pair {i}: {len(values)} distinct (det, inertia) across {count} members of q={s.q}",
         )
     doubles = 5
     for i in range(doubles):
@@ -431,8 +434,8 @@ def _suite_attach(rec: Recorder, rng, scale) -> dict:
             f"double {i}: combined orders {ab.n}, {ba.n} are off",
         )
         rec.check(
-            determinant(all_pairs_distances(ab)) == determinant(all_pairs_distances(ba)),
-            f"double {i}: attachment order changed the determinant",
+            det_and_inertia(all_pairs_distances(ab)) == det_and_inertia(all_pairs_distances(ba)),
+            f"double {i}: attachment order changed the determinant or inertia",
         )
     return {"fixture_pairs": 1, "random_pairs": pairs, "double_attachments": doubles}
 

@@ -76,6 +76,16 @@ def test_family_enumerate_deeper_than_recursion_limit(capsys):
     assert obj["results"]["total"] == str(2 ** (n - 3))
 
 
+@pytest.mark.parametrize("argv", [["family", "count"], ["family", "enumerate", "--limit", "1"]])
+def test_member_count_beyond_rendered_digits_is_a_resource_limit(capsys, argv):
+    # 2^14999 members: 4516 decimal digits, past Python's default 4300-digit limit
+    literal = ",".join(["0", "1"] + ["2"] * 15000)
+    code, out, err = run(capsys, *argv[:2], literal, *argv[2:])
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit:") and "4516 decimal digits" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_graph_build(capsys):
     code, obj = run_json(capsys, "graph", "build", "0,1,2", "--anchors", "1")
     assert code == 0

@@ -1,5 +1,8 @@
 import pytest
 
+from cpgraphs import suites
+from cpgraphs.formulas import GraphInvariants
+from cpgraphs.linalg import Inertia
 from cpgraphs.suites import (
     Recorder,
     Report,
@@ -63,6 +66,73 @@ def test_recorder_caps_failure_list():
         rec.check(False, f"boom {i}")
     assert rec.failed == 30
     assert len(rec.failures) == 20
+
+
+def test_recorder_renders_callable_labels_on_failure_only():
+    rec = Recorder()
+    rec.check(True, lambda: pytest.fail("a passing check rendered its label"))
+    rec.check(False, lambda: "boom")
+    assert (rec.passed, rec.failed, rec.failures) == (1, 1, ["boom"])
+
+
+WRONG = GraphInvariants(0, Inertia(0, 0, 0), 0)
+WRONG_TEXT = "GraphInvariants(det=0, inertia=Inertia(n_plus=0, n_minus=0, n_zero=0), cof=0)"
+EDGE_TEXT = "GraphInvariants(det=-1, inertia=Inertia(n_plus=1, n_minus=1, n_zero=0), cof=-2)"
+PATH3_TEXT = "GraphInvariants(det=4, inertia=Inertia(n_plus=1, n_minus=2, n_zero=0), cof=4)"
+
+
+def test_tree_failure_labels(monkeypatch):
+    monkeypatch.setattr(suites, "distance_invariants", lambda g: WRONG)
+    r = run_suite("trees", scale=3)
+    assert (r.passed, r.failed) == (2, 4)
+    assert r.failures == [
+        f"tree code=(): {WRONG_TEXT} != {EDGE_TEXT}",
+        f"tree code=(1,): {WRONG_TEXT} != {PATH3_TEXT}",
+        f"tree code=(2,): {WRONG_TEXT} != {PATH3_TEXT}",
+        f"tree code=(3,): {WRONG_TEXT} != {PATH3_TEXT}",
+    ]
+
+
+@pytest.mark.parametrize(
+    "suite, scale, counts, first",
+    [
+        (
+            "constancy",
+            3,
+            (0, 2),
+            f"invariants vary within q=(0, 1): anchors=() give {WRONG_TEXT},"
+            f" family says {EDGE_TEXT}",
+        ),
+        (
+            "cp2-formulas",
+            0,
+            (1, 1),
+            f"2:() anchors=(): {WRONG_TEXT} differs from closed form {EDGE_TEXT}",
+        ),
+        (
+            "linear-2tree",
+            4,
+            (1, 2),
+            f"linear 2-tree n=4 anchors=(1, 1): {WRONG_TEXT} differs from GraphInvariants("
+            "det=-4, inertia=Inertia(n_plus=1, n_minus=3, n_zero=0), cof=-4)",
+        ),
+    ],
+)
+def test_member_loop_failure_labels(monkeypatch, suite, scale, counts, first):
+    monkeypatch.setattr(suites, "distance_invariants", lambda g: WRONG)
+    r = run_suite(suite, scale=scale)
+    assert (r.passed, r.failed) == counts
+    assert r.failures[0] == first
+
+
+def test_congruence_failure_labels(monkeypatch):
+    monkeypatch.setattr(suites, "congruence_reduce", lambda d, e: None)
+    r = run_suite("congruence", scale=3)
+    assert (r.passed, r.failed) == (0, 102)
+    assert r.failures[:2] == [
+        "congruence broken for q=(0, 1) anchors=()",
+        "congruence broken for q=(0, 1, 2) anchors=(1,)",
+    ]
 
 
 def test_pruefer_decoder():
