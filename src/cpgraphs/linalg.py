@@ -1,12 +1,14 @@
 """Exact determinant, inertia, and cofactor sums for integer matrices.
 
 Everything here is Python int arithmetic, with every division exact.
-Determinants use Bareiss' fraction-free elimination with row pivoting.
-Inertia and determinant of a symmetric matrix come together from one
-symmetric fraction-free elimination (det_and_inertia), whose pivot signs are
-read relative to the previous pivot; Jones' leading-principal-minor sign
-rule is kept as a second method. Cofactor sums are one bordered
-determinant each: u^T adj(A) u = -det([[A, u], [u^T, 0]]).
+Every symmetric elimination, inertia and determinant alike, runs in one
+in-place fraction-free kernel (_symmetric_bareiss) that updates only the
+upper triangle, so it does half the work of a full elimination; inertia
+comes from its pivot signs read relative to the previous pivot. Only a
+non-symmetric determinant takes Bareiss' elimination with row pivoting.
+Jones' leading-principal-minor sign rule is kept as a second method for
+inertia. Cofactor sums are one bordered determinant each, itself symmetric
+when A is: u^T adj(A) u = -det([[A, u], [u^T, 0]]).
 """
 
 from __future__ import annotations
@@ -53,10 +55,14 @@ class Inertia:
 
 
 def determinant(m: IntMatrix) -> int:
-    """Bareiss fraction-free elimination with row pivoting. det([]) = 1."""
+    """Exact determinant, det([]) = 1.
+
+    Symmetric input goes to the half-work kernel _symmetric_bareiss; the
+    rest takes Bareiss' fraction-free elimination with row pivoting.
+    """
+    if m.is_symmetric():
+        return _symmetric_bareiss(m.rows)[3]
     n = m.n
-    if n == 0:
-        return 1
     a = [list(r) for r in m.rows]
     sign = 1
     prev = 1
@@ -92,53 +98,64 @@ def _swap(b: list[list[int]], i: int, j: int) -> None:
 def _symmetric_bareiss(rows) -> tuple[int, int, int, int]:
     """(n_plus, n_minus, n_zero, det) of a symmetric integer matrix.
 
-    Elimination on the active block b, which loses its first row and column
-    per step. A zero pivot is replaced by a symmetric swap with a nonzero
-    diagonal entry; failing that, adding row/column c into row/column r for
-    some b[r][c] != 0 makes the pivot 2*b[r][c]; failing that, the rest is a
-    zero block. Each update is (a*p - f*r) // prev, p the pivot.
+    Elimination in place on one copy a; step k works on the active block
+    a[k:][k:] and updates only its upper triangle (j >= i), the lower one
+    being its mirror image: a[i][j] = (a[i][j]*p - a[k][i]*a[k][j]) // prev,
+    p the pivot a[k][k]. A zero pivot after step 0 first has the upper
+    triangle of the active block copied into its lower one, since the
+    fix-ups act on whole rows and columns. The pivot is then replaced by a
+    symmetric swap with a nonzero diagonal entry; failing that, adding
+    row/column c into row/column r for some a[r][c] != 0 makes it 2*a[r][c];
+    failing that, the rest is a zero block.
 
     Why `//` is exact: swaps and row/column adds are unimodular congruences
     U^T A U on indices not yet eliminated, and act on the active entries as
     on the matrix, a determinant being linear in each row and column. So
-    after k steps b[i][j] is the minor of M = U^T A U on rows 0..k-1, k+i
-    and columns 0..k-1, k+j, and Sylvester's identity makes each update the
-    next such integer minor. The pivots are the leading minors D_k of M, so
-    det(A) = det(M) is the last one, or 0 when a zero block is left (the
+    after k steps a[k+i][k+j] is the minor of M = U^T A U on rows 0..k-1,
+    k+i and columns 0..k-1, k+j, and Sylvester's identity makes each update
+    the next such integer minor. The pivots are the leading minors D_k of M,
+    so det(A) = det(M) is the last one, or 0 when a zero block is left (the
     Schur complement of M's leading block is then zero).
     """
-    b = [list(r) for r in rows]
+    a = [list(r) for r in rows]
+    n = len(a)
     plus = minus = 0
     prev = 1
-    while b:
-        if b[0][0] == 0:
-            k = len(b)
-            j = next((j for j in range(1, k) if b[j][j]), None)
-            if j is not None:
-                _swap(b, 0, j)
+    for k in range(n):
+        if a[k][k] == 0:
+            if k:  # before step 1 the copy is whole
+                for i in range(k, n):
+                    row_i = a[i]
+                    for j in range(i + 1, n):
+                        a[j][i] = row_i[j]
+            for j in range(k + 1, n):
+                if a[j][j]:
+                    _swap(a, k, j)
+                    break
             else:
                 rc = next(
-                    ((r, c) for r in range(k) for c in range(r + 1, k) if b[r][c]), None
+                    ((r, c) for r in range(k, n) for c in range(r + 1, n) if a[r][c]), None
                 )
                 if rc is None:
-                    return plus, minus, k, 0
+                    return plus, minus, n - k, 0
                 r, c = rc
-                b[r] = [x + y for x, y in zip(b[r], b[c])]
-                for row in b:
+                a[r] = [x + y for x, y in zip(a[r], a[c])]
+                for row in a:
                     row[r] += row[c]
-                _swap(b, 0, r)
-        p = b[0][0]
+                if r != k:
+                    _swap(a, k, r)
+        row_k = a[k]
+        p = row_k[k]
         if (p > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
-        tail = b[0][1:]
-        nxt = []
-        for row in b[1:]:
+        for i in range(k + 1, n):
             # a row with f == 0 still has to be rescaled by p / prev
-            f = row[0]
-            nxt.append([(x * p - f * y) // prev for x, y in zip(row[1:], tail)])
-        b = nxt
+            row_i = a[i]
+            f = row_k[i]
+            for j in range(i, n):
+                row_i[j] = (row_i[j] * p - f * row_k[j]) // prev
         prev = p
     return plus, minus, 0, prev
 

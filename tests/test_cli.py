@@ -86,6 +86,52 @@ def test_member_count_beyond_rendered_digits_is_a_resource_limit(capsys, argv):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+def assert_guard_tripped(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_member_cap(capsys, monkeypatch):
+    # 0,1 followed by k twos has 2^(k-1) members
+    over = ",".join(["0", "1"] + ["2"] * 18)
+    assert_guard_tripped(capsys, "family", "enumerate", over)
+    assert_guard_tripped(capsys, "reduce", "verify", over)
+    deep = ",".join(["0", "1"] + ["2"] * (sys.getrecursionlimit() + 500))
+    assert_guard_tripped(capsys, "family", "enumerate", deep)
+    assert_guard_tripped(capsys, "reduce", "verify", deep)
+    # --limit and --anchors bound the work themselves
+    code, obj = run_json(capsys, "family", "enumerate", over, "--limit", "2")
+    assert code == 0 and obj["results"]["count"] == 2
+    code, obj = run_json(capsys, "reduce", "verify", over, "--anchors", ",".join(["1"] * 18))
+    assert code == 0 and obj["results"]["members"] == 1
+    # a family of exactly the cap still runs
+    sixteen = "0,1,2,2,2,2,3,3"
+    monkeypatch.setattr(cli, "MAX_MEMBERS", 16)
+    assert run_json(capsys, "family", "enumerate", sixteen)[1]["results"]["count"] == 16
+    assert run_json(capsys, "reduce", "verify", sixteen)[1]["results"]["members"] == 16
+    monkeypatch.setattr(cli, "MAX_MEMBERS", 15)
+    assert_guard_tripped(capsys, "family", "enumerate", sixteen)
+    assert_guard_tripped(capsys, "reduce", "verify", sixteen)
+
+
+def test_vertex_cap_of_invariants(capsys, monkeypatch, tmp_path):
+    n = cli.MAX_VERTICES + 1
+    p = tmp_path / "path.edges"
+    p.write_text("".join(f"{v} {v + 1}\n" for v in range(1, n)))
+    assert_guard_tripped(capsys, "invariants", "--graph", str(p))
+    assert_guard_tripped(capsys, "invariants", "--seq", ",".join(["0", "1"] + ["2"] * (n - 2)))
+    # a graph of exactly the cap still runs
+    monkeypatch.setattr(cli, "MAX_VERTICES", 4)
+    p.write_text("1 2\n2 3\n3 4\n")
+    assert run_json(capsys, "invariants", "--graph", str(p))[1]["results"]["det"] == "-12"
+    assert run_json(capsys, "invariants", "--seq", "0,1,2,2")[0] == 0
+    p.write_text("1 2\n2 3\n3 4\n4 5\n")
+    assert_guard_tripped(capsys, "invariants", "--graph", str(p))
+    assert_guard_tripped(capsys, "invariants", "--seq", "0,1,2,2,2")
+
+
 def test_graph_build(capsys):
     code, obj = run_json(capsys, "graph", "build", "0,1,2", "--anchors", "1")
     assert code == 0
@@ -304,15 +350,18 @@ budgets = st.one_of(st.integers(-50, -1), st.just(0), st.integers(1, 300))
 
 @st.composite
 def cli_calls(draw):
-    """(argv, stdin text): family enumerate, address search or address exact-n."""
-    kind = draw(st.sampled_from(["enumerate", "search", "exact-n"]))
+    """(argv, stdin text): family enumerate, reduce verify, address search or
+    address exact-n."""
+    kind = draw(st.sampled_from(["enumerate", "verify", "search", "exact-n"]))
     if kind == "enumerate":
         literal = draw(sequence_literals)
         argv = ["family", "enumerate", literal]
-        # an unlimited enumeration of a long sequence has 2^n members
-        if len(literal) > 40 or draw(st.booleans()):
+        # an unlimited enumeration of a long sequence trips the member cap
+        if draw(st.booleans()):
             argv += ["--limit", str(draw(st.integers(-2, 3)))]
         return argv, ""
+    if kind == "verify":
+        return ["reduce", "verify", draw(sequence_literals)], ""
     argv = ["address", kind, "-"]
     if kind == "search":
         argv += ["--length", str(draw(st.integers(-3, 13)))]
@@ -321,7 +370,7 @@ def cli_calls(draw):
     return argv, draw(graph_texts())
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(derandomize=True, deadline=None, max_examples=400)
 @given(cli_calls())
 def test_cli_fuzz_exit_codes(call):
     argv, stdin = call

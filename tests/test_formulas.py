@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpgraphs.formulas import (
     BlockCliquePathRecipe,
@@ -40,6 +42,7 @@ from cpgraphs.sequences import (
     enumerate_neighborhood_sequences,
     expand_clique_path_spec,
 )
+from cpgraphs.suites import random_member, random_nonleaping
 
 EDGE = CliquePathSpec(())
 
@@ -280,3 +283,30 @@ def test_addressing_lower_bound():
     assert addressing_lower_bound(Inertia(1, 4, 0)) == 4
     assert addressing_lower_bound(Inertia(3, 2, 1)) == 3
     assert addressing_lower_bound(Inertia(0, 0, 0)) == 0
+
+
+@st.composite
+def clique_path_specs(draw, min_n, max_n):
+    """A 2-clique path on min_n..max_n vertices, cliques of 3 to 8 vertices."""
+    left = draw(st.integers(min_n, max_n)) - 2
+    p = []
+    while left:
+        p.append(draw(st.integers(3, min(8, left + 2))))
+        left -= p[-1] - 2
+    return CliquePathSpec(tuple(p))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(9, 24), st.randoms(use_true_random=False))
+def test_random_family_members_match_family_invariants(n, rng):
+    # orders beyond every suite's, so the elimination kernels see long runs
+    s = random_nonleaping(rng, n)
+    assert distance_invariants(build_cp_graph(random_member(rng, s))) == family_invariants(s)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(clique_path_specs(9, 24), st.randoms(use_true_random=False))
+def test_random_2cp_members_match_closed_forms(spec, rng):
+    s = expand_clique_path_spec(spec)
+    inv = distance_invariants(build_cp_graph(random_member(rng, s)))
+    assert inv == family_invariants(s) == cp2_invariants(spec)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpgraphs import linalg
 from cpgraphs.crosschecks import det_by_cofactor_expansion, inertia_by_charpoly_signs
 from cpgraphs.formulas import cp2_invariants, distance_invariants
 from cpgraphs.graphs import all_pairs_distances, build_cp_graph, path_graph
@@ -135,6 +137,9 @@ def test_inertia_examples():
     assert inertia_congruence(d) == Inertia(1, 2, 0)
     # all-zero diagonal but nonsingular
     assert inertia_congruence(IntMatrix.from_rows([[0, 1], [1, 0]])) == Inertia(1, 1, 0)
+    # all-zero diagonal and first row: the add pivot has to be swapped in
+    m = IntMatrix.from_rows([[0, 0, 0, 0], [0, 0, 1, 2], [0, 1, 0, 3], [0, 2, 3, 0]])
+    assert det_and_inertia(m) == (0, Inertia(1, 2, 1))
 
 
 def test_inertia_requires_symmetry():
@@ -308,3 +313,39 @@ def test_large_two_clique_path_matches_closed_form():
     assert spec.n == 120
     g = build_cp_graph(random_member(random.Random(0), expand_clique_path_spec(spec)))
     assert distance_invariants(g) == cp2_invariants(spec)
+
+
+def _bordered_by_ones(m):
+    return IntMatrix.from_rows([list(r) + [1] for r in m.rows] + [[1] * m.n + [0]])
+
+
+# dense, zero-diagonal and low-rank symmetric matrices, and [[A, 1], [1^T, 0]] as in cofactor_sum
+symmetric_or_bordered = st.one_of(
+    symmetric_matrices(max_n=8), symmetric_matrices(max_n=7).map(_bordered_by_ones)
+)
+
+
+@st.composite
+def near_symmetric_matrices(draw):
+    """A symmetric matrix with one off-diagonal entry changed."""
+    m = draw(symmetric_or_bordered.filter(lambda m: m.n >= 2))
+    i, j = draw(st.permutations(range(m.n)))[:2]
+    rows = [list(r) for r in m.rows]
+    rows[i][j] += draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    return IntMatrix.from_rows(rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(symmetric_or_bordered)
+def test_symmetric_determinant_vs_oracles(m):
+    det = determinant(m)
+    assert det == det_by_cofactor_expansion(m)
+    assert det == det_and_inertia(m)[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(near_symmetric_matrices())
+def test_near_symmetric_determinant_takes_the_row_pivot_path(m):
+    assert not m.is_symmetric()
+    with mock.patch.object(linalg, "_symmetric_bareiss", side_effect=AssertionError):
+        assert determinant(m) == det_by_cofactor_expansion(m)
