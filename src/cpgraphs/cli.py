@@ -137,9 +137,9 @@ def _cap_members(total: int, hint: str) -> None:
         raise OverCap(f"the family has more than {MAX_MEMBERS} members; {hint}")
 
 
-def _cap_vertices(n: int) -> None:
+def _cap_vertices(n: int, command: str) -> None:
     if n > MAX_VERTICES:
-        raise OverCap(f"order {n} is above the {MAX_VERTICES}-vertex cap of invariants")
+        raise OverCap(f"order {n} is above the {MAX_VERTICES}-vertex cap of {command}")
 
 
 def _report(command: str, inputs: dict, results: dict, **extra) -> dict:
@@ -204,6 +204,7 @@ def _cmd_graph_build(args):
 
 def _cmd_graph_distance(args) -> tuple[dict, int]:
     g = _load_graph(args.graph)
+    _cap_vertices(g.n, "graph distance")
     d = all_pairs_distances(g)
     results = {"n": g.n, "distances": [list(row) for row in d.rows]}
     return _report("graph distance", {"graph": args.graph}, results), 0
@@ -288,12 +289,12 @@ def _cmd_reduce_verify(args) -> tuple[dict, int]:
 def _cmd_invariants(args) -> tuple[dict, int]:
     if args.graph is not None:
         g = _load_graph(args.graph)
-        _cap_vertices(g.n)
+        _cap_vertices(g.n, "invariants")
         inv = distance_invariants(g)
         source = {"source": "graph", "graph": args.graph}
     elif args.seq is not None:
         s = parse_sequence_literal(args.seq)
-        _cap_vertices(s.n)
+        _cap_vertices(s.n, "invariants")
         inv = family_invariants(s)
         source = {"source": "family", "sequence": args.seq}
     else:

@@ -3,8 +3,11 @@
 Everything here is Python int arithmetic, with every division exact.
 Every symmetric elimination, inertia and determinant alike, runs in one
 in-place fraction-free kernel (_symmetric_bareiss) that updates only the
-upper triangle, so it does half the work of a full elimination; inertia
-comes from its pivot signs read relative to the previous pivot. Only a
+upper triangle, so it does half the work of a full elimination. A row
+whose multiplier is zero is skipped and its exact rescale deferred until
+the row is next read, so a sparse matrix such as a reduced graph's
+adjacency costs work in proportion to its nonzero multipliers. Inertia
+comes from the pivot signs read relative to the previous pivot. Only a
 non-symmetric determinant takes Bareiss' elimination with row pivoting.
 Jones' leading-principal-minor sign rule is kept as a second method for
 inertia. Cofactor sums are one bordered determinant each, itself symmetric
@@ -101,12 +104,15 @@ def _symmetric_bareiss(rows) -> tuple[int, int, int, int]:
     Elimination in place on one copy a; step k works on the active block
     a[k:][k:] and updates only its upper triangle (j >= i), the lower one
     being its mirror image: a[i][j] = (a[i][j]*p - a[k][i]*a[k][j]) // prev,
-    p the pivot a[k][k]. A zero pivot after step 0 first has the upper
-    triangle of the active block copied into its lower one, since the
-    fix-ups act on whole rows and columns. The pivot is then replaced by a
-    symmetric swap with a nonzero diagonal entry; failing that, adding
-    row/column c into row/column r for some a[r][c] != 0 makes it 2*a[r][c];
-    failing that, the rest is a zero block.
+    p the pivot a[k][k]. A row whose multiplier f = a[k][i] is 0 would only
+    be rescaled by p / prev; it is skipped instead, and stale[i] keeps the
+    prev it was last current with. A zero pivot after step 0 first brings
+    every stale row up to date and has the upper triangle of the active
+    block copied into its lower one, since the fix-ups act on whole rows
+    and columns. The pivot is then replaced by a symmetric swap with a
+    nonzero diagonal entry; failing that, adding row/column c into
+    row/column r for some a[r][c] != 0 makes it 2*a[r][c]; failing that,
+    the rest is a zero block.
 
     Why `//` is exact: swaps and row/column adds are unimodular congruences
     U^T A U on indices not yet eliminated, and act on the active entries as
@@ -115,14 +121,25 @@ def _symmetric_bareiss(rows) -> tuple[int, int, int, int]:
     k+i and columns 0..k-1, k+j, and Sylvester's identity makes each update
     the next such integer minor. The pivots are the leading minors D_k of M,
     so det(A) = det(M) is the last one, or 0 when a zero block is left (the
-    Schur complement of M's leading block is then zero).
+    Schur complement of M's leading block is then zero). A row skipped from
+    step s to step t-1 misses the factors D_(s+1)/D_s ... D_t/D_(t-1) =
+    D_t/D_s, so its current entry x*prev // stale[i] is again such a minor.
+    A stale row is brought up to date when it becomes the pivot row, before
+    any fix-up, or inside its next update, as (x*p*prev - f*s*y) // (prev*s)
+    with s = stale[i] and y = a[k][j]: the eager numerator times s.
     """
-    a = [list(r) for r in rows]
+    a = list(map(list, rows))
     n = len(a)
     plus = minus = 0
     prev = 1
+    stale = {}
     for k in range(n):
         if a[k][k] == 0:
+            for i, s in stale.items():
+                row_i = a[i]
+                for j in range(i, n):
+                    row_i[j] = row_i[j] * prev // s
+            stale.clear()
             if k:  # before step 1 the copy is whole
                 for i in range(k, n):
                     row_i = a[i]
@@ -133,29 +150,45 @@ def _symmetric_bareiss(rows) -> tuple[int, int, int, int]:
                     _swap(a, k, j)
                     break
             else:
-                rc = next(
-                    ((r, c) for r in range(k, n) for c in range(r + 1, n) if a[r][c]), None
-                )
-                if rc is None:
+                for r in range(k, n):
+                    row_r = a[r]
+                    for c in range(r + 1, n):
+                        if row_r[c]:
+                            break
+                    else:
+                        continue
+                    break
+                else:
                     return plus, minus, n - k, 0
-                r, c = rc
-                a[r] = [x + y for x, y in zip(a[r], a[c])]
+                a[r] = [x + y for x, y in zip(row_r, a[c])]
                 for row in a:
                     row[r] += row[c]
                 if r != k:
                     _swap(a, k, r)
         row_k = a[k]
+        if stale and k in stale:
+            s = stale.pop(k)
+            for j in range(k, n):
+                row_k[j] = row_k[j] * prev // s
         p = row_k[k]
         if (p > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
         for i in range(k + 1, n):
-            # a row with f == 0 still has to be rescaled by p / prev
-            row_i = a[i]
             f = row_k[i]
-            for j in range(i, n):
-                row_i[j] = (row_i[j] * p - f * row_k[j]) // prev
+            if f:
+                row_i = a[i]
+                if stale and i in stale:
+                    s = stale.pop(i)
+                    ps, fs, d = p * prev, f * s, prev * s
+                    for j in range(i, n):
+                        row_i[j] = (row_i[j] * ps - fs * row_k[j]) // d
+                else:
+                    for j in range(i, n):
+                        row_i[j] = (row_i[j] * p - f * row_k[j]) // prev
+            elif i not in stale:
+                stale[i] = prev
         prev = p
     return plus, minus, 0, prev
 

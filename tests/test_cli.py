@@ -132,6 +132,22 @@ def test_vertex_cap_of_invariants(capsys, monkeypatch, tmp_path):
     assert_guard_tripped(capsys, "invariants", "--seq", "0,1,2,2,2")
 
 
+def test_vertex_cap_of_graph_distance(capsys, monkeypatch, tmp_path):
+    p = tmp_path / "path.edges"
+    p.write_text("".join(f"{v} {v + 1}\n" for v in range(1, cli.MAX_VERTICES + 1)))
+    assert_guard_tripped(capsys, "graph", "distance", str(p))
+    # at the cap it runs, one past it trips before any distance is computed
+    monkeypatch.setattr(cli, "MAX_VERTICES", 4)
+    p.write_text("1 2\n2 3\n3 4\n")
+    code, obj = run_json(capsys, "graph", "distance", str(p))
+    assert code == 0 and obj["results"]["distances"][0] == [0, 1, 2, 3]
+    p.write_text("1 2\n2 3\n3 4\n4 5\n")
+    monkeypatch.setattr(cli, "all_pairs_distances", None)
+    code, out, err = run(capsys, "graph", "distance", str(p))
+    assert (code, out) == (3, "")
+    assert err == "resource limit: order 5 is above the 4-vertex cap of graph distance\n"
+
+
 def test_graph_build(capsys):
     code, obj = run_json(capsys, "graph", "build", "0,1,2", "--anchors", "1")
     assert code == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cpgraphs import linalg
 from cpgraphs.crosschecks import det_by_cofactor_expansion, inertia_by_charpoly_signs
-from cpgraphs.formulas import cp2_invariants, distance_invariants
+from cpgraphs.formulas import cp2_invariants, distance_invariants, family_invariants
 from cpgraphs.graphs import all_pairs_distances, build_cp_graph, path_graph
 from cpgraphs.linalg import (
     ConsecutiveZeroMinors,
@@ -26,7 +26,7 @@ from cpgraphs.linalg import (
 )
 from cpgraphs.matrices import IntMatrix
 from cpgraphs.sequences import CliquePathSpec, expand_clique_path_spec
-from cpgraphs.suites import random_member
+from cpgraphs.suites import random_member, random_nonleaping
 
 
 def fraction_det(m):
@@ -248,13 +248,16 @@ def test_reduced_cofactor_sum():
 
 @st.composite
 def symmetric_matrices(draw, min_n=0, max_n=7):
-    """Dense, all-zero-diagonal, or low-rank symmetric integer matrices.
+    """Dense, all-zero-diagonal, low-rank or sparse symmetric integer matrices.
 
     The zero-diagonal kind forces the row/column-add pivot; the low-rank
     kind (a signed sum of r < n outer products) leaves a zero block behind.
+    The sparse kind is shaped like a reduced graph's adjacency: diagonal in
+    {0, -2}, most other entries 0, so rows with a zero multiplier go stale
+    and zero pivots turn up while they are.
     """
     n = draw(st.integers(min_n, max_n))
-    kind = draw(st.sampled_from(("dense", "zero_diagonal", "low_rank")))
+    kind = draw(st.sampled_from(("dense", "zero_diagonal", "low_rank", "sparse")))
     if kind == "low_rank":
         r = draw(st.integers(0, max(0, n - 1)))
         terms = draw(
@@ -276,7 +279,11 @@ def symmetric_matrices(draw, min_n=0, max_n=7):
         for j in range(i, n):
             if i == j and kind == "zero_diagonal":
                 continue
-            rows[i][j] = rows[j][i] = draw(st.integers(-5, 5))
+            if kind == "sparse":
+                values = (0, -2) if i == j else (0, 0, 0, 0, 0, 0, 1, -1, 2)
+                rows[i][j] = rows[j][i] = draw(st.sampled_from(values))
+            else:
+                rows[i][j] = rows[j][i] = draw(st.integers(-5, 5))
     return IntMatrix.from_rows(rows)
 
 
@@ -313,6 +320,14 @@ def test_large_two_clique_path_matches_closed_form():
     assert spec.n == 120
     g = build_cp_graph(random_member(random.Random(0), expand_clique_path_spec(spec)))
     assert distance_invariants(g) == cp2_invariants(spec)
+
+
+def test_large_random_family_members_match_family_invariants():
+    # the reduced matrix is banded, so most of its rows go stale in the kernel
+    rng = random.Random(8)
+    for n in (40, 49, 57, 64):
+        s = random_nonleaping(rng, n)
+        assert distance_invariants(build_cp_graph(random_member(rng, s))) == family_invariants(s)
 
 
 def _bordered_by_ones(m):
