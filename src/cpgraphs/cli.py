@@ -44,7 +44,6 @@ from .graphs import (
     parse_edge_list,
 )
 from .reduction import (
-    congruence_reduce,
     reduced_graph,
     reducing_matrix,
     weighted_graph_to_dot,
@@ -64,7 +63,7 @@ from .sequences import (
     parse_sequence_literal,
     parse_spec_literal,
 )
-from .suites import run_suite
+from .suites import member_reduces, run_suite
 
 
 def _read_text(path: str) -> str:
@@ -270,11 +269,7 @@ def _cmd_reduce_verify(args) -> tuple[dict, int]:
         _cap_members(total, "pass --anchors to verify one member")
         members = enumerate_neighborhood_sequences(s)
     h = reduced_graph(s).adjacency_matrix()
-    bad = []
-    for ns in members:
-        d = all_pairs_distances(build_cp_graph(ns))
-        if congruence_reduce(d, reducing_matrix(ns)) != h:
-            bad.append(list(ns.anchors))
+    bad = [list(ns.anchors) for ns in members if not member_reduces(ns, h)]
     results = {
         "q": list(s.q),
         "members": total,
@@ -341,16 +336,9 @@ def _cmd_address_exact_n(args) -> tuple[dict, int]:
 
 def _cmd_check(args) -> tuple[dict, int]:
     report = run_suite(args.suite, seed=args.seed, scale=args.scale)
-    payload = {
-        "command": "check",
-        "inputs": {"suite": args.suite, "seed": args.seed, "scale": args.scale},
-        "results": report.results,
-        "passed": report.passed,
-        "failed": report.failed,
-        "failures": report.failures,
-        "wall_time_s": round(report.wall_time_s, 3),
-    }
-    return payload, 0 if report.ok else 1
+    obj = report.to_json_obj()
+    inputs = {key: obj.pop(key) for key in ("suite", "seed", "scale")}
+    return _report("check", inputs, **obj), 0 if report.ok else 1
 
 
 # -- wiring ------------------------------------------------------------------

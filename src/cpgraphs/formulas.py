@@ -22,7 +22,7 @@ from .linalg import (
     leading_principal_minors,
     reduced_cofactor_sum,
 )
-from .reduction import reduced_graph
+from .reduction import reduced_graph, seesaw_params
 from .sequences import (
     CliquePathSpec,
     NeighborhoodSequence,
@@ -92,12 +92,11 @@ def cp2_invariants(spec: CliquePathSpec) -> GraphInvariants:
     det = (-1)^(n-1) (1 + left)(1 + right), inertia = (1, n-1, 0),
     cof = (-1)^(n-1) n.
     """
-    left = sum(p - 2 for i, p in enumerate(spec.p, start=1) if i % 2 == 1)
-    right = sum(p - 2 for i, p in enumerate(spec.p, start=1) if i % 2 == 0)
+    arms = seesaw_params(spec)
     n = spec.n
     sign = (-1) ** (n - 1)
     return GraphInvariants(
-        sign * (1 + left) * (1 + right), Inertia(1, n - 1, 0), sign * n
+        sign * (1 + arms.left) * (1 + arms.right), Inertia(1, n - 1, 0), sign * n
     )
 
 

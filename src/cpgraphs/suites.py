@@ -58,7 +58,6 @@ from .sequences import (
     NeighborhoodSequence,
     NonLeapingSequence,
     admissible_anchors,
-    count_neighborhood_sequences,
     enumerate_neighborhood_sequences,
     expand_clique_path_spec,
     iter_nonleaping_sequences,
@@ -85,7 +84,7 @@ class Recorder:
             if len(self.failures) < self.max_failures:
                 self.failures.append(label() if callable(label) else label)
 
-    def absorb(self, other: "Recorder"):
+    def absorb(self, other: "Recorder | Report"):
         self.passed += other.passed
         self.failed += other.failed
         for f in other.failures:
@@ -148,8 +147,7 @@ def random_connected_graph(rng: random.Random, n: int) -> LabeledGraph:
     for _ in range(extras):
         u = rng.randint(1, n - 1)
         v = rng.randint(u + 1, n)
-        if u != v:
-            edges.add((u, v))
+        edges.add((u, v))
     g = LabeledGraph(n, tuple(sorted(edges)))
     assert is_connected(g)
     return g
@@ -261,14 +259,22 @@ def _suite_fixtures(rec: Recorder, rng, scale) -> dict:
     return {"checks": rec.passed + rec.failed}
 
 
-def _congruence_family(s: NonLeapingSequence) -> Recorder:
-    sub = Recorder()
-    h = reduced_graph(s).adjacency_matrix()
+def member_reduces(ns: NeighborhoodSequence, h: IntMatrix) -> bool:
+    """Whether E^T D E of the member `ns` equals `h`, its family's reduced matrix A(H)."""
+    return congruence_reduce(all_pairs_distances(build_cp_graph(ns)), reducing_matrix(ns)) == h
+
+
+def _check_members(rec: Recorder, s: NonLeapingSequence, want, label: Callable) -> int:
+    """Check every member of the family `s` for distance invariants `want`.
+
+    `label(ns, got)` renders a failure. Returns the number of members.
+    """
+    members = 0
     for ns in enumerate_neighborhood_sequences(s):
-        g = build_cp_graph(ns)
-        r = congruence_reduce(all_pairs_distances(g), reducing_matrix(ns))
-        sub.check(r == h, lambda: f"congruence broken for q={s.q} anchors={ns.anchors}")
-    return sub
+        members += 1
+        got = distance_invariants(build_cp_graph(ns))
+        rec.check(got == want, lambda: label(ns, got))
+    return members
 
 
 def _suite_congruence(rec: Recorder, rng, scale) -> dict:
@@ -276,64 +282,57 @@ def _suite_congruence(rec: Recorder, rng, scale) -> dict:
     fams = list(_families(n_max))
     members = 0
     for s in fams:
-        members += count_neighborhood_sequences(s)
-        rec.absorb(_congruence_family(s))
+        h = reduced_graph(s).adjacency_matrix()
+        for ns in enumerate_neighborhood_sequences(s):
+            members += 1
+            rec.check(
+                member_reduces(ns, h), lambda: f"congruence broken for q={s.q} anchors={ns.anchors}"
+            )
     random_checks = 100
     for _ in range(random_checks):
         s = random_nonleaping(rng, 12)
         ns = random_member(rng, s)
-        g = build_cp_graph(ns)
-        r = congruence_reduce(all_pairs_distances(g), reducing_matrix(ns))
         rec.check(
-            r == reduced_graph(s).adjacency_matrix(),
-            f"congruence broken for q={s.q} anchors={ns.anchors}",
+            member_reduces(ns, reduced_graph(s).adjacency_matrix()),
+            lambda: f"congruence broken for q={s.q} anchors={ns.anchors}",
         )
     return {"families": len(fams), "members": members, "random_members": random_checks}
-
-
-def _constancy_family(s: NonLeapingSequence) -> Recorder:
-    sub = Recorder()
-    want = family_invariants(s)
-    for ns in enumerate_neighborhood_sequences(s):
-        got = distance_invariants(build_cp_graph(ns))
-        sub.check(
-            got == want,
-            lambda: f"invariants vary within q={s.q}: anchors={ns.anchors} give {got}, family says {want}",
-        )
-    return sub
 
 
 def _suite_constancy(rec: Recorder, rng, scale) -> dict:
     n_max = scale if scale is not None else 8
     fams = list(_families(n_max))
+    members = 0
     for s in fams:
-        rec.absorb(_constancy_family(s))
-    return {"families": len(fams), "members": rec.passed + rec.failed}
-
-
-def _cp2_spec(spec: CliquePathSpec) -> Recorder:
-    sub = Recorder()
-    want = cp2_invariants(spec)
-    s = expand_clique_path_spec(spec)
-    sub.check(
-        family_invariants(s) == want,
-        f"reduced-graph invariants disagree with the closed form for 2:{spec.p}",
-    )
-    for ns in enumerate_neighborhood_sequences(s):
-        got = distance_invariants(build_cp_graph(ns))
-        sub.check(
-            got == want,
-            lambda: f"2:{spec.p} anchors={ns.anchors}: {got} differs from closed form {want}",
+        want = family_invariants(s)
+        members += _check_members(
+            rec,
+            s,
+            want,
+            lambda ns, got: f"invariants vary within q={s.q}: anchors={ns.anchors} give {got},"
+            f" family says {want}",
         )
-    return sub
+    return {"families": len(fams), "members": members}
 
 
 def _suite_cp2(rec: Recorder, rng, scale) -> dict:
     m_max = scale if scale is not None else 4
     specs = [CliquePathSpec(p) for m in range(m_max + 1) for p in product((3, 4, 5), repeat=m)]
+    members = 0
     for spec in specs:
-        rec.absorb(_cp2_spec(spec))
-    return {"specs": len(specs), "members": rec.passed + rec.failed - len(specs)}
+        want = cp2_invariants(spec)
+        s = expand_clique_path_spec(spec)
+        rec.check(
+            family_invariants(s) == want,
+            f"reduced-graph invariants disagree with the closed form for 2:{spec.p}",
+        )
+        members += _check_members(
+            rec,
+            s,
+            want,
+            lambda ns, got: f"2:{spec.p} anchors={ns.anchors}: {got} differs from closed form {want}",
+        )
+    return {"specs": len(specs), "members": members}
 
 
 def _suite_linear_2tree(rec: Recorder, rng, scale) -> dict:
@@ -346,13 +345,12 @@ def _suite_linear_2tree(rec: Recorder, rng, scale) -> dict:
             cp2_invariants(spec) == want,
             f"linear 2-tree closed form disagrees with 2-clique-path form at n={n}",
         )
-        for ns in enumerate_neighborhood_sequences(expand_clique_path_spec(spec)):
-            members += 1
-            got = distance_invariants(build_cp_graph(ns))
-            rec.check(
-                got == want,
-                lambda: f"linear 2-tree n={n} anchors={ns.anchors}: {got} differs from {want}",
-            )
+        members += _check_members(
+            rec,
+            expand_clique_path_spec(spec),
+            want,
+            lambda ns, got: f"linear 2-tree n={n} anchors={ns.anchors}: {got} differs from {want}",
+        )
     return {"orders": list(range(4, n_max + 1)), "members": members}
 
 
@@ -371,28 +369,21 @@ def _suite_weighted_path(rec: Recorder, rng, scale) -> dict:
     return {"orders": n_max}
 
 
-def _trees_of_order(n: int) -> Recorder:
-    sub = Recorder()
-    want = tree_invariants(n)
-    composed = compose_blocks([(-1, -2)] * (n - 1))
-    sub.check(
-        composed == (want.det, want.cof),
-        f"n={n}: block composition {composed} disagrees with the tree formulas",
-    )
-    for code in product(range(1, n + 1), repeat=max(0, n - 2)):
-        got = distance_invariants(tree_from_pruefer(n, code))
-        sub.check(got == want, lambda: f"tree code={code}: {got} != {want}")
-    return sub
-
-
 def _suite_trees(rec: Recorder, rng, scale) -> dict:
     n_max = scale if scale is not None else 7
     orders = list(range(2, n_max + 1))
     trees = 0
     for n in orders:
-        sub = _trees_of_order(n)
-        rec.absorb(sub)
-        trees += sub.passed + sub.failed - 1
+        want = tree_invariants(n)
+        composed = compose_blocks([(-1, -2)] * (n - 1))
+        rec.check(
+            composed == (want.det, want.cof),
+            f"n={n}: block composition {composed} disagrees with the tree formulas",
+        )
+        for code in product(range(1, n + 1), repeat=max(0, n - 2)):
+            trees += 1
+            got = distance_invariants(tree_from_pruefer(n, code))
+            rec.check(got == want, lambda: f"tree code={code}: {got} != {want}")
     return {"orders": orders, "trees": trees}
 
 
@@ -577,26 +568,17 @@ def available_suites() -> list[str]:
 def run_suite(name: str, seed: int = 0, scale: int | None = None) -> Report:
     """Run one suite (or "all") and return its report."""
     t0 = time.perf_counter()
+    rec = Recorder()
     if name == "all":
         results = {}
-        total = Recorder()
         for sub_name in SUITES:
-            sub = run_suite(sub_name, seed=seed, scale=None)
+            sub = run_suite(sub_name, seed=seed)
             results[sub_name] = {"passed": sub.passed, "failed": sub.failed}
-            total.passed += sub.passed
-            total.failed += sub.failed
-            for f in sub.failures:
-                if len(total.failures) < total.max_failures:
-                    total.failures.append(f)
-        return Report(
-            "all", seed, scale, results, total.passed, total.failed, total.failures,
-            time.perf_counter() - t0,
-        )
-    if name not in SUITES:
+            rec.absorb(sub)
+    elif name in SUITES:
+        results = SUITES[name](rec, random.Random(seed), scale)
+    else:
         raise UnknownSuite(f"unknown suite {name!r}; available: {', '.join(available_suites())}")
-    rec = Recorder()
-    rng = random.Random(seed)
-    results = SUITES[name](rec, rng, scale)
     return Report(
         name, seed, scale, results, rec.passed, rec.failed, rec.failures,
         time.perf_counter() - t0,

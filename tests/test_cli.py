@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpgraphs import addressing, cli
+from cpgraphs import addressing, cli, suites
 from cpgraphs.addressing import AddressScheme
 from cpgraphs.cli import build_parser, main, parse_graph_input
 from cpgraphs.graphs import LabeledGraph, path_graph
+from cpgraphs.reduction import reducing_matrix
+from cpgraphs.sequences import NeighborhoodSequence, parse_sequence_literal
 
 
 def run(capsys, *argv):
@@ -212,6 +214,23 @@ def test_reduce_commands(capsys):
     assert obj["results"]["ok"] is True and obj["results"]["members"] == 16
 
 
+def test_reduce_verify_reports_mismatched_members(capsys, monkeypatch):
+    s = parse_sequence_literal("0,1,2,2,2,2,3,3")
+    planted = reducing_matrix(NeighborhoodSequence(s, (1, 2, 2, 4, 4, 5)))
+    real = suites.congruence_reduce
+    monkeypatch.setattr(
+        suites, "congruence_reduce", lambda d, e: None if e == planted else real(d, e)
+    )
+    code, obj = run_json(capsys, "reduce", "verify", "0,1,2,2,2,2,3,3")
+    assert code == 1
+    assert obj["results"]["ok"] is False and obj["results"]["members"] == 16
+    assert obj["results"]["mismatched_anchors"] == [[1, 2, 2, 4, 4, 5]]
+    code, obj = run_json(
+        capsys, "reduce", "verify", "0,1,2,2,2,2,3,3", "--anchors", "1,1,1,1,1,1"
+    )
+    assert code == 0 and "mismatched_anchors" not in obj["results"]
+
+
 def test_invariants_sources_agree(capsys, tmp_path):
     code, by_spec = run_json(capsys, "invariants", "--spec", "2:3,3")
     code2, by_seq = run_json(capsys, "invariants", "--seq", "2:3,3")
@@ -304,6 +323,9 @@ def test_check_command(capsys):
     assert code == 0
     assert obj["failed"] == 0 and obj["passed"] > 0
     assert obj["inputs"] == {"suite": "weighted-path", "seed": 0, "scale": 6}
+    assert list(obj) == [
+        "command", "inputs", "results", "passed", "failed", "failures", "wall_time_s"
+    ]
     code, out, err = run(capsys, "check", "nosuch")
     assert code == 2
 

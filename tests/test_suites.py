@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cpgraphs import suites
@@ -133,6 +135,46 @@ def test_congruence_failure_labels(monkeypatch):
         "congruence broken for q=(0, 1) anchors=()",
         "congruence broken for q=(0, 1, 2) anchors=(1,)",
     ]
+
+
+@pytest.mark.parametrize(
+    "suite, scale, results, passed",
+    [
+        ("trees", 5, {"orders": [2, 3, 4, 5], "trees": 145}, 149),
+        ("constancy", 5, {"families": 9, "members": 17}, 17),
+        ("cp2-formulas", 2, {"specs": 13, "members": 31}, 44),
+        ("linear-2tree", 6, {"orders": [4, 5, 6], "members": 14}, 17),
+        ("congruence", 5, {"families": 9, "members": 17, "random_members": 100}, 117),
+    ],
+)
+def test_member_counts_at_reduced_scale(suite, scale, results, passed):
+    r = run_suite(suite, scale=scale)
+    assert (r.results, r.passed, r.failed) == (results, passed, 0)
+
+
+def test_all_aggregates_suites_in_order(monkeypatch):
+    calls = []
+
+    def fake(tag, passes, fails):
+        def suite(rec, rng, scale):
+            calls.append((tag, rng.random(), scale))
+            for _ in range(passes):
+                rec.check(True, "unused")
+            for i in range(fails):
+                rec.check(False, f"{tag}{i}")
+            return {"tag": tag}
+
+        return suite
+
+    monkeypatch.setattr(suites, "SUITES", {"a": fake("a", 3, 15), "b": fake("b", 2, 10)})
+    r = run_suite("all", seed=5, scale=4)
+    assert (r.suite, r.seed, r.scale) == ("all", 5, 4)
+    assert r.results == {"a": {"passed": 3, "failed": 15}, "b": {"passed": 2, "failed": 10}}
+    assert (r.passed, r.failed) == (5, 25)
+    assert r.failures == [f"a{i}" for i in range(15)] + [f"b{i}" for i in range(5)]
+    # each suite gets its own rng seeded from the one seed, and the default scale
+    first = random.Random(5).random()
+    assert calls == [("a", first, None), ("b", first, None)]
 
 
 def test_pruefer_decoder():
