@@ -87,7 +87,8 @@ class LabeledGraph:
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        # edges are sorted with u < v, so each list is already ascending
+        return tuple(map(tuple, nbrs))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.n:

@@ -566,13 +566,16 @@ def available_suites() -> list[str]:
 
 
 def run_suite(name: str, seed: int = 0, scale: int | None = None) -> Report:
-    """Run one suite (or "all") and return its report."""
+    """Run one suite (or "all", each suite at the same seed and scale) and
+    return its report."""
+    if scale is not None and scale < 0:
+        raise InputError(f"scale must be nonnegative, got {scale}")
     t0 = time.perf_counter()
     rec = Recorder()
     if name == "all":
         results = {}
         for sub_name in SUITES:
-            sub = run_suite(sub_name, seed=seed)
+            sub = run_suite(sub_name, seed=seed, scale=scale)
             results[sub_name] = {"passed": sub.passed, "failed": sub.failed}
             rec.absorb(sub)
     elif name in SUITES:

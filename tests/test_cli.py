@@ -330,6 +330,27 @@ def test_check_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite", suites.available_suites())  # "all" included
+def test_check_negative_scale_is_input_error(capsys, suite):
+    code, out, err = run(capsys, "check", suite, "--scale", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: scale must be nonnegative, got -1\n"
+
+
+def test_check_all_applies_scale_to_every_suite(capsys):
+    code, obj = run_json(capsys, "check", "all", "--scale", "3")
+    assert code == 0 and obj["inputs"]["scale"] == 3
+    per_suite = {}
+    for name in suites.SUITES:
+        _, sub = run_json(capsys, "check", name, "--scale", "3")
+        per_suite[name] = {"passed": sub["passed"], "failed": sub["failed"]}
+    assert obj["results"] == per_suite
+    assert (obj["passed"], obj["failed"]) == (556, 0)
+    # scale 0 stays allowed
+    code, obj = run_json(capsys, "check", "all", "--scale", "0")
+    assert code == 0 and obj["failed"] == 0
+
+
 def test_byte_identical_output(capsys):
     _, out1, _ = run(capsys, "invariants", "--spec", "2:4,4")
     _, out2, _ = run(capsys, "invariants", "--spec", "2:4,4")

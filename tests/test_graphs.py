@@ -34,6 +34,7 @@ from cpgraphs.sequences import (
     enumerate_neighborhood_sequences,
     iter_nonleaping_sequences,
 )
+from cpgraphs.suites import tree_from_pruefer
 
 
 def random_member(rng, n):
@@ -72,6 +73,27 @@ def test_neighbors_and_degree():
     assert g.neighbors(1) == (2, 5)
     assert g.degree(3) == 2
     assert g.has_edge(5, 1) and not g.has_edge(1, 3)
+
+
+def test_adjacency_lists_ascending():
+    # _adj relies on sorted edges instead of sorting each neighbour list
+    rng = random.Random(12)
+    graphs = []
+    for _ in range(20):
+        n = rng.randint(2, 9)
+        edges = [(u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < 0.5]
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(edges)
+        graphs.append(LabeledGraph(n, tuple(edges)))
+        cp = build_cp_graph(random_member(rng, rng.randint(3, 9)))
+        graphs.append(cp)
+        graphs.append(tree_from_pruefer(n, tuple(rng.randint(1, n) for _ in range(n - 2))))
+        base = graphs[-1]
+        graphs.append(attach(base, base.edges[rng.randrange(len(base.edges))], cp).graph)
+        graphs += [b.graph for b in blocks(cp)]
+    for g in graphs:
+        for v in range(g.n + 1):
+            assert g._adj[v] == tuple(sorted(g._adj[v]))
 
 
 def test_bfs_and_distance_matrix():

@@ -46,7 +46,8 @@ def square_rows(n):
 @st.composite
 def left_factors(draw, n):
     """Left factors of every sparsity the row-combination product branches on."""
-    kind = draw(st.sampled_from(["dense", "zero_rows", "identity", "one_per_row"]))
+    kinds = ["dense", "zero_rows", "identity", "one_per_row", "plus_minus_one", "big"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "identity":
         return IntMatrix.identity(n)
     if kind == "one_per_row":
@@ -54,6 +55,19 @@ def left_factors(draw, n):
         for r in rows:
             r[draw(st.integers(0, n - 1))] = draw(st.integers(-9, 9).filter(bool))
         return IntMatrix.from_rows(rows)
+    if kind == "plus_minus_one":
+        # the shape of a reducing matrix's E^T: at most 4 entries from {-1, 0, 1}
+        rows = [[0] * n for _ in range(n)]
+        for r in rows:
+            for k in draw(st.lists(st.integers(0, n - 1), max_size=min(n, 4), unique=True)):
+                r[k] = draw(st.sampled_from([-1, 0, 1]))
+        return IntMatrix.from_rows(rows)
+    if kind == "big":
+        # far past machine-sized ints, with some entries left zero or +-1
+        big = st.integers(-9, 9).map(lambda x: x * 2**70 + x)
+        entries = st.one_of(big, st.sampled_from([-1, 0, 1]))
+        row = st.lists(entries, min_size=n, max_size=n)
+        return IntMatrix.from_rows(draw(st.lists(row, min_size=n, max_size=n)))
     rows = draw(square_rows(n))
     if kind == "zero_rows":
         rows = [r if draw(st.booleans()) else [0] * n for r in rows]

@@ -32,6 +32,7 @@ from cpgraphs.sequences import (
     expand_clique_path_spec,
     iter_nonleaping_sequences,
 )
+from cpgraphs.suites import random_member
 
 
 def test_weighted_graph_validation():
@@ -178,6 +179,19 @@ def test_congruence_reduce_any_square_pair(pair):
     # D need not be symmetric and E need not be a reducing matrix
     d, e = pair
     assert congruence_reduce(d, e).rows == tuple(tuple(r) for r in brute_congruence(d, e))
+
+
+def test_congruence_reduce_real_pairs_against_brute():
+    # random members' own (D, E) up to n = 40, where E^T is +-1 with at most
+    # 4 nonzeros per row
+    rng = random.Random(40)
+    for n in (2, 3, 7, 12, 19, 26, 33, 40):
+        q = [0, 1]
+        for _ in range(n - 2):
+            q.append(rng.randint(2, q[-1] + 1))
+        ns = random_member(rng, NonLeapingSequence(tuple(q)))
+        d, e = all_pairs_distances(build_cp_graph(ns)), reducing_matrix(ns)
+        assert congruence_reduce(d, e).rows == tuple(tuple(r) for r in brute_congruence(d, e))
 
 
 def test_congruence_reduce_dimension_mismatch():

@@ -172,9 +172,9 @@ def test_all_aggregates_suites_in_order(monkeypatch):
     assert r.results == {"a": {"passed": 3, "failed": 15}, "b": {"passed": 2, "failed": 10}}
     assert (r.passed, r.failed) == (5, 25)
     assert r.failures == [f"a{i}" for i in range(15)] + [f"b{i}" for i in range(5)]
-    # each suite gets its own rng seeded from the one seed, and the default scale
+    # each suite gets its own rng seeded from the one seed, and the one scale
     first = random.Random(5).random()
-    assert calls == [("a", first, None), ("b", first, None)]
+    assert calls == [("a", first, 4), ("b", first, 4)]
 
 
 def test_pruefer_decoder():
