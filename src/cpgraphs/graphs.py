@@ -95,9 +95,6 @@ class LabeledGraph:
             raise InputError(f"vertex {v} outside 1..{self.n}")
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u

@@ -176,21 +176,6 @@ class NeighborhoodSequence:
     def n(self) -> int:
         return self.base.n
 
-    def ak(self, k: int) -> int:
-        if not 2 <= k <= self.n:
-            raise IndexOutOfRange(f"anchor index {k} outside 2..{self.n}")
-        return 1 if k == 2 else self.anchors[k - 3]
-
-    def window(self, k: int) -> frozenset[int]:
-        """W_k, the set of earlier vertices joined to vertex k."""
-        if not 1 <= k <= self.n:
-            raise IndexOutOfRange(f"index {k} outside 1..{self.n}")
-        if k == 1:
-            return frozenset()
-        if k == 2:
-            return frozenset({1})
-        return frozenset({self.ak(k), *range(self.base.bk(k), k)})
-
 
 def enumerate_neighborhood_sequences(
     base: NonLeapingSequence, limit: int | None = None

@@ -2,7 +2,8 @@
 
 Each suite replays one verifiable claim about the library at desk scale:
 exhaustive where the instance space is small (all families up to n = 8, all
-labeled trees up to n = 7), seeded-random where it is not. Suites are pure
+labeled trees up to n = 7, where each leaf-growth shape of a Pruefer code is
+eliminated once), seeded-random where it is not. Suites are pure
 given (seed, scale), so reports are reproducible byte for byte apart from
 the wall time.
 """
@@ -14,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import product
+from math import comb
 from typing import Callable
 
 from . import fixtures
@@ -58,6 +60,7 @@ from .sequences import (
     NeighborhoodSequence,
     NonLeapingSequence,
     admissible_anchors,
+    count_neighborhood_sequences,
     enumerate_neighborhood_sequences,
     expand_clique_path_spec,
     iter_nonleaping_sequences,
@@ -179,27 +182,37 @@ def random_recipe(rng: random.Random, n_max: int) -> BlockCliquePathRecipe:
     return BlockCliquePathRecipe(tuple(parts))
 
 
-def tree_from_pruefer(n: int, code: tuple[int, ...]) -> LabeledGraph:
-    """The labelled tree on 1..n with Pruefer code `code` (n - 2 labels in 1..n)."""
+def pruefer_growth(n: int, code: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Grow the tree of Pruefer code `code` on 1..n by pendant vertices.
+
+    The code read backwards rebuilds the tree: start from n and the other
+    survivor of the decode, then re-attach the removed leaves in reverse
+    order, each to its code entry. Returns `order`, the labels in growth
+    order, and `parents`, where vertex order[j] hangs from order[parents[j - 1]].
+    `parents` (the shape) fixes the tree up to relabelling.
+    """
     if n == 1:
-        return LabeledGraph(1, ())
+        return (1,), ()
     deg = [1] * (n + 1)
     for v in code:
         deg[v] += 1
-    leaves: list[int] = []
-    for v in range(1, n + 1):
-        if deg[v] == 1:
-            heappush(leaves, v)
-    edges = []
+    leaves = [v for v in range(1, n + 1) if deg[v] == 1]  # ascending, so a heap
+    removed = []
     for v in code:
-        leaf = heappop(leaves)
-        edges.append((min(leaf, v), max(leaf, v)))
+        removed.append(heappop(leaves))
         deg[v] -= 1
         if deg[v] == 1:
             heappush(leaves, v)
-    a, b = heappop(leaves), heappop(leaves)
-    edges.append((min(a, b), max(a, b)))
-    return LabeledGraph._of(n, tuple(sorted(edges)))
+    order = (n, leaves[0], *reversed(removed))  # the two survivors are leaves[0] < n
+    pos = dict(zip(order, range(n)))
+    return order, tuple(map(pos.__getitem__, (n, *reversed(code))))
+
+
+def tree_from_pruefer(n: int, code: tuple[int, ...]) -> LabeledGraph:
+    """The labelled tree on 1..n with Pruefer code `code` (n - 2 labels in 1..n)."""
+    order, parents = pruefer_growth(n, code)
+    edges = ((order[j], order[p]) for j, p in enumerate(parents, 1))
+    return LabeledGraph._of(n, tuple(sorted((min(e), max(e)) for e in edges)))
 
 
 # -- the suites --------------------------------------------------------------
@@ -264,8 +277,25 @@ def member_reduces(ns: NeighborhoodSequence, h: IntMatrix) -> bool:
     return congruence_reduce(all_pairs_distances(build_cp_graph(ns)), reducing_matrix(ns)) == h
 
 
+def _check_count(rec: Recorder, s: NonLeapingSequence, members: int):
+    """Fail (and only fail) if `members` is not the family's product-formula count."""
+    want = count_neighborhood_sequences(s)
+    if members != want:
+        rec.check(False, f"q={s.q}: enumerated {members} members, expected {want}")
+
+
+def _check_order_totals(rec: Recorder, by_order: dict[int, int]):
+    """Fail (and only fail) where the members of order n = m + 2 do not sum to
+    the ternary number C(3m, m) / (2m + 1)."""
+    for n, got in by_order.items():
+        want = comb(3 * n - 6, n - 2) // (2 * n - 3)
+        if got != want:
+            rec.check(False, f"order {n}: {got} members in all families, expected {want}")
+
+
 def _check_members(rec: Recorder, s: NonLeapingSequence, want, label: Callable) -> int:
-    """Check every member of the family `s` for distance invariants `want`.
+    """Check every member of the family `s` for distance invariants `want`,
+    and that there are as many as the product formula counts.
 
     `label(ns, got)` renders a failure. Returns the number of members.
     """
@@ -274,20 +304,25 @@ def _check_members(rec: Recorder, s: NonLeapingSequence, want, label: Callable) 
         members += 1
         got = distance_invariants(build_cp_graph(ns))
         rec.check(got == want, lambda: label(ns, got))
+    _check_count(rec, s, members)
     return members
 
 
 def _suite_congruence(rec: Recorder, rng, scale) -> dict:
     n_max = scale if scale is not None else 8
     fams = list(_families(n_max))
-    members = 0
+    by_order = dict.fromkeys(range(2, n_max + 1), 0)
     for s in fams:
         h = reduced_graph(s).adjacency_matrix()
+        count = 0
         for ns in enumerate_neighborhood_sequences(s):
-            members += 1
+            count += 1
             rec.check(
                 member_reduces(ns, h), lambda: f"congruence broken for q={s.q} anchors={ns.anchors}"
             )
+        _check_count(rec, s, count)
+        by_order[s.n] += count
+    _check_order_totals(rec, by_order)
     random_checks = 100
     for _ in range(random_checks):
         s = random_nonleaping(rng, 12)
@@ -296,23 +331,24 @@ def _suite_congruence(rec: Recorder, rng, scale) -> dict:
             member_reduces(ns, reduced_graph(s).adjacency_matrix()),
             lambda: f"congruence broken for q={s.q} anchors={ns.anchors}",
         )
-    return {"families": len(fams), "members": members, "random_members": random_checks}
+    return {"families": len(fams), "members": sum(by_order.values()), "random_members": random_checks}
 
 
 def _suite_constancy(rec: Recorder, rng, scale) -> dict:
     n_max = scale if scale is not None else 8
     fams = list(_families(n_max))
-    members = 0
+    by_order = dict.fromkeys(range(2, n_max + 1), 0)
     for s in fams:
         want = family_invariants(s)
-        members += _check_members(
+        by_order[s.n] += _check_members(
             rec,
             s,
             want,
             lambda ns, got: f"invariants vary within q={s.q}: anchors={ns.anchors} give {got},"
             f" family says {want}",
         )
-    return {"families": len(fams), "members": members}
+    _check_order_totals(rec, by_order)
+    return {"families": len(fams), "members": sum(by_order.values())}
 
 
 def _suite_cp2(rec: Recorder, rng, scale) -> dict:
@@ -373,6 +409,7 @@ def _suite_trees(rec: Recorder, rng, scale) -> dict:
     n_max = scale if scale is not None else 7
     orders = list(range(2, n_max + 1))
     trees = 0
+    by_shape = {}  # a shape fixes the tree up to relabelling, so it is eliminated once
     for n in orders:
         want = tree_invariants(n)
         composed = compose_blocks([(-1, -2)] * (n - 1))
@@ -382,7 +419,10 @@ def _suite_trees(rec: Recorder, rng, scale) -> dict:
         )
         for code in product(range(1, n + 1), repeat=max(0, n - 2)):
             trees += 1
-            got = distance_invariants(tree_from_pruefer(n, code))
+            shape = pruefer_growth(n, code)[1]
+            got = by_shape.get(shape)
+            if got is None:
+                got = by_shape[shape] = distance_invariants(tree_from_pruefer(n, code))
             rec.check(got == want, lambda: f"tree code={code}: {got} != {want}")
     return {"orders": orders, "trees": trees}
 

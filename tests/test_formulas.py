@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_graphs import degree
 
 from cpgraphs.formulas import (
     BlockCliquePathRecipe,
@@ -72,7 +73,7 @@ def looks_like_2cp(g):
     key = (g.n, len(g.edges))
     if key not in CATALOG:
         return False
-    return tuple(sorted(g.degree(v) for v in range(1, g.n + 1))) == CATALOG[key]
+    return tuple(sorted(degree(g, v) for v in range(1, g.n + 1))) == CATALOG[key]
 
 
 def test_invariants_json_round_trip():

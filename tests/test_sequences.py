@@ -3,6 +3,7 @@ import sys
 from itertools import product
 
 import pytest
+from test_graphs import anchor, window
 
 from cpgraphs.errors import InputError
 from cpgraphs.sequences import (
@@ -166,10 +167,10 @@ def test_anchor_validation():
 def test_windows():
     s = NonLeapingSequence((0, 1, 2, 2, 2, 2, 3, 3))
     ns = NeighborhoodSequence(s, (1, 2, 3, 4, 4, 5))
-    assert ns.window(2) == frozenset({1})
-    assert ns.window(3) == frozenset({1, 2})
-    assert ns.window(8) == frozenset({5, 6, 7})
-    assert ns.ak(2) == 1 and ns.ak(5) == 3
+    assert window(ns, 2) == frozenset({1})
+    assert window(ns, 3) == frozenset({1, 2})
+    assert window(ns, 8) == frozenset({5, 6, 7})
+    assert anchor(ns, 2) == 1 and anchor(ns, 5) == 3
 
 
 def test_minimal_anchors():

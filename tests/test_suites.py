@@ -1,19 +1,26 @@
 import random
+from dataclasses import replace
+from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_graphs import degree
 
 from cpgraphs import suites
-from cpgraphs.formulas import GraphInvariants
+from cpgraphs.formulas import GraphInvariants, distance_invariants, tree_invariants
 from cpgraphs.linalg import Inertia
+from cpgraphs.sequences import count_neighborhood_sequences
 from cpgraphs.suites import (
     Recorder,
     Report,
     UnknownSuite,
     available_suites,
+    pruefer_growth,
     run_suite,
     tree_from_pruefer,
 )
-from cpgraphs.graphs import path_graph
+from cpgraphs.graphs import LabeledGraph, all_pairs_distances, path_graph
 
 
 def test_unknown_suite():
@@ -181,5 +188,122 @@ def test_pruefer_decoder():
     # code (v,) on 3 vertices joins both leaves to v
     assert tree_from_pruefer(3, (2,)) == path_graph(3)
     t = tree_from_pruefer(6, (1, 1, 1, 1))
-    assert sorted(t.degree(v) for v in range(1, 7)) == [1, 1, 1, 1, 1, 5]
+    assert sorted(degree(t, v) for v in range(1, 7)) == [1, 1, 1, 1, 1, 5]
     assert tree_from_pruefer(2, ()) == path_graph(2)
+
+
+def pruefer_encode(g):
+    """Oracle: strip the smallest leaf and write down its neighbour until two
+    vertices remain."""
+    nbrs = {v: set(g.neighbors(v)) for v in range(1, g.n + 1)}
+    code = []
+    while len(nbrs) > 2:
+        leaf = min(v for v, adj in nbrs.items() if len(adj) == 1)
+        (v,) = nbrs.pop(leaf)
+        nbrs[v].discard(leaf)
+        code.append(v)
+    return tuple(code)
+
+
+def all_codes(n_max):
+    for n in range(2, n_max + 1):
+        for code in product(range(1, n + 1), repeat=n - 2):
+            yield n, code
+
+
+def test_pruefer_encoder_inverts_decoder():
+    for n, code in all_codes(7):
+        assert pruefer_encode(tree_from_pruefer(n, code)) == code
+
+
+def test_growth_positions_relabel_the_tree():
+    for n, code in all_codes(7):
+        order, parents = pruefer_growth(n, code)
+        assert order[0] == n and sorted(order) == list(range(1, n + 1))
+        assert all(p < j for j, p in enumerate(parents, 1))  # each vertex hangs from an earlier one
+        pos = {v: i for i, v in enumerate(order)}
+        edges = {frozenset((pos[u], pos[v])) for u, v in tree_from_pruefer(n, code).edges}
+        assert edges == {frozenset(e) for e in enumerate(parents, 1)}
+
+
+def test_growth_shapes_of_small_trees():
+    shapes = {n: set() for n in range(2, 8)}
+    for n, code in all_codes(7):
+        shapes[n].add(pruefer_growth(n, code)[1])
+    # vertex j of the growth order hangs from one of 0..j-1, and every choice occurs
+    assert {n: len(s) for n, s in shapes.items()} == {2: 1, 3: 2, 4: 6, 5: 24, 6: 120, 7: 720}
+    assert pruefer_growth(1, ()) == ((1,), ())
+
+
+def shape_twin(n, parents):
+    """A code of shape `parents`: label growth position j with n - j, so that
+    each re-attached leaf is the smallest leaf when the encoder strips it."""
+    return pruefer_encode(LabeledGraph(n, tuple((n - j, n - p) for j, p in enumerate(parents, 1))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(2, 14).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2))
+))
+def test_equal_shapes_have_equal_invariants(case):
+    n, code = case
+    code = tuple(code)
+    order, shape = pruefer_growth(n, code)
+    twin = shape_twin(n, shape)
+    twin_order, twin_shape = pruefer_growth(n, twin)
+    assert twin_shape == shape
+    t, u = tree_from_pruefer(n, code), tree_from_pruefer(n, twin)
+    # listed in growth order, the two distance matrices agree entry by entry
+    d, e = all_pairs_distances(t), all_pairs_distances(u)
+    assert [[d.rows[i - 1][j - 1] for j in order] for i in order] == [
+        [e.rows[i - 1][j - 1] for j in twin_order] for i in twin_order
+    ]
+    assert distance_invariants(t) == distance_invariants(u)
+
+
+def test_tree_shapes_mask_no_fault_and_end_with_the_call(monkeypatch):
+    def wrong_on_order_5(g):
+        inv = distance_invariants(g)
+        return replace(inv, det=inv.det + 1) if g.n == 5 else inv
+
+    monkeypatch.setattr(suites, "distance_invariants", wrong_on_order_5)
+    r = run_suite("trees")
+    # the per-code path: every tree eliminated, none looked up by shape
+    failures = []
+    for n, code in all_codes(7):
+        got, want = wrong_on_order_5(tree_from_pruefer(n, code)), tree_invariants(n)
+        if got != want:
+            failures.append(f"tree code={code}: {got} != {want}")
+    assert len(failures) == 5 ** 3
+    assert (r.passed, r.failed, r.failures) == (18254 - len(failures), len(failures), failures[:20])
+    monkeypatch.undo()
+    again = run_suite("trees")
+    assert (again.passed, again.failed) == (18254, 0)
+
+
+@pytest.mark.parametrize(
+    "suite, scale", [("congruence", 4), ("constancy", 4), ("cp2-formulas", 2), ("linear-2tree", 4)]
+)
+def test_lossy_enumeration_fails_the_member_suites(monkeypatch, suite, scale):
+    real = suites.enumerate_neighborhood_sequences
+    # drop the last member of every family that has more than one
+    monkeypatch.setattr(
+        suites,
+        "enumerate_neighborhood_sequences",
+        lambda s: islice(real(s), max(1, count_neighborhood_sequences(s) - 1)),
+    )
+    r = run_suite(suite, scale=scale)
+    assert not r.ok and "q=(0, 1, 2, 2): enumerated 1 members, expected 2" in r.failures
+
+
+@pytest.mark.parametrize("suite, passed", [("congruence", 105), ("constancy", 5)])
+def test_missing_family_fails_the_order_total(monkeypatch, suite, passed):
+    assert run_suite(suite, scale=4).passed == passed
+    real = suites._families
+    monkeypatch.setattr(
+        suites, "_families", lambda n_max: (s for s in real(n_max) if s.q != (0, 1, 2, 2))
+    )
+    r = run_suite(suite, scale=4)
+    # the family's two members are neither checked nor counted
+    assert r.passed == passed - 2
+    assert r.failures == ["order 4: 1 members in all families, expected 3"]
