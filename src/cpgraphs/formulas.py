@@ -16,9 +16,9 @@ from .errors import InputError
 from .graphs import LabeledGraph, all_pairs_distances, build_cp_graph
 from .linalg import (
     Inertia,
+    _minor_sign_inertia,
     cofactor_sum,
     det_and_inertia,
-    inertia_leading_minors,
     leading_principal_minors,
     reduced_cofactor_sum,
 )
@@ -271,7 +271,7 @@ def block_2cp_inertia(recipe: BlockCliquePathRecipe) -> Inertia:
             raise CrossCheckFailed(
                 f"leading minor {k} is {got}; expected sign {want:+d}"
             )
-    if inertia_leading_minors(dp) != claimed:
+    if _minor_sign_inertia(minors) != claimed:
         raise CrossCheckFailed("minor-sign inertia disagrees with (1, n-1, 0)")
     return claimed
 

@@ -7,11 +7,11 @@ upper triangle, so it does half the work of a full elimination. A row
 whose multiplier is zero is skipped and its exact rescale deferred until
 the row is next read, so a sparse matrix such as a reduced graph's
 adjacency costs work in proportion to its nonzero multipliers. Inertia
-comes from the pivot signs read relative to the previous pivot. Only a
-non-symmetric determinant takes Bareiss' elimination with row pivoting.
-Jones' leading-principal-minor sign rule is kept as a second method for
-inertia. Cofactor sums are one bordered determinant each, itself symmetric
-when A is: u^T adj(A) u = -det([[A, u], [u^T, 0]]).
+comes from the pivot signs read relative to the previous pivot. Every
+matrix here must be symmetric; others raise NotSymmetric. Jones'
+leading-principal-minor sign rule is kept as a second method for inertia.
+Cofactor sums are one bordered determinant each, itself symmetric:
+u^T adj(A) u = -det([[A, u], [u^T, 0]]).
 """
 
 from __future__ import annotations
@@ -58,37 +58,10 @@ class Inertia:
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant, det([]) = 1.
-
-    Symmetric input goes to the half-work kernel _symmetric_bareiss; the
-    rest takes Bareiss' fraction-free elimination with row pivoting.
-    """
-    if m.is_symmetric():
-        return _symmetric_bareiss(m.rows)[3]
-    n = m.n
-    a = [list(r) for r in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                # exact by Sylvester's identity: prev divides the product
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    """Exact determinant of a symmetric matrix, det([]) = 1 (see _symmetric_bareiss)."""
+    if not m.is_symmetric():
+        raise NotSymmetric("matrix is not symmetric")
+    return _symmetric_bareiss(m.rows)[3]
 
 
 def _swap(b: list[list[int]], i: int, j: int) -> None:
@@ -218,17 +191,21 @@ def leading_principal_minors(m: IntMatrix) -> list[int]:
 
 
 def inertia_leading_minors(m: IntMatrix) -> Inertia:
-    """Jones' minor-sign rule for nonsingular symmetric matrices.
+    """Jones' minor-sign rule for nonsingular symmetric matrices."""
+    if not m.is_symmetric():
+        raise NotSymmetric("matrix is not symmetric")
+    return _minor_sign_inertia(leading_principal_minors(m))
+
+
+def _minor_sign_inertia(minors: list[int]) -> Inertia:
+    """Inertia from the leading minors D_1, ..., D_n of a symmetric matrix.
 
     n_minus is the number of sign changes in 1, D_1, ..., D_n with zeros
     skipped; this needs D_n nonzero and no two consecutive zero minors.
     """
-    if not m.is_symmetric():
-        raise NotSymmetric("matrix is not symmetric")
-    n = m.n
+    n = len(minors)
     if n == 0:
         return Inertia(0, 0, 0)
-    minors = leading_principal_minors(m)
     if minors[-1] == 0:
         raise Singular("last leading minor vanishes")
     for i in range(n - 1):

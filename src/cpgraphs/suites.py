@@ -87,13 +87,6 @@ class Recorder:
             if len(self.failures) < self.max_failures:
                 self.failures.append(label() if callable(label) else label)
 
-    def absorb(self, other: "Recorder | Report"):
-        self.passed += other.passed
-        self.failed += other.failed
-        for f in other.failures:
-            if len(self.failures) < self.max_failures:
-                self.failures.append(f)
-
 
 @dataclass
 class Report:
@@ -189,8 +182,11 @@ def pruefer_growth(n: int, code: tuple[int, ...]) -> tuple[tuple[int, ...], tupl
     survivor of the decode, then re-attach the removed leaves in reverse
     order, each to its code entry. Returns `order`, the labels in growth
     order, and `parents`, where vertex order[j] hangs from order[parents[j - 1]].
-    `parents` (the shape) fixes the tree up to relabelling.
+    `parents` (the shape) fixes the tree up to relabelling. Raises InputError
+    unless n >= 1 and `code` is max(n - 2, 0) labels in 1..n.
     """
+    if n < 1 or len(code) != max(n - 2, 0) or (code and (min(code) < 1 or max(code) > n)):
+        raise InputError(f"not a Pruefer code on 1..{n}: {code}")
     if n == 1:
         return (1,), ()
     deg = [1] * (n + 1)
@@ -224,6 +220,7 @@ def _families(n_max: int):
 
 
 def _suite_fixtures(rec: Recorder, rng, scale) -> dict:
+    before = rec.passed + rec.failed
     for name, want in fixtures.TWO_TREE_6_DETERMINANTS.items():
         got = determinant(all_pairs_distances(fixtures.fixture_graph(name)))
         rec.check(got == want, f"{name}: determinant {got}, expected {want}")
@@ -269,7 +266,7 @@ def _suite_fixtures(rec: Recorder, rng, scale) -> dict:
         rec.check(
             combined == fixtures.fixture_graph(name), f"{name}: fixture differs from attach()"
         )
-    return {"checks": rec.passed + rec.failed}
+    return {"checks": rec.passed + rec.failed - before}
 
 
 def member_reduces(ns: NeighborhoodSequence, h: IntMatrix) -> bool:
@@ -614,10 +611,10 @@ def run_suite(name: str, seed: int = 0, scale: int | None = None) -> Report:
     rec = Recorder()
     if name == "all":
         results = {}
-        for sub_name in SUITES:
-            sub = run_suite(sub_name, seed=seed, scale=scale)
-            results[sub_name] = {"passed": sub.passed, "failed": sub.failed}
-            rec.absorb(sub)
+        for sub_name, suite in SUITES.items():
+            passed, failed = rec.passed, rec.failed
+            suite(rec, random.Random(seed), scale)
+            results[sub_name] = {"passed": rec.passed - passed, "failed": rec.failed - failed}
     elif name in SUITES:
         results = SUITES[name](rec, random.Random(seed), scale)
     else:

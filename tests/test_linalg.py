@@ -85,38 +85,36 @@ def rand_unimodular(rng, n):
 def test_determinant_basics():
     assert determinant(IntMatrix.from_rows([])) == 1
     assert determinant(IntMatrix.from_rows([[7]])) == 7
-    assert determinant(IntMatrix.from_rows([[1, 2], [3, 4]])) == -2
+    assert determinant(IntMatrix.from_rows([[1, 2], [2, -3]])) == -7
     assert determinant(IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]])) == 30
     assert determinant(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
-    # needs a row swap to find a pivot
+    # needs a symmetric swap or row/column add to find a pivot
     assert determinant(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
+    with pytest.raises(NotSymmetric):
+        determinant(IntMatrix.from_rows([[1, 2], [3, 4]]))
 
 
 def test_determinant_vs_expansion():
     rng = random.Random(20)
     for _ in range(60):
-        n = rng.randint(1, 5)
-        m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        m = rand_symmetric(rng, rng.randint(1, 5), -9, 9)
         assert determinant(m) == det_by_cofactor_expansion(m)
 
 
 def test_determinant_vs_fraction_elimination():
     rng = random.Random(21)
     for _ in range(25):
-        n = rng.randint(1, 7)
-        m = IntMatrix.from_rows(
-            [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
-        )
+        m = rand_symmetric(rng, rng.randint(1, 7), -50, 50)
         assert determinant(m) == fraction_det(m)
 
 
 def test_determinant_multiplicative():
+    # det(A^T A) = det(A)^2 for any square A; A^T A is symmetric
     rng = random.Random(22)
     for _ in range(20):
         n = rng.randint(1, 4)
         a = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        b = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        assert determinant(a @ b) == determinant(a) * determinant(b)
+        assert determinant(a.t @ a) == det_by_cofactor_expansion(a) ** 2
 
 
 def test_inertia_dataclass():
@@ -234,8 +232,7 @@ def test_cofactor_sum():
     assert cofactor_sum(d) == 4
     rng = random.Random(28)
     for _ in range(25):
-        n = rng.randint(1, 4)
-        m = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
+        m = rand_symmetric(rng, rng.randint(1, 4), -6, 6)
         assert cofactor_sum(m) == brute_cofactor_sum(m)
 
 
@@ -360,7 +357,9 @@ def test_symmetric_determinant_vs_oracles(m):
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(near_symmetric_matrices())
-def test_near_symmetric_determinant_takes_the_row_pivot_path(m):
+def test_near_symmetric_matrices_are_refused(m):
     assert not m.is_symmetric()
     with mock.patch.object(linalg, "_symmetric_bareiss", side_effect=AssertionError):
-        assert determinant(m) == det_by_cofactor_expansion(m)
+        for f in (determinant, cofactor_sum, reduced_cofactor_sum):
+            with pytest.raises(NotSymmetric):
+                f(m)

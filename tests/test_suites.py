@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_graphs import degree
 
-from cpgraphs import suites
+from cpgraphs import linalg, suites
+from cpgraphs.errors import InputError
 from cpgraphs.formulas import GraphInvariants, distance_invariants, tree_invariants
 from cpgraphs.linalg import Inertia
 from cpgraphs.sequences import count_neighborhood_sequences
@@ -184,12 +185,36 @@ def test_all_aggregates_suites_in_order(monkeypatch):
     assert calls == [("a", first, 4), ("b", first, 4)]
 
 
+def test_all_counts_each_suite_as_if_run_alone(monkeypatch):
+    real = linalg._symmetric_bareiss
+
+    def wrong(rows):  # det off by one above order 3
+        plus, minus, zero, det = real(rows)
+        return plus, minus, zero, det + (len(rows) > 3)
+
+    monkeypatch.setattr(linalg, "_symmetric_bareiss", wrong)
+    alone = [run_suite(name, seed=0, scale=3) for name in suites.SUITES]
+    r = run_suite("all", seed=0, scale=3)
+    assert r.results == {a.suite: {"passed": a.passed, "failed": a.failed} for a in alone}
+    assert (r.passed, r.failed) == (sum(a.passed for a in alone), sum(a.failed for a in alone))
+    # the failure list runs on from the first suite's failures into the next ones
+    assert 0 < alone[0].failed < 20 < r.failed
+    assert r.failures == [f for a in alone for f in a.failures][:20]
+
+
 def test_pruefer_decoder():
     # code (v,) on 3 vertices joins both leaves to v
     assert tree_from_pruefer(3, (2,)) == path_graph(3)
     t = tree_from_pruefer(6, (1, 1, 1, 1))
     assert sorted(degree(t, v) for v in range(1, 7)) == [1, 1, 1, 1, 1, 5]
     assert tree_from_pruefer(2, ()) == path_graph(2)
+    assert tree_from_pruefer(1, ()) == LabeledGraph(1, ())
+
+
+@pytest.mark.parametrize("n, code", [(3, (0,)), (4, (1,)), (3, (4,)), (0, ())])
+def test_pruefer_decoder_rejects_what_is_not_a_code(n, code):
+    with pytest.raises(InputError):
+        tree_from_pruefer(n, code)
 
 
 def pruefer_encode(g):
