@@ -63,7 +63,7 @@ from .sequences import (
     parse_sequence_literal,
     parse_spec_literal,
 )
-from .suites import member_reduces, run_suite
+from .suites import _walk, member_reduces, run_suite
 
 
 def _read_text(path: str) -> str:
@@ -261,15 +261,15 @@ def _cmd_reduce_matrix(args) -> tuple[dict, int]:
 def _cmd_reduce_verify(args) -> tuple[dict, int]:
     s = parse_sequence_literal(args.sequence)
     inputs = {"sequence": args.sequence, "anchors": args.anchors}
+    h = reduced_graph(s).adjacency_matrix()
     if args.anchors is not None:
         total = 1
-        members = [NeighborhoodSequence(s, parse_anchor_literal(args.anchors))]
+        ns = NeighborhoodSequence(s, parse_anchor_literal(args.anchors))
+        bad = [] if member_reduces(ns, h) else [list(ns.anchors)]
     else:
         total = count_neighborhood_sequences(s)
         _cap_members(total, "pass --anchors to verify one member")
-        members = enumerate_neighborhood_sequences(s)
-    h = reduced_graph(s).adjacency_matrix()
-    bad = [list(ns.anchors) for ns in members if not member_reduces(ns, h)]
+        bad = [list(ns.anchors) for ns, _, ok in _walk(s, h) if not ok]
     results = {
         "q": list(s.q),
         "members": total,

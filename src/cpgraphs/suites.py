@@ -3,9 +3,11 @@
 Each suite replays one verifiable claim about the library at desk scale:
 exhaustive where the instance space is small (all families up to n = 8, all
 labeled trees up to n = 7, where each leaf-growth shape of a Pruefer code is
-eliminated once), seeded-random where it is not. Suites are pure
-given (seed, scale), so reports are reproducible byte for byte apart from
-the wall time.
+eliminated once), seeded-random where it is not. The suites that check every
+member of a family (and `reduce verify`) walk the family once, each member
+grown from the previous one's shared prefix: distance rows, elimination
+and E^T D E alike (see _walk). Suites are pure given (seed, scale), so
+reports are reproducible byte for byte apart from the wall time.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import product
+from itertools import compress, product
 from math import comb
+from operator import ne
 from typing import Callable
 
 from . import fixtures
@@ -25,6 +28,7 @@ from .formulas import (
     BlockCliquePathRecipe,
     BlockPart,
     CrossCheckFailed,
+    GraphInvariants,
     block_2cp_inertia,
     compose_blocks,
     cp2_invariants,
@@ -48,6 +52,7 @@ from .linalg import (
     ConsecutiveZeroMinors,
     Inertia,
     Singular,
+    cofactor_sum,
     det_and_inertia,
     determinant,
     inertia_congruence,
@@ -187,6 +192,11 @@ def pruefer_growth(n: int, code: tuple[int, ...]) -> tuple[tuple[int, ...], tupl
     """
     if n < 1 or len(code) != max(n - 2, 0) or (code and (min(code) < 1 or max(code) > n)):
         raise InputError(f"not a Pruefer code on 1..{n}: {code}")
+    return _pruefer_growth(n, code)
+
+
+def _pruefer_growth(n: int, code: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """pruefer_growth without the input check, for codes the trees suite builds itself."""
     if n == 1:
         return (1,), ()
     deg = [1] * (n + 1)
@@ -270,7 +280,8 @@ def _suite_fixtures(rec: Recorder, rng, scale) -> dict:
 
 
 def member_reduces(ns: NeighborhoodSequence, h: IntMatrix) -> bool:
-    """Whether E^T D E of the member `ns` equals `h`, its family's reduced matrix A(H)."""
+    """Whether E^T D E of the member `ns` equals `h`, its family's reduced matrix A(H),
+    from the member alone (the per-member path that _walk shares across a family)."""
     return congruence_reduce(all_pairs_distances(build_cp_graph(ns)), reducing_matrix(ns)) == h
 
 
@@ -290,6 +301,104 @@ def _check_order_totals(rec: Recorder, by_order: dict[int, int]):
             rec.check(False, f"order {n}: {got} members in all families, expected {want}")
 
 
+def _walk(s: NonLeapingSequence, h: IntMatrix | None = None):
+    """Verify the members of the family `s`, in the order of
+    enumerate_neighborhood_sequences(s), each from the previous one's prefix.
+
+    Yields (ns, d, got) per member: d is its distance matrix as a list of
+    rows, valid until the next member, and got its GraphInvariants or, when
+    A(H) = h is given, whether E^T D E == h.
+
+    Every W_k is a clique, so vertex order is a perfect elimination ordering:
+    adding a vertex changes no earlier distance, and the new row is
+    d(k, j) = 1 + min over w in W_k of d(w, j). A member thus shares every
+    vertex before its first changed anchor with the previous member; only
+    the vertices from there on are rebuilt. With h, column k of E^T D E is
+    compared as it is built: column k of E touches rows k, k-1, a_k and
+    a_(k-1) only, so it needs D's leading (k+1) block. Without h, vertex k
+    adds column k of the symmetric fraction-free elimination of
+    [[D, 1], [1^T, 0]], border last, after _symmetric_bareiss's step 0
+    (vertex 2 added into vertex 1, pivot 2). Column k is reduced through
+    the stored pivot rows (up-looking), so pivot k >= 1 is the leading minor
+    D_(k+1), and row k's border entry x takes the corner c to the next
+    bordered minor (c*p - x*x) // prev. det is the last pivot, inertia
+    comes from the pivot signs and cof = -corner, all as the kernel gives
+    them. A zero pivot before the last is the determinant of a prefix
+    family, so every member past it takes the kernel on its D rows instead.
+    """
+    n, b = s.n, s.b
+    d = [[0]]  # D's rows; after vertex k each has k + 1 entries
+    anc = [0]  # anc[k] = a_(k+1) - 1, with a_2 = 1
+    # elimination state: pivots[t] is row t reduced by pivots 0..t-1, its
+    # border entry first (vertex 1's is 1 + 1), then columns t, t + 1, ...;
+    # corners[t] is the bordered minor after pivot t, minus[t] the negative
+    # pivots among 0..t
+    pivots, corners, minus = [[2, 2]], [-4], [0]
+    if h is not None:  # ok[k]: columns 0..k of E^T D E match h's upper triangle
+        cols = [list(r[: k + 1]) for k, r in enumerate(h.rows)]
+        ok = [h.n == n and h.is_symmetric() and cols[0] == [0]]
+    last = None
+    for ns in enumerate_neighborhood_sequences(s):
+        a = ns.anchors
+        # rebuild from the vertex of the first changed anchor (vertex 1 for the first member)
+        r = 1 if last is None else 2 + next(compress(range(n), map(ne, a, last)), n)
+        last = a
+        del d[r:], anc[r:], pivots[r:], corners[r:], minus[r:]
+        for row in d:
+            del row[r:]
+        for t, row in enumerate(pivots):
+            del row[r - t + 1 :]
+        if h is not None:
+            del ok[r:]
+        for k in range(r, n):
+            anc.append(a[k - 2] - 1 if k > 1 else 0)
+            new = [1 + min(ws) for ws in zip(d[anc[k]], *d[b[k] - 1 : k])]
+            for row, x in zip(d, new):
+                row.append(x)
+            new.append(0)
+            d.append(new)
+            if h is not None:
+                if ok[-1]:
+                    # v = D times column k of E, then column k of E^T D E
+                    v = new if k == 1 else [
+                        w - x - y + z
+                        for w, x, y, z in zip(new, d[anc[k]], d[k - 1], d[anc[k - 1]])
+                    ]
+                    col = v[:2] + [
+                        v[i] - v[anc[i]] - v[i - 1] + v[anc[i - 1]] for i in range(2, k + 1)
+                    ]
+                    ok.append(col == cols[k])
+                else:
+                    ok.append(False)
+            elif len(pivots) == k and pivots[-1][1]:  # pivots 0..k-1 are all nonzero
+                # row k's border entry, then column k from row t = 0 on, as row t meets it
+                col = [1, new[0] + new[1], *new[1:]]
+                prev = 1
+                for row in pivots:
+                    f = col[1]
+                    row.append(f)
+                    p = row[1]
+                    col = [(y * p - u * f) // prev for y, u in zip(col, row)]
+                    del col[1]  # row t's own entry, now 0
+                    prev = p
+                x, p = col
+                pivots.append(col)
+                corners.append((corners[-1] * p - x * x) // prev)
+                minus.append(minus[-1] + ((p > 0) != (prev > 0)))
+        if h is not None:
+            yield ns, d, ok[-1]
+        elif len(pivots) < n:
+            m = IntMatrix._of(tuple(map(tuple, d)))
+            det, inertia = det_and_inertia(m)
+            yield ns, d, GraphInvariants(det, inertia, cofactor_sum(m))
+        elif pivots[-1][1]:
+            inertia = Inertia(n - minus[-1], minus[-1], 0)
+            yield ns, d, GraphInvariants(pivots[-1][1], inertia, -corners[-1])
+        else:  # only the last pivot is zero: one zero eigenvalue
+            inertia = Inertia(n - 1 - minus[-2], minus[-2], 1)
+            yield ns, d, GraphInvariants(0, inertia, -corners[-1])
+
+
 def _check_members(rec: Recorder, s: NonLeapingSequence, want, label: Callable) -> int:
     """Check every member of the family `s` for distance invariants `want`,
     and that there are as many as the product formula counts.
@@ -297,9 +406,8 @@ def _check_members(rec: Recorder, s: NonLeapingSequence, want, label: Callable) 
     `label(ns, got)` renders a failure. Returns the number of members.
     """
     members = 0
-    for ns in enumerate_neighborhood_sequences(s):
+    for ns, _, got in _walk(s):
         members += 1
-        got = distance_invariants(build_cp_graph(ns))
         rec.check(got == want, lambda: label(ns, got))
     _check_count(rec, s, members)
     return members
@@ -312,11 +420,9 @@ def _suite_congruence(rec: Recorder, rng, scale) -> dict:
     for s in fams:
         h = reduced_graph(s).adjacency_matrix()
         count = 0
-        for ns in enumerate_neighborhood_sequences(s):
+        for ns, _, ok in _walk(s, h):
             count += 1
-            rec.check(
-                member_reduces(ns, h), lambda: f"congruence broken for q={s.q} anchors={ns.anchors}"
-            )
+            rec.check(ok, lambda: f"congruence broken for q={s.q} anchors={ns.anchors}")
         _check_count(rec, s, count)
         by_order[s.n] += count
     _check_order_totals(rec, by_order)
@@ -416,7 +522,7 @@ def _suite_trees(rec: Recorder, rng, scale) -> dict:
         )
         for code in product(range(1, n + 1), repeat=max(0, n - 2)):
             trees += 1
-            shape = pruefer_growth(n, code)[1]
+            shape = _pruefer_growth(n, code)[1]
             got = by_shape.get(shape)
             if got is None:
                 got = by_shape[shape] = distance_invariants(tree_from_pruefer(n, code))

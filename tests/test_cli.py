@@ -13,8 +13,6 @@ from cpgraphs import addressing, cli, suites
 from cpgraphs.addressing import AddressScheme
 from cpgraphs.cli import build_parser, main, parse_graph_input
 from cpgraphs.graphs import LabeledGraph, path_graph
-from cpgraphs.reduction import reducing_matrix
-from cpgraphs.sequences import NeighborhoodSequence, parse_sequence_literal
 
 
 def run(capsys, *argv):
@@ -215,11 +213,11 @@ def test_reduce_commands(capsys):
 
 
 def test_reduce_verify_reports_mismatched_members(capsys, monkeypatch):
-    s = parse_sequence_literal("0,1,2,2,2,2,3,3")
-    planted = reducing_matrix(NeighborhoodSequence(s, (1, 2, 2, 4, 4, 5)))
-    real = suites.congruence_reduce
+    real = cli._walk
     monkeypatch.setattr(
-        suites, "congruence_reduce", lambda d, e: None if e == planted else real(d, e)
+        cli,
+        "_walk",
+        lambda s, h: ((ns, d, ok and ns.anchors != (1, 2, 2, 4, 4, 5)) for ns, d, ok in real(s, h)),
     )
     code, obj = run_json(capsys, "reduce", "verify", "0,1,2,2,2,2,3,3")
     assert code == 1
@@ -349,6 +347,18 @@ def test_check_all_applies_scale_to_every_suite(capsys):
     # scale 0 stays allowed
     code, obj = run_json(capsys, "check", "all", "--scale", "0")
     assert code == 0 and obj["failed"] == 0
+
+
+def test_check_all_default_counts(capsys):
+    code, obj = run_json(capsys, "check", "all", "--seed", "0")
+    assert code == 0 and obj["inputs"] == {"suite": "all", "seed": 0, "scale": None}
+    passed = {
+        "fixtures": 18, "congruence": 1873, "constancy": 1773, "cp2-formulas": 2582,
+        "linear-2tree": 261, "weighted-path": 25, "trees": 18254, "attach": 31,
+        "block-inertia": 60, "addressing": 24, "linalg-crossval": 597,
+    }
+    assert obj["results"] == {name: {"passed": k, "failed": 0} for name, k in passed.items()}
+    assert (obj["passed"], obj["failed"], obj["failures"]) == (25498, 0, [])
 
 
 def test_byte_identical_output(capsys):

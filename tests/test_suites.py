@@ -10,18 +10,26 @@ from test_graphs import degree
 from cpgraphs import linalg, suites
 from cpgraphs.errors import InputError
 from cpgraphs.formulas import GraphInvariants, distance_invariants, tree_invariants
-from cpgraphs.linalg import Inertia
-from cpgraphs.sequences import count_neighborhood_sequences
+from cpgraphs.linalg import Inertia, determinant
+from cpgraphs.reduction import reduced_graph
+from cpgraphs.sequences import (
+    NonLeapingSequence,
+    count_neighborhood_sequences,
+    enumerate_neighborhood_sequences,
+)
 from cpgraphs.suites import (
     Recorder,
     Report,
     UnknownSuite,
     available_suites,
+    member_reduces,
     pruefer_growth,
+    random_nonleaping,
     run_suite,
     tree_from_pruefer,
 )
-from cpgraphs.graphs import LabeledGraph, all_pairs_distances, path_graph
+from cpgraphs.graphs import LabeledGraph, all_pairs_distances, build_cp_graph, path_graph
+from cpgraphs.matrices import IntMatrix
 
 
 def test_unknown_suite():
@@ -129,13 +137,17 @@ def test_tree_failure_labels(monkeypatch):
     ],
 )
 def test_member_loop_failure_labels(monkeypatch, suite, scale, counts, first):
-    monkeypatch.setattr(suites, "distance_invariants", lambda g: WRONG)
+    real = suites._walk
+    monkeypatch.setattr(suites, "_walk", lambda s: ((ns, d, WRONG) for ns, d, _ in real(s)))
     r = run_suite(suite, scale=scale)
     assert (r.passed, r.failed) == counts
     assert r.failures[0] == first
 
 
 def test_congruence_failure_labels(monkeypatch):
+    real = suites._walk
+    # the exhaustive members go through the walk, the random ones through congruence_reduce
+    monkeypatch.setattr(suites, "_walk", lambda s, h: ((ns, d, False) for ns, d, _ in real(s, h)))
     monkeypatch.setattr(suites, "congruence_reduce", lambda d, e: None)
     r = run_suite("congruence", scale=3)
     assert (r.passed, r.failed) == (0, 102)
@@ -332,3 +344,56 @@ def test_missing_family_fails_the_order_total(monkeypatch, suite, passed):
     # the family's two members are neither checked nor counted
     assert r.passed == passed - 2
     assert r.failures == ["order 4: 1 members in all families, expected 3"]
+
+
+def walk_matches_members(s, limit=None):
+    """The walk against the per-member path on the first `limit` members of
+    `s`: same members, same D, same invariants, same congruence verdict.
+    Returns the number of members compared."""
+    h = reduced_graph(s).adjacency_matrix()
+    members = list(islice(enumerate_neighborhood_sequences(s), limit))
+    walks = zip(suites._walk(s), suites._walk(s, h))
+    for ns, ((ns1, d1, inv), (ns2, d2, ok)) in zip(members, walks):
+        g = build_cp_graph(ns)
+        d = all_pairs_distances(g).rows
+        assert ns1 == ns2 == ns
+        assert tuple(map(tuple, d1)) == tuple(map(tuple, d2)) == d
+        assert inv == distance_invariants(g)
+        assert ok == member_reduces(ns, h)
+    return len(members)
+
+
+def test_walk_matches_every_member_up_to_order_8():
+    assert sum(walk_matches_members(s) for s in suites._families(8)) == 1773
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(2, 40), st.integers(0, 2**32))
+def test_walk_matches_random_families(n, seed):
+    s = random_nonleaping(random.Random(seed), n)
+    assert walk_matches_members(s, 64) == min(64, count_neighborhood_sequences(s))
+
+
+@pytest.mark.parametrize("last", [2, 3, 4])
+def test_walk_falls_back_below_a_zero_leading_minor(last):
+    # D_7 = 0 in every member, so pivot 6 is zero before the last one; with
+    # last = 3, det = D_8 = 0 as well
+    s = NonLeapingSequence((0, 1, 2, 3, 3, 4, 3, last))
+    for ns, d, inv in suites._walk(s):
+        assert determinant(IntMatrix.from_rows(d).leading(7)) == 0
+        assert (inv.det == 0) == (last == 3)
+    assert walk_matches_members(s) == count_neighborhood_sequences(s)
+
+
+def test_walk_verdict_on_wrong_targets():
+    s = NonLeapingSequence((0, 1, 2, 2, 3, 3))
+    h = reduced_graph(s).adjacency_matrix().rows
+    lower = [list(r) for r in h]
+    lower[5][1] += 1  # below the diagonal only: no longer symmetric
+    corner = [list(r) for r in h]
+    corner[5][5] += 1
+    for rows in (lower, corner, [r[:5] for r in h[:5]]):
+        wrong = IntMatrix.from_rows(rows)
+        verdicts = [ok for _, _, ok in suites._walk(s, wrong)]
+        assert verdicts == [member_reduces(ns, wrong) for ns in enumerate_neighborhood_sequences(s)]
+        assert not any(verdicts)
