@@ -11,12 +11,14 @@ timeout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 
 from .errors import InputError, ResourceLimit
 from .graphs import LabeledGraph, all_pairs_distances
+from .matrices import IntMatrix
 from .linalg import inertia_congruence
 from .formulas import addressing_lower_bound
 
@@ -80,19 +82,24 @@ def address_distance(a: str, b: str) -> int:
     for w in (a, b):
         if any(c not in ALPHABET for c in w):
             raise InputError(f"address {w!r} uses characters outside 0, 1, *")
-    return sum(1 for x, y in zip(a, b) if {x, y} == {"0", "1"})
+    return _clashes(a, b)
+
+
+def _clashes(a: str, b: str) -> int:
+    """address_distance of two words already known to be valid and of one length."""
+    return sum(1 for x, y in zip(a, b) if x + y in ("01", "10"))
 
 
 def verify_scheme(g: LabeledGraph, scheme: AddressScheme) -> bool:
     """Does word distance equal graph distance for every vertex pair?"""
     if len(scheme.addresses) != g.n:
         raise SizeMismatch(f"{len(scheme.addresses)} addresses for {g.n} vertices")
-    dist = all_pairs_distances(g)
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if address_distance(scheme.addresses[i], scheme.addresses[j]) != dist.rows[i][j]:
-                return False
-    return True
+    # AddressScheme has checked every word's alphabet and length
+    rows = all_pairs_distances(g).rows
+    addr = scheme.addresses
+    return all(
+        _clashes(addr[i], addr[j]) == rows[i][j] for i in range(g.n) for j in range(i + 1, g.n)
+    )
 
 
 def _bfs_order(g: LabeledGraph) -> list[int]:
@@ -128,6 +135,29 @@ def _digit_masks(d: int) -> list[list[int]]:
     return masks
 
 
+def _word(i: int, d: int) -> list[int]:
+    """The digits of word i, most significant first (see _digit_masks)."""
+    out = [0] * d
+    for p in range(d - 1, -1, -1):
+        i, out[p] = divmod(i, 3)
+    return out
+
+
+@lru_cache(maxsize=1)
+def _layout(g: LabeledGraph) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """g's distance matrix, its BFS vertex order, and each vertex's distances
+    to the vertices before it in that order.
+
+    Cached for the last graph, so exact_n's bound and each length it tries
+    share one build.
+    """
+    dist = all_pairs_distances(g)
+    order = tuple(_bfs_order(g))
+    rows = dist.rows
+    earlier = tuple(tuple(rows[u - 1][v - 1] for u in order[:t]) for t, v in enumerate(order))
+    return dist, order, earlier
+
+
 def search_scheme(
     g: LabeledGraph, d: int, budget: int | None = None
 ) -> AddressScheme | None:
@@ -140,14 +170,19 @@ def search_scheme(
 
     A vertex's candidates are a bitmask over word indices: the AND, over the
     vertices already assigned, of the words at the right distance from each
-    one's word (one mask per distance, built once per search for each word
-    used), and of the words that keep every tied adjacent column pair in
-    order (memoized per set of tied pairs). The set bits are walked in
-    increasing order. budget caps the number of words scanned, and still
-    counts every word, rejected or not: the index gaps between candidates
-    and the rest of each level after the last one count too. Exceeding it
-    raises instead of guessing. A length above MAX_LENGTH is refused before
-    anything is built.
+    one's word, and of the words that keep every tied adjacent column pair
+    in order (memoized per set of tied pairs). A word's distance masks and
+    tied pairs are built the first time it is a candidate, never for all
+    3^d words up front. The assigned words' mask lists sit on a stack,
+    padded with 0 up to distance n - 1 so that a graph distance above d
+    selects no word, and each vertex's distances to the vertices before it
+    are listed once per graph. A vertex's candidates are found before it is
+    entered, so a vertex with none is counted without a call. The set bits
+    are walked in increasing order. budget caps the number of words scanned,
+    and still counts every word, rejected or not: the index gaps between
+    candidates and the rest of each level after the last one count too.
+    Exceeding it raises instead of guessing. A length above MAX_LENGTH is
+    refused before anything is built.
     """
     if g.n > MAX_VERTICES:
         raise TooLarge(f"{g.n} vertices exceeds the guard of {MAX_VERTICES}")
@@ -157,8 +192,7 @@ def search_scheme(
         raise InputError("address length must be nonnegative")
     if g.n == 0:
         return AddressScheme(d, ())
-    dist = all_pairs_distances(g)
-    order = _bfs_order(g)
+    _, order, earlier = _layout(g)
     n_words = 3**d
     full = (1 << n_words) - 1
     digit = _digit_masks(d)
@@ -167,78 +201,86 @@ def search_scheme(
         reduce(or_, (digit[p][x] & digit[p + 1][y] for x in range(3) for y in range(x, 3)))
         for p in range(d - 1)
     ]
+    pad = [0] * max(len(order) - 1 - d, 0)
     in_order: dict[int, int] = {}
-    at_distance: dict[int, list[int]] = {}
-    assigned: list[int] = []
+    seen: dict[int, tuple[int, list[int]]] = {}
+    stack: list[list[int]] = []
+    found: list[int] = []  # the scheme's words, filled in as extend returns
+    limit = math.inf if budget is None else budget
     nodes = 0
 
-    def word(i: int) -> list[int]:
-        out = [0] * d
-        for p in range(d - 1, -1, -1):
-            i, out[p] = divmod(i, 3)
-        return out
+    def word_info(i: int) -> tuple[int, list[int]]:
+        """Word i's tied adjacent column pairs (bit p: p, p + 1), and masks[k]:
+        the words at word distance k from word i, for k up to n - 1."""
+        w = _word(i, d)
+        ties = sum(1 << p for p in range(d - 1) if w[p] == w[p + 1])
+        masks = [full] + [0] * d
+        for p, x in enumerate(w):
+            if x == 2:
+                continue
+            far, near = digit[p][1 - x], digit[p][x] | digit[p][2]
+            for k in range(d, 0, -1):
+                masks[k] = (masks[k] & near) | (masks[k - 1] & far)
+            masks[0] &= near
+        info = seen[i] = (ties, masks + pad)
+        return info
 
     def keeps_order(ties: int) -> int:
         """Words that keep each tied adjacent column pair (bit p: p, p + 1) in order."""
-        mask = in_order.get(ties)
-        if mask is None:
-            mask = full
-            for p in range(d - 1):
-                if ties >> p & 1:
-                    mask &= pair_in_order[p]
-            in_order[ties] = mask
+        mask = full
+        for p in range(d - 1):
+            if ties >> p & 1:
+                mask &= pair_in_order[p]
+        in_order[ties] = mask
         return mask
 
-    def distance_masks(i: int) -> list[int]:
-        """masks[k]: the words at word distance k from word i."""
-        masks = at_distance.get(i)
-        if masks is None:
-            masks = [full] + [0] * d
-            for p, x in enumerate(word(i)):
-                if x == 2:
-                    continue
-                far, near = digit[p][1 - x], digit[p][x] | digit[p][2]
-                for k in range(d, 0, -1):
-                    masks[k] = (masks[k] & near) | (masks[k - 1] & far)
-                masks[0] &= near
-            at_distance[i] = masks
-        return masks
-
-    def scan(count: int):
+    def extend(t: int, ties: int, cands: int) -> bool:
+        """Try vertex order[t]'s candidates (never none); stack holds the
+        mask lists of the words at 0..t-1."""
         nonlocal nodes
-        nodes += count
-        if budget is not None and nodes > budget:
-            raise BudgetExceeded(f"budget of {budget} nodes exhausted")
-
-    def extend(t: int, ties: int) -> tuple[str, ...] | None:
-        if t == len(order):
-            by_label = [""] * g.n
-            for pos, v in enumerate(order):
-                by_label[v - 1] = "".join(ALPHABET[c] for c in word(assigned[pos]))
-            return tuple(by_label)
-        v = order[t]
-        cands = keeps_order(ties)
-        for pos, i in enumerate(assigned):
-            k = dist.rows[order[pos] - 1][v - 1]
-            cands &= distance_masks(i)[k] if k <= d else 0
+        if t == len(order) - 1:
+            i = (cands & -cands).bit_length() - 1
+            nodes += i + 1
+            if nodes > limit:
+                raise BudgetExceeded(f"budget of {budget} nodes exhausted")
+            found.append(i)
+            return True
+        row = earlier[t + 1]
         last = -1
         while cands:
             low = cands & -cands
             cands ^= low
             i = low.bit_length() - 1
-            scan(i - last)
+            nodes += i - last
+            if nodes > limit:
+                raise BudgetExceeded(f"budget of {budget} nodes exhausted")
             last = i
-            w = word(i)
-            assigned.append(i)
-            found = extend(t + 1, ties & sum(1 << p for p in range(d - 1) if w[p] == w[p + 1]))
-            assigned.pop()
-            if found is not None:
-                return found
-        scan(n_words - 1 - last)
-        return None
+            tied, masks = seen.get(i) or word_info(i)
+            stack.append(masks)
+            tied &= ties
+            nxt = in_order.get(tied)
+            if nxt is None:
+                nxt = keeps_order(tied)
+            for m, k in zip(stack, row):
+                nxt &= m[k]
+            if not nxt:
+                nodes += n_words  # checked with the next count of this level
+            elif extend(t + 1, tied, nxt):
+                found.append(i)
+                return True
+            stack.pop()
+        nodes += n_words - 1 - last
+        if nodes > limit:
+            raise BudgetExceeded(f"budget of {budget} nodes exhausted")
+        return False
 
-    found = extend(0, (1 << max(d - 1, 0)) - 1)
-    return None if found is None else AddressScheme(d, found)
+    ties = (1 << max(d - 1, 0)) - 1
+    if not extend(0, ties, keeps_order(ties)):
+        return None
+    by_label = [""] * g.n
+    for v, i in zip(order, reversed(found)):
+        by_label[v - 1] = "".join(ALPHABET[c] for c in _word(i, d))
+    return AddressScheme(d, tuple(by_label))
 
 
 def _minimum_scheme(g: LabeledGraph, budget: int | None = None) -> tuple[int, AddressScheme]:
@@ -247,7 +289,7 @@ def _minimum_scheme(g: LabeledGraph, budget: int | None = None) -> tuple[int, Ad
         raise TooLarge(f"{g.n} vertices exceeds the guard of {MAX_VERTICES}")
     if g.n <= 1:
         return 0, AddressScheme(0, ("",) * g.n)
-    lb = addressing_lower_bound(inertia_congruence(all_pairs_distances(g)))
+    lb = addressing_lower_bound(inertia_congruence(_layout(g)[0]))
     for d in range(max(lb, 1), g.n):
         scheme = search_scheme(g, d, budget)
         if scheme is not None:

@@ -113,15 +113,10 @@ def reduced_graph(s: NonLeapingSequence) -> WeightedGraph:
     -2, vertices 1 and 2 weight 0.
     """
     acc: dict[tuple[int, int], int] = {(1, 2): 1}
-
-    def add(u: int, v: int, w: int):
-        key = (min(u, v), max(u, v))
-        acc[key] = acc.get(key, 0) + w
-
-    for k in range(3, s.n + 1):
-        add(s.bk(k - 1), k, 1)
-        add(s.bk(k), k, -1)
-        add(k - 1, k, 1)
+    # b_(k-1) < k and b_k < k, so every key is already (smaller, larger)
+    for k, b_prev, b_k in zip(range(3, s.n + 1), s.b[1:], s.b[2:]):
+        for key, w in (((b_prev, k), 1), ((b_k, k), -1), ((k - 1, k), 1)):
+            acc[key] = acc.get(key, 0) + w
     edges = tuple((u, v, w) for (u, v), w in acc.items() if w != 0)
     vw = (0, 0) + (-2,) * (s.n - 2)
     return WeightedGraph(s.n, vw, edges)

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -34,6 +35,7 @@ from cpgraphs.graphs import (
 from cpgraphs.sequences import (
     CliquePathSpec,
     NeighborhoodSequence,
+    NonLeapingSequence,
     expand_clique_path_spec,
 )
 
@@ -149,6 +151,16 @@ def test_budget_guard():
         search_scheme(linear_2tree_5(), 4, budget=5)
 
 
+def test_budget_runs_out_before_any_table_of_all_words():
+    # K_{2,3} needs 590 620 nodes at length 10; building anything for each of
+    # the 3^10 words before the scan starts would take seconds, not this
+    k23 = LabeledGraph(5, ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        search_scheme(k23, MAX_LENGTH, budget=1000)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_scheme_json_round_trip():
     s = AddressScheme(3, ("000", "001", "01*", "11*"))
     assert scheme_from_json_obj(scheme_to_json_obj(s)) == s
@@ -199,6 +211,34 @@ def test_search_matches_slow_oracle(g, d):
     need = nodes_needed(g, d)
     # the oracle scans exactly as many words: it answers with that budget
     # and runs out one node earlier
+    assert outcome(search_scheme, g, d, need - 1) == "budget exceeded"
+    assert outcome(brute_search_scheme, g, d, need) == found
+    assert outcome(brute_search_scheme, g, d, need - 1) == "budget exceeded"
+
+
+# name: (graph on MAX_VERTICES vertices, minimum address length)
+SIX_VERTEX = {
+    "P6": (path_graph(6), 5),
+    "C6": (cycle_graph(6), 3),
+    "K6": (complete_graph(6), 5),
+    # a CP member: the fan, vertex 1 joined to the path 2-3-4-5-6
+    "fan": (build_cp_graph(NeighborhoodSequence(NonLeapingSequence((0, 1, 2, 2, 2, 2)), (1, 1, 1, 1))), 5),
+}
+
+
+# d = n - 2 and the minimum length; K6 at d = 4 is left out, as its failing
+# search scans 1 172 232 words, some 8 s for the oracle's two runs
+@pytest.mark.parametrize(
+    "name, d", [("P6", 4), ("P6", 5), ("C6", 4), ("C6", 3), ("K6", 5), ("fan", 4), ("fan", 5)]
+)
+def test_six_vertex_search_matches_slow_oracle(name, d):
+    g, minimum = SIX_VERTEX[name]
+    assert exact_n(g) == minimum
+    found = search_scheme(g, d)
+    assert (found is not None) == (d >= minimum)
+    if found is not None:
+        assert verify_scheme(g, found)
+    need = nodes_needed(g, d)
     assert outcome(search_scheme, g, d, need - 1) == "budget exceeded"
     assert outcome(brute_search_scheme, g, d, need) == found
     assert outcome(brute_search_scheme, g, d, need - 1) == "budget exceeded"
