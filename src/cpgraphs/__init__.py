@@ -58,7 +58,6 @@ from .formulas import (
     distance_invariants,
     family_invariants,
     linear_2tree_invariants,
-    peel_ordering,
     realize_recipe,
     tree_invariants,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "minimal_anchors",
     "parse_edge_list",
     "path_graph",
-    "peel_ordering",
     "realize_recipe",
     "reduced_cofactor_sum",
     "reduced_graph",

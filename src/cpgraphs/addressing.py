@@ -102,23 +102,6 @@ def verify_scheme(g: LabeledGraph, scheme: AddressScheme) -> bool:
     )
 
 
-def _bfs_order(g: LabeledGraph) -> list[int]:
-    order = []
-    seen = [False] * (g.n + 1)
-    seen[1] = True
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            order.append(u)
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    nxt.append(w)
-        frontier = sorted(nxt)
-    return order
-
-
 def _digit_masks(d: int) -> list[list[int]]:
     """masks[p][c] has bit i set when word i has digit c at position p.
 
@@ -145,15 +128,16 @@ def _word(i: int, d: int) -> list[int]:
 
 @lru_cache(maxsize=1)
 def _layout(g: LabeledGraph) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """g's distance matrix, its BFS vertex order, and each vertex's distances
-    to the vertices before it in that order.
+    """g's distance matrix, its BFS vertex order from vertex 1 (by distance
+    from 1, ties by label, as a BFS with sorted frontiers visits them), and
+    each vertex's distances to the vertices before it in that order.
 
     Cached for the last graph, so exact_n's bound and each length it tries
     share one build.
     """
     dist = all_pairs_distances(g)
-    order = tuple(_bfs_order(g))
     rows = dist.rows
+    order = tuple(sorted(range(1, g.n + 1), key=lambda v: (rows[0][v - 1], v)))
     earlier = tuple(tuple(rows[u - 1][v - 1] for u in order[:t]) for t, v in enumerate(order))
     return dist, order, earlier
 

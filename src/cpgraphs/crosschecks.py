@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .addressing import ALPHABET, MAX_VERTICES, AddressScheme, BudgetExceeded, TooLarge, _bfs_order
+from .addressing import ALPHABET, MAX_VERTICES, AddressScheme, BudgetExceeded, TooLarge
 from .errors import InputError
 from .graphs import LabeledGraph, all_pairs_distances
 from .linalg import Inertia, NotSymmetric
@@ -111,7 +111,8 @@ def brute_search_scheme(
     if g.n == 0:
         return AddressScheme(d, ())
     dist = all_pairs_distances(g)
-    order = _bfs_order(g)
+    # BFS order from vertex 1: by distance from 1, ties by label
+    order = sorted(range(1, g.n + 1), key=lambda v: (dist.rows[0][v - 1], v))
     # words as tuples over codes 0, 1, 2 (2 prints as *)
     words = sorted(product((0, 1, 2), repeat=d))
     assigned: list[tuple[int, ...]] = []

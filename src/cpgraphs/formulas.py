@@ -16,7 +16,6 @@ from .errors import InputError
 from .graphs import LabeledGraph, all_pairs_distances, build_cp_graph
 from .linalg import (
     Inertia,
-    _minor_sign_inertia,
     cofactor_sum,
     det_and_inertia,
     leading_principal_minors,
@@ -164,16 +163,6 @@ class BlockCliquePathRecipe:
         return self.parts[0].spec.n + sum(p.spec.n - 1 for p in self.parts[1:])
 
 
-@dataclass(frozen=True)
-class RealizedRecipe:
-    """The assembled graph; part_vertices[i][j] is the global label of part
-    i's CP vertex j+1 (part 0 owns its whole range, later parts borrow
-    their glue vertex as CP vertex 1)."""
-
-    graph: LabeledGraph
-    part_vertices: tuple[tuple[int, ...], ...]
-
-
 def _member_graph(part: BlockPart) -> LabeledGraph:
     s = expand_clique_path_spec(part.spec)
     anchors = part.anchors if part.anchors is not None else minimal_anchors(s)
@@ -184,16 +173,23 @@ def _member_graph(part: BlockPart) -> LabeledGraph:
     return build_cp_graph(ns)
 
 
-def realize_recipe(recipe: BlockCliquePathRecipe) -> RealizedRecipe:
+def realize_recipe(recipe: BlockCliquePathRecipe) -> LabeledGraph:
+    """The assembled graph, labelled in growth order.
+
+    Part 0 takes labels 1..n_0 as its CP vertices; each later part borrows
+    its glue vertex as CP vertex 1 and takes the next free labels for CP
+    vertices 2, 3, ... in order. Every CP member grows by a perfect
+    elimination ordering, and a part only glues at a label that exists
+    before it, so label order is a perfect elimination ordering of the whole
+    graph: each prefix 1..k is connected, isometric (its distance matrix is
+    D's leading k block) and has 2-clique-path blocks.
+    """
     if not recipe.parts:
         raise InvalidRecipe("recipe needs at least one part")
     if recipe.parts[0].at is not None:
         raise InvalidRecipe("the first part must not declare a glue vertex")
-    edges: list[tuple[int, int]] = []
-    part_vertices: list[tuple[int, ...]] = []
     root = _member_graph(recipe.parts[0])
-    edges.extend(root.edges)
-    part_vertices.append(tuple(range(1, root.n + 1)))
+    edges = list(root.edges)
     total = root.n
     for idx, part in enumerate(recipe.parts[1:], start=1):
         if part.at is None:
@@ -208,72 +204,30 @@ def realize_recipe(recipe: BlockCliquePathRecipe) -> RealizedRecipe:
         for u, v in member.edges:
             a, b = labels[u], labels[v]
             edges.append((min(a, b), max(a, b)))
-        part_vertices.append(tuple(labels[k] for k in range(1, member.n + 1)))
-    return RealizedRecipe(LabeledGraph(total, tuple(edges)), tuple(part_vertices))
-
-
-def peel_ordering(recipe: BlockCliquePathRecipe) -> tuple[int, ...]:
-    """A vertex ordering whose prefixes induce connected graphs with
-    2-clique-path blocks, distances undisturbed.
-
-    Peel one vertex at a time from a pendant part (a part at whose vertices
-    no other live part is glued; the first part qualifies only once it is
-    the sole live part): always its highest remaining CP vertex, which sits
-    in the part's ending clique and is nobody's glue point. Ties go to the
-    largest global label. The last two survivors are the first part's
-    vertices 1 and 2.
-    """
-    real = realize_recipe(recipe)
-    owned = [list(pv) if i == 0 else list(pv[1:]) for i, pv in enumerate(real.part_vertices)]
-    owned_sets = [set(o) for o in owned]
-    glue_at = [0] + [pv[0] for pv in real.part_vertices[1:]]
-    remaining = [len(o) for o in owned]
-    total = sum(remaining)
-    removals: list[int] = []
-    while total > 2:
-        live = [i for i in range(1, len(owned)) if remaining[i] > 0]
-        live_glues = {glue_at[i] for i in live}
-        candidates = []
-        for i in live:
-            if owned_sets[i] & live_glues:
-                continue  # some live part hangs off this one: not pendant
-            candidates.append((owned[i][remaining[i] - 1], i))
-        if not live and remaining[0] > 2:
-            candidates.append((owned[0][remaining[0] - 1], 0))
-        if not candidates:
-            raise CrossCheckFailed("peel stalled; this should be unreachable")
-        tip, i = max(candidates)
-        removals.append(tip)
-        remaining[i] -= 1
-        total -= 1
-    return (1, 2) + tuple(reversed(removals))
+    return LabeledGraph(total, tuple(edges))
 
 
 def block_2cp_inertia(recipe: BlockCliquePathRecipe) -> Inertia:
     """Distance inertia (1, n-1, 0) of a recipe graph, cross-validated.
 
-    The peel ordering makes the leading minors of the reordered distance
-    matrix follow the sign pattern 0, -, +, -, ...; the minor-sign method
-    must then reproduce the claimed inertia, or something is wrong.
+    In realize_recipe's label order every prefix is a connected, isometric
+    graph with 2-clique-path blocks, so the leading principal minors of D
+    must follow the sign pattern 0, -, +, -, ...; by Jones' rule that
+    pattern gives exactly (1, n-1, 0). A minor off the pattern means
+    something is wrong.
     """
-    real = realize_recipe(recipe)
-    n = real.graph.n
-    claimed = Inertia(1, n - 1, 0)
-    d = all_pairs_distances(real.graph)
-    dp = d.symmetric_permute(peel_ordering(recipe))
-    minors = leading_principal_minors(dp)
+    g = realize_recipe(recipe)
+    minors = leading_principal_minors(all_pairs_distances(g))
     if minors[0] != 0:
         raise CrossCheckFailed(f"first leading minor is {minors[0]}, not 0")
-    for k in range(2, n + 1):
+    for k in range(2, g.n + 1):
         want = (-1) ** (k - 1)
         got = minors[k - 1]
         if got == 0 or (got > 0) != (want > 0):
             raise CrossCheckFailed(
                 f"leading minor {k} is {got}; expected sign {want:+d}"
             )
-    if _minor_sign_inertia(minors) != claimed:
-        raise CrossCheckFailed("minor-sign inertia disagrees with (1, n-1, 0)")
-    return claimed
+    return Inertia(1, g.n - 1, 0)
 
 
 def addressing_lower_bound(inertia: Inertia) -> int:

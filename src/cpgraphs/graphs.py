@@ -132,17 +132,7 @@ def build_cp_graph(ns: NeighborhoodSequence) -> LabeledGraph:
 
 
 def is_connected(g: LabeledGraph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {1}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    return g.n == 0 or -1 not in bfs_distances(g, 1)[1:]
 
 
 def bfs_distances(g: LabeledGraph, source: int) -> list[int]:

@@ -227,11 +227,12 @@ def count_neighborhood_sequences(base: NonLeapingSequence) -> int:
 
 
 def minimal_anchors(base: NonLeapingSequence) -> tuple[int, ...]:
-    """The member taking the smallest admissible anchor at every step."""
-    anchors: list[int] = []
-    for k in range(3, base.n + 1):
-        anchors.append(min(admissible_anchors(base, k, anchors)))
-    return tuple(anchors)
+    """The member taking the smallest admissible anchor at every step: all ones.
+
+    a_(k-1) < b_(k-1) <= b_k, so a_(k-1) is the least admissible anchor at
+    step k, and a_3 = 1 (W_2 = {1}).
+    """
+    return (1,) * (base.n - 2)
 
 
 def iter_nonleaping_sequences(n: int) -> Iterator[NonLeapingSequence]:

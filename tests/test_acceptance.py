@@ -91,7 +91,7 @@ def test_criterion_09_attachment_invariance():
 
 
 def test_criterion_10_block_inertia():
-    _gate(10, "block-2CP inertia with peel minor signs on 30 recipes", "block-inertia", 60.0)
+    _gate(10, "block-2CP inertia with label-order minor signs on 30 recipes", "block-inertia", 60.0)
 
 
 def test_criterion_11_addressing():

@@ -15,6 +15,7 @@ from cpgraphs.addressing import (
     MAX_VERTICES,
     SizeMismatch,
     TooLarge,
+    _layout,
     address_distance,
     exact_n,
     scheme_from_json_obj,
@@ -177,6 +178,23 @@ def connected_graphs(draw, max_n=5):
     edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))) if pairs else set()
     label = draw(st.permutations(range(1, n + 1)))
     return LabeledGraph(n, tuple(sorted(tuple(sorted((label[u - 1], label[v - 1]))) for u, v in edges)))
+
+
+def bfs_sorted_frontiers(g):
+    """Textbook BFS from vertex 1, each frontier visited in increasing label order."""
+    order, seen, frontier = [], {1}, [1]
+    while frontier:
+        order += frontier
+        nxt = {w for u in frontier for w in g.neighbors(u)} - seen
+        seen |= nxt
+        frontier = sorted(nxt)
+    return tuple(order)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(connected_graphs(max_n=6))
+def test_layout_order_is_bfs_order(g):
+    assert _layout(g)[1] == bfs_sorted_frontiers(g)
 
 
 def outcome(search, g, d, budget):

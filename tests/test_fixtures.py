@@ -2,8 +2,7 @@ import pytest
 
 from cpgraphs import fixtures as fx
 from cpgraphs.errors import InputError
-from cpgraphs.graphs import all_pairs_distances, attach, build_cp_graph, is_connected, LabeledGraph
-from cpgraphs.linalg import determinant
+from cpgraphs.graphs import build_cp_graph, is_connected
 from cpgraphs.sequences import NeighborhoodSequence, NonLeapingSequence
 
 
@@ -29,26 +28,13 @@ def test_unknown_fixture():
         fx.fixture_graph("nope")
 
 
-def test_two_tree_determinants():
-    for name, want in fx.TWO_TREE_6_DETERMINANTS.items():
-        assert determinant(all_pairs_distances(fx.fixture_graph(name))) == want
-
-
 def test_cp8_fixture_files_match_construction():
+    # the files' equality with these constructions is the fixtures suite's
+    # check (tier-1: test_cli.py::test_check_all_default_counts)
     s = NonLeapingSequence(fx.CP8_SEQ)
     chain = build_cp_graph(NeighborhoodSequence(s, fx.CP8_CHAIN_ANCHORS))
     hub = build_cp_graph(NeighborhoodSequence(s, fx.CP8_HUB_ANCHORS))
-    assert fx.fixture_graph("cp8_chain") == chain
-    assert fx.fixture_graph("cp8_hub") == hub
     assert chain != hub
-
-
-def test_c5_fixture_files_match_attach():
-    c5 = LabeledGraph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5)))
-    chain = attach(c5, (1, 2), fx.fixture_graph("cp8_chain")).graph
-    hub = attach(c5, (1, 2), fx.fixture_graph("cp8_hub")).graph
-    assert fx.fixture_graph("c5_cp8_chain") == chain
-    assert fx.fixture_graph("c5_cp8_hub") == hub
 
 
 def test_recorded_matrices_are_consistent():

@@ -21,7 +21,6 @@ from cpgraphs.formulas import (
     invariants_from_json_obj,
     invariants_to_json_obj,
     linear_2tree_invariants,
-    peel_ordering,
     realize_recipe,
     tree_invariants,
 )
@@ -167,8 +166,7 @@ def test_compose_blocks_matches_cut_vertex_gluing():
             spec = rng.choice(specs)
             parts.append(BlockPart(spec, at=rng.randint(1, total)))
             total += spec.n - 1
-        real = realize_recipe(BlockCliquePathRecipe(tuple(parts)))
-        g = real.graph
+        g = realize_recipe(BlockCliquePathRecipe(tuple(parts)))
         pieces = []
         for b in blocks(g):
             sub, _ = induced_subgraph(g, b.vertices)
@@ -198,15 +196,25 @@ def test_realize_recipe_layout():
     r = BlockCliquePathRecipe(
         (BlockPart(CliquePathSpec((3,))), BlockPart(EDGE, at=3), BlockPart(EDGE, at=1))
     )
-    real = realize_recipe(r)
-    assert real.graph.n == r.n == 5
-    assert real.part_vertices[0] == (1, 2, 3)
-    assert real.part_vertices[1] == (3, 4)  # glue vertex first, then fresh labels
-    assert real.part_vertices[2] == (1, 5)
-    assert len(blocks(real.graph)) == 3
+    g = realize_recipe(r)
+    assert g.n == r.n == 5
+    # part 0 owns 1, 2, 3; later parts take their glue vertex, then fresh labels
+    assert g.edges == ((1, 2), (1, 3), (1, 5), (2, 3), (3, 4))
+    assert len(blocks(g)) == 3
 
 
-def test_peel_ordering_examples():
+def assert_label_prefixes(g, context):
+    """Each prefix 1..k is connected, isometric and has 2-clique-path blocks."""
+    d = all_pairs_distances(g)
+    for k in range(2, g.n + 1):
+        sub, _ = induced_subgraph(g, range(1, k + 1))
+        assert is_connected(sub)
+        assert all_pairs_distances(sub).rows == tuple(row[:k] for row in d.rows[:k]), (context, k)
+        for b in blocks(sub):
+            assert looks_like_2cp(b.graph), (context, k, b)
+
+
+def test_label_order_examples():
     tri_pendants = BlockCliquePathRecipe(
         (
             BlockPart(CliquePathSpec((3,))),
@@ -215,18 +223,10 @@ def test_peel_ordering_examples():
             BlockPart(EDGE, at=3),
         )
     )
-    order = peel_ordering(tri_pendants)
-    real = realize_recipe(tri_pendants)
-    assert sorted(order) == list(range(1, real.graph.n + 1))
-    assert order[:2] == (1, 2)
-    for k in range(2, len(order) + 1):
-        sub, _ = induced_subgraph(real.graph, sorted(order[:k]))
-        assert is_connected(sub)
-        for b in blocks(sub):
-            assert looks_like_2cp(b.graph), (order, k, b)
+    assert_label_prefixes(realize_recipe(tri_pendants), tri_pendants)
 
 
-def test_peel_ordering_random_recipes():
+def test_label_order_random_recipes():
     rng = random.Random(33)
     specs = [EDGE, CliquePathSpec((3,)), CliquePathSpec((4,)), CliquePathSpec((5,)), CliquePathSpec((3, 3))]
     for _ in range(25):
@@ -239,14 +239,7 @@ def test_peel_ordering_random_recipes():
             )
             total += spec.n - 1
         recipe = BlockCliquePathRecipe(tuple(parts))
-        real = realize_recipe(recipe)
-        order = peel_ordering(recipe)
-        assert sorted(order) == list(range(1, real.graph.n + 1))
-        for k in range(2, len(order) + 1):
-            sub, _ = induced_subgraph(real.graph, sorted(order[:k]))
-            assert is_connected(sub)
-            for b in blocks(sub):
-                assert looks_like_2cp(b.graph), (recipe, order, k)
+        assert_label_prefixes(realize_recipe(recipe), recipe)
 
 
 def test_block_2cp_inertia_examples():
@@ -273,10 +266,10 @@ def test_block_2cp_inertia_matches_direct():
             parts.append(BlockPart(spec, at=rng.randint(1, total)))
             total += spec.n - 1
         recipe = BlockCliquePathRecipe(tuple(parts))
-        n = realize_recipe(recipe).graph.n
+        g = realize_recipe(recipe)
         got = block_2cp_inertia(recipe)
-        assert got == Inertia(1, n - 1, 0)
-        direct = inertia_congruence(all_pairs_distances(realize_recipe(recipe).graph))
+        assert got == Inertia(1, g.n - 1, 0)
+        direct = inertia_congruence(all_pairs_distances(g))
         assert direct == got
 
 

@@ -177,6 +177,11 @@ def test_minimal_anchors():
     s = NonLeapingSequence((0, 1, 2, 2, 2, 2, 3, 3))
     m = minimal_anchors(s)
     assert m == tuple(min(admissible_anchors(s, k, m[: k - 3])) for k in range(3, 9))
+    for n in range(2, 10):
+        for s in iter_nonleaping_sequences(n):
+            m = minimal_anchors(s)
+            assert m == (1,) * (n - 2)
+            assert m == tuple(min(admissible_anchors(s, k, m[: k - 3])) for k in range(3, n + 1))
 
 
 def test_parse_literals():

@@ -138,7 +138,7 @@ def test_tree_failure_labels(monkeypatch):
 )
 def test_member_loop_failure_labels(monkeypatch, suite, scale, counts, first):
     real = suites._walk
-    monkeypatch.setattr(suites, "_walk", lambda s: ((ns, d, WRONG) for ns, d, _ in real(s)))
+    monkeypatch.setattr(suites, "_walk", lambda s, h: ((ns, d, WRONG) for ns, d, _ in real(s, h)))
     r = run_suite(suite, scale=scale)
     assert (r.passed, r.failed) == counts
     assert r.failures[0] == first
