@@ -28,7 +28,6 @@ from cpgraphs import (
     inertia_congruence,
     realize_recipe,
 )
-from cpgraphs.graphs import induced_subgraph
 
 c5 = LabeledGraph(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5)))
 s = NonLeapingSequence((0, 1, 2, 2, 2, 2, 3, 3))
@@ -54,8 +53,7 @@ d = all_pairs_distances(g)
 
 pieces = []
 for b in blocks(g):
-    sub, _ = induced_subgraph(g, b.vertices)
-    ds = all_pairs_distances(sub)
+    ds = all_pairs_distances(b.graph)  # a block is an induced subgraph
     pieces.append((determinant(ds), cofactor_sum(ds)))
     print(f"  block {b.vertices}: det {pieces[-1][0]}, cof {pieces[-1][1]}")
 
@@ -66,5 +64,5 @@ print()
 
 order = tuple(range(1, g.n + 1))
 print(f"label order (every prefix stays connected with 2-clique-path blocks): {order}")
-print(f"inertia via leading minors: {block_2cp_inertia(recipe)}")
+print(f"inertia via leading minors: {block_2cp_inertia(d)}")
 print(f"inertia directly:           {inertia_congruence(d)}")

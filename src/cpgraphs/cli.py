@@ -211,6 +211,7 @@ def _cmd_graph_distance(args) -> tuple[dict, int]:
 
 def _cmd_graph_blocks(args) -> tuple[dict, int]:
     g = _load_graph(args.graph)
+    _cap_vertices(g.n, "graph blocks")
     out = []
     for b in blocks(g):
         edges = [[b.vertices[u - 1], b.vertices[v - 1]] for u, v in b.graph.edges]

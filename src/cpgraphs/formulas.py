@@ -21,6 +21,7 @@ from .linalg import (
     leading_principal_minors,
     reduced_cofactor_sum,
 )
+from .matrices import IntMatrix
 from .reduction import reduced_graph, seesaw_params
 from .sequences import (
     CliquePathSpec,
@@ -58,16 +59,6 @@ def invariants_to_json_obj(inv: GraphInvariants) -> dict:
         "inertia": list(inv.inertia.as_tuple()),
         "cof": str(inv.cof),
     }
-
-
-def invariants_from_json_obj(obj: dict) -> GraphInvariants:
-    try:
-        det = int(obj["det"])
-        p, m, z = (int(x) for x in obj["inertia"])
-        cof = int(obj["cof"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"bad invariants object: {e}") from None
-    return GraphInvariants(det, Inertia(p, m, z), cof)
 
 
 def distance_invariants(g: LabeledGraph) -> GraphInvariants:
@@ -207,27 +198,26 @@ def realize_recipe(recipe: BlockCliquePathRecipe) -> LabeledGraph:
     return LabeledGraph(total, tuple(edges))
 
 
-def block_2cp_inertia(recipe: BlockCliquePathRecipe) -> Inertia:
-    """Distance inertia (1, n-1, 0) of a recipe graph, cross-validated.
+def block_2cp_inertia(d: IntMatrix) -> Inertia:
+    """Distance inertia (1, n-1, 0) of a recipe graph, cross-validated, from
+    its distance matrix d in realize_recipe's label order.
 
-    In realize_recipe's label order every prefix is a connected, isometric
-    graph with 2-clique-path blocks, so the leading principal minors of D
-    must follow the sign pattern 0, -, +, -, ...; by Jones' rule that
-    pattern gives exactly (1, n-1, 0). A minor off the pattern means
-    something is wrong.
+    In that order every prefix is a connected, isometric graph with
+    2-clique-path blocks, so the leading principal minors of d must follow
+    the sign pattern 0, -, +, -, ...; by Jones' rule that pattern gives
+    exactly (1, n-1, 0). A minor off the pattern means something is wrong.
     """
-    g = realize_recipe(recipe)
-    minors = leading_principal_minors(all_pairs_distances(g))
+    minors = leading_principal_minors(d)
     if minors[0] != 0:
         raise CrossCheckFailed(f"first leading minor is {minors[0]}, not 0")
-    for k in range(2, g.n + 1):
+    for k in range(2, d.n + 1):
         want = (-1) ** (k - 1)
         got = minors[k - 1]
         if got == 0 or (got > 0) != (want > 0):
             raise CrossCheckFailed(
                 f"leading minor {k} is {got}; expected sign {want:+d}"
             )
-    return Inertia(1, g.n - 1, 0)
+    return Inertia(1, d.n - 1, 0)
 
 
 def addressing_lower_bound(inertia: Inertia) -> int:

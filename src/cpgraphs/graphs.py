@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import InputError
 from .matrices import IntMatrix
@@ -89,11 +89,6 @@ class LabeledGraph:
             nbrs[v].append(u)
         # edges are sorted with u < v, so each list is already ascending
         return tuple(map(tuple, nbrs))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        if not 1 <= v <= self.n:
-            raise InputError(f"vertex {v} outside 1..{self.n}")
-        return self._adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
@@ -268,19 +263,6 @@ def blocks(g: LabeledGraph) -> list[Block]:
     return result
 
 
-def induced_subgraph(g: LabeledGraph, vertices: Iterable[int]) -> tuple[LabeledGraph, tuple[int, ...]]:
-    """Subgraph on the given vertex set, relabeled 1..k in ascending label order."""
-    verts = sorted(set(vertices))
-    for v in verts:
-        if not 1 <= v <= g.n:
-            raise InputError(f"vertex {v} outside 1..{g.n}")
-    relabel = {v: i + 1 for i, v in enumerate(verts)}
-    edges = tuple(
-        (relabel[u], relabel[v]) for u, v in g.edges if u in relabel and v in relabel
-    )
-    return LabeledGraph(len(verts), edges), tuple(verts)
-
-
 def parse_edge_list(text: str) -> LabeledGraph:
     """Read the plain text format: one `u v` pair per line.
 
@@ -330,12 +312,6 @@ def parse_edge_list(text: str) -> LabeledGraph:
     return LabeledGraph(n, tuple(pairs))
 
 
-def format_edge_list(g: LabeledGraph) -> str:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def graph_to_json_obj(g: LabeledGraph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
 
@@ -349,8 +325,8 @@ def graph_from_json_obj(obj: dict) -> LabeledGraph:
     return LabeledGraph(n, edges)
 
 
-def graph_to_dot(g: LabeledGraph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: LabeledGraph) -> str:
+    lines = ["graph G {"]
     for v in range(1, g.n + 1):
         lines.append(f"  {v};")
     for u, v in g.edges:

@@ -6,9 +6,9 @@ basis matrix) and immutable. Rows are 0-indexed internally; translation from
 1-based vertex labels happens at the call sites that care.
 
 Validation happens once, where rows enter from outside: the constructor
-(and from_rows / from_json_rows, which go through it) re-tuples the rows and
-checks that they are square and hold ints. Matrices the package derives from
-already-valid ones (products, sums, transposes, submatrices, distance and
+(and from_rows, which goes through it) re-tuples the rows and checks that
+they are square and hold ints. Matrices the package derives from
+already-valid ones (products, transposes, submatrices, distance and
 change-of-basis matrices) are wrapped by the private IntMatrix._of, which
 assumes a tuple of n tuples of n ints and checks nothing.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, index, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InputError
 
@@ -106,13 +106,6 @@ class IntMatrix:
             out.append(tuple(acc))
         return IntMatrix._of(tuple(out))
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.n != other.n:
-            raise DimensionMismatch(f"orders differ: {self.n} vs {other.n}")
-        return IntMatrix._of(
-            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows))
-        )
-
     def is_symmetric(self) -> bool:
         return self.rows == tuple(zip(*self.rows))
 
@@ -122,27 +115,9 @@ class IntMatrix:
             raise InputError(f"leading submatrix order {k} out of range")
         return IntMatrix._of(tuple(r[:k] for r in self.rows[:k]))
 
-    def symmetric_permute(self, order: Sequence[int]) -> "IntMatrix":
-        """Reindex rows and columns by a 1-based ordering.
-
-        order[i] is the old (1-based) index that becomes position i+1, so the
-        result's (i, j) entry is the old (order[i], order[j]) entry.
-        """
-        if sorted(order) != list(range(1, self.n + 1)):
-            raise InputError("order must be a permutation of 1..n")
-        idx = [v - 1 for v in order]
-        return IntMatrix._of(tuple(tuple(self.rows[i][j] for j in idx) for i in idx))
-
     def to_json_rows(self) -> list[list[str]]:
         """Entries as decimal strings, so arbitrary precision survives JSON."""
         return [[str(x) for x in r] for r in self.rows]
-
-    @classmethod
-    def from_json_rows(cls, rows: Iterable[Iterable[str]]) -> "IntMatrix":
-        try:
-            return cls(tuple(tuple(int(x) for x in r) for r in rows))
-        except ValueError as e:
-            raise InputError(f"bad matrix entry: {e}") from None
 
     def __str__(self) -> str:
         if not self.rows:

@@ -58,21 +58,6 @@ class WeightedGraph:
             rows[v - 1][u - 1] = w
         return IntMatrix._of(tuple(map(tuple, rows)))
 
-    def relabeled(self, mapping: dict[int, int]) -> "WeightedGraph":
-        """Apply a vertex bijection 1..n -> 1..n."""
-        if sorted(mapping) != list(range(1, self.n + 1)) or sorted(
-            mapping.values()
-        ) != list(range(1, self.n + 1)):
-            raise InputError("mapping must be a bijection on 1..n")
-        vw = [0] * self.n
-        for v, t in mapping.items():
-            vw[t - 1] = self.vertex_weights[v - 1]
-        edges = tuple(
-            (min(mapping[u], mapping[v]), max(mapping[u], mapping[v]), w)
-            for u, v, w in self.edges
-        )
-        return WeightedGraph(self.n, tuple(vw), edges)
-
 
 def weighted_graph_to_json_obj(h: WeightedGraph) -> dict:
     return {
@@ -82,19 +67,9 @@ def weighted_graph_to_json_obj(h: WeightedGraph) -> dict:
     }
 
 
-def weighted_graph_from_json_obj(obj: dict) -> WeightedGraph:
-    try:
-        n = int(obj["n"])
-        vw = tuple(int(x) for x in obj["vw"])
-        ew = tuple((int(u), int(v), int(w)) for u, v, w in obj["ew"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"bad weighted graph object: {e}") from None
-    return WeightedGraph(n, vw, ew)
-
-
-def weighted_graph_to_dot(h: WeightedGraph, name: str = "H") -> str:
+def weighted_graph_to_dot(h: WeightedGraph) -> str:
     """DOT text; weight -1 edges are dashed, vertex weights sit in the labels."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph H {"]
     for v in range(1, h.n + 1):
         lines.append(f'  {v} [label="{v} ({h.vertex_weights[v - 1]})"];')
     for u, v, w in h.edges:
@@ -205,25 +180,3 @@ def seesaw_graph(params: SeesawParams) -> WeightedGraph:
     vw = (0, 0) + (-2,) * (n - 2)
     return WeightedGraph(n, vw, tuple(edges))
 
-
-def seesaw_vertex_map(spec: CliquePathSpec) -> dict[int, int]:
-    """Vertex bijection sending reduced_graph(expand(spec)) onto the seesaw.
-
-    Within the reduced graph, clique i's fresh vertices occupy a contiguous
-    label block; odd-position blocks chain down the left arm in order, even
-    ones down the right.
-    """
-    params = seesaw_params(spec)
-    mapping = {1: 1, 2: 2}
-    odd: list[int] = []
-    even: list[int] = []
-    c = 2
-    for i, p in enumerate(spec.p, start=1):
-        block = list(range(c + 1, c + p - 1))
-        (odd if i % 2 == 1 else even).extend(block)
-        c += p - 2
-    for idx, v in enumerate(odd):
-        mapping[v] = 3 + idx
-    for idx, v in enumerate(even):
-        mapping[v] = 3 + params.left + idx
-    return mapping

@@ -80,10 +80,6 @@ class NonLeapingSequence:
     def n(self) -> int:
         return len(self.q)
 
-    def qk(self, k: int) -> int:
-        self._check_index(k)
-        return self.q[k - 1]
-
     def bk(self, k: int) -> int:
         """Start of the contiguous run [b_k, k-1] joined at step k."""
         self._check_index(k)

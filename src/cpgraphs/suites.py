@@ -76,12 +76,14 @@ class UnknownSuite(InputError):
     """No suite is registered under the requested name."""
 
 
+MAX_FAILURES = 20  # failure labels kept per report
+
+
 @dataclass
 class Recorder:
     passed: int = 0
     failed: int = 0
     failures: list[str] = field(default_factory=list)
-    max_failures: int = 20
 
     def check(self, ok: bool, label: str | Callable[[], str]):
         """Count one check. A callable label is rendered only if the check fails."""
@@ -89,7 +91,7 @@ class Recorder:
             self.passed += 1
         else:
             self.failed += 1
-            if len(self.failures) < self.max_failures:
+            if len(self.failures) < MAX_FAILURES:
                 self.failures.append(label() if callable(label) else label)
 
 
@@ -619,16 +621,16 @@ def _suite_block_inertia(rec: Recorder, rng, scale) -> dict:
     while len(recipes) < 30:
         recipes.append(random_recipe(rng, n_max))
     for i, recipe in enumerate(recipes):
-        g = realize_recipe(recipe)
-        n = g.n
+        d = all_pairs_distances(realize_recipe(recipe))
+        n = d.n
         want = Inertia(1, n - 1, 0)
         try:
-            claimed = block_2cp_inertia(recipe)
+            claimed = block_2cp_inertia(d)
             rec.check(claimed == want, f"recipe {i}: claimed {claimed}")
         except CrossCheckFailed as e:
             rec.check(False, f"recipe {i} (n={n}): {e}")
             continue
-        direct = inertia_congruence(all_pairs_distances(g))
+        direct = inertia_congruence(d)
         rec.check(
             direct == want, f"recipe {i} (n={n}): direct inertia {direct} != {want}"
         )

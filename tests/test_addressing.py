@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_graphs import neighbors
 
 from cpgraphs.addressing import (
     ALPHABET,
@@ -185,7 +186,7 @@ def bfs_sorted_frontiers(g):
     order, seen, frontier = [], {1}, [1]
     while frontier:
         order += frontier
-        nxt = {w for u in frontier for w in g.neighbors(u)} - seen
+        nxt = {w for u in frontier for w in neighbors(g, u)} - seen
         seen |= nxt
         frontier = sorted(nxt)
     return tuple(order)

@@ -146,6 +146,12 @@ def test_vertex_cap_of_graph_distance(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "graph", "distance", str(p))
     assert (code, out) == (3, "")
     assert err == "resource limit: order 5 is above the 4-vertex cap of graph distance\n"
+    # graph blocks allocates per label: one edge to label 10^9 trips before the search
+    monkeypatch.setattr(cli, "blocks", None)
+    p.write_text("1 1000000000\n")
+    code, out, err = run(capsys, "graph", "blocks", str(p))
+    assert (code, out) == (3, "")
+    assert err == "resource limit: order 1000000000 is above the 4-vertex cap of graph blocks\n"
 
 
 def test_graph_build(capsys):

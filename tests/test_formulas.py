@@ -11,6 +11,7 @@ from cpgraphs.formulas import (
     BlockPart,
     EmptyList,
     GraphInvariants,
+    CrossCheckFailed,
     InvalidRecipe,
     addressing_lower_bound,
     block_2cp_inertia,
@@ -18,18 +19,18 @@ from cpgraphs.formulas import (
     cp2_invariants,
     distance_invariants,
     family_invariants,
-    invariants_from_json_obj,
     invariants_to_json_obj,
     linear_2tree_invariants,
     realize_recipe,
     tree_invariants,
 )
 from cpgraphs.graphs import (
+    LabeledGraph,
     all_pairs_distances,
     blocks,
     build_cp_graph,
     complete_graph,
-    induced_subgraph,
+    cycle_graph,
     is_connected,
     path_graph,
 )
@@ -78,8 +79,8 @@ def looks_like_2cp(g):
 def test_invariants_json_round_trip():
     inv = GraphInvariants(-(10**30), Inertia(1, 6, 0), 10**31)
     obj = invariants_to_json_obj(inv)
-    assert obj["det"] == str(-(10**30))  # decimal strings, not floats
-    assert invariants_from_json_obj(obj) == inv
+    # decimal strings, not floats
+    assert obj == {"det": str(-(10**30)), "inertia": [1, 6, 0], "cof": str(10**31)}
 
 
 def test_distance_invariants_edge():
@@ -138,8 +139,6 @@ def test_tree_invariants():
         want = tree_invariants(n)
         for t in (path_graph(n), None):
             if t is None:
-                from cpgraphs.graphs import LabeledGraph
-
                 t = LabeledGraph(n, tuple((1, v) for v in range(2, n + 1)))
             d = all_pairs_distances(t)
             assert determinant(d) == want.det
@@ -169,8 +168,7 @@ def test_compose_blocks_matches_cut_vertex_gluing():
         g = realize_recipe(BlockCliquePathRecipe(tuple(parts)))
         pieces = []
         for b in blocks(g):
-            sub, _ = induced_subgraph(g, b.vertices)
-            d = all_pairs_distances(sub)
+            d = all_pairs_distances(b.graph)
             pieces.append((determinant(d), cofactor_sum(d)))
         d_all = all_pairs_distances(g)
         assert compose_blocks(pieces) == (determinant(d_all), cofactor_sum(d_all))
@@ -207,7 +205,7 @@ def assert_label_prefixes(g, context):
     """Each prefix 1..k is connected, isometric and has 2-clique-path blocks."""
     d = all_pairs_distances(g)
     for k in range(2, g.n + 1):
-        sub, _ = induced_subgraph(g, range(1, k + 1))
+        sub = LabeledGraph(k, tuple(e for e in g.edges if e[1] <= k))
         assert is_connected(sub)
         assert all_pairs_distances(sub).rows == tuple(row[:k] for row in d.rows[:k]), (context, k)
         for b in blocks(sub):
@@ -242,17 +240,24 @@ def test_label_order_random_recipes():
         assert_label_prefixes(realize_recipe(recipe), recipe)
 
 
+def recipe_distances(recipe):
+    return all_pairs_distances(realize_recipe(recipe))
+
+
 def test_block_2cp_inertia_examples():
     single = BlockCliquePathRecipe((BlockPart(CliquePathSpec((3, 4))),))
-    assert block_2cp_inertia(single) == Inertia(1, 4, 0)
+    assert block_2cp_inertia(recipe_distances(single)) == Inertia(1, 4, 0)
     tri_pendant = BlockCliquePathRecipe(
         (BlockPart(CliquePathSpec((3,))), BlockPart(EDGE, at=3))
     )
-    assert block_2cp_inertia(tri_pendant) == Inertia(1, 3, 0)
+    assert block_2cp_inertia(recipe_distances(tri_pendant)) == Inertia(1, 3, 0)
     star = BlockCliquePathRecipe(
         (BlockPart(EDGE),) + tuple(BlockPart(EDGE, at=1) for _ in range(4))
     )
-    assert block_2cp_inertia(star) == Inertia(1, 5, 0)
+    assert block_2cp_inertia(recipe_distances(star)) == Inertia(1, 5, 0)
+    # C4 is no block-2CP graph: its fourth leading minor, det D, is 0
+    with pytest.raises(CrossCheckFailed, match="leading minor 4 is 0"):
+        block_2cp_inertia(all_pairs_distances(cycle_graph(4)))
 
 
 def test_block_2cp_inertia_matches_direct():
@@ -266,11 +271,10 @@ def test_block_2cp_inertia_matches_direct():
             parts.append(BlockPart(spec, at=rng.randint(1, total)))
             total += spec.n - 1
         recipe = BlockCliquePathRecipe(tuple(parts))
-        g = realize_recipe(recipe)
-        got = block_2cp_inertia(recipe)
-        assert got == Inertia(1, g.n - 1, 0)
-        direct = inertia_congruence(all_pairs_distances(g))
-        assert direct == got
+        d = recipe_distances(recipe)
+        got = block_2cp_inertia(d)
+        assert got == Inertia(1, d.n - 1, 0)
+        assert inertia_congruence(d) == got
 
 
 def test_addressing_lower_bound():

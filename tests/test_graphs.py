@@ -19,11 +19,9 @@ from cpgraphs.graphs import (
     build_cp_graph,
     complete_graph,
     cycle_graph,
-    format_edge_list,
     graph_from_json_obj,
     graph_to_dot,
     graph_to_json_obj,
-    induced_subgraph,
     is_connected,
     parse_edge_list,
     path_graph,
@@ -37,8 +35,13 @@ from cpgraphs.sequences import (
 from cpgraphs.suites import tree_from_pruefer
 
 
+def neighbors(g, v):
+    """The vertices joined to v, ascending."""
+    return g._adj[v]
+
+
 def degree(g, v):
-    return len(g.neighbors(v))
+    return len(neighbors(g, v))
 
 
 def anchor(ns, k):
@@ -86,7 +89,7 @@ def test_edge_normalization_and_validation():
 
 def test_neighbors_and_degree():
     g = cycle_graph(5)
-    assert g.neighbors(1) == (2, 5)
+    assert neighbors(g, 1) == (2, 5)
     assert degree(g, 3) == 2
     assert g.has_edge(5, 1) and not g.has_edge(1, 3)
 
@@ -274,11 +277,11 @@ def test_attach_preserves_distances():
 def brute_cut_vertices(g):
     out = []
     for v in range(1, g.n + 1):
-        keep = [u for u in range(1, g.n + 1) if u != v]
-        if len(keep) < 2:
+        if g.n < 3:
             continue
-        sub, _ = induced_subgraph(g, keep)
-        if not is_connected(sub):
+        # g - v, with the labels above v moved down by one
+        rest = tuple((a - (a > v), b - (b > v)) for a, b in g.edges if v not in (a, b))
+        if not is_connected(LabeledGraph(g.n - 1, rest)):
             out.append(v)
     return out
 
@@ -347,7 +350,7 @@ def test_parse_edge_list():
 
 def test_edge_list_round_trip():
     g = cycle_graph(6)
-    assert parse_edge_list(format_edge_list(g)) == g
+    assert parse_edge_list(f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)) == g
 
 
 def test_json_round_trip():
@@ -361,10 +364,3 @@ def test_dot_output():
     dot = graph_to_dot(path_graph(3))
     assert "1 -- 2;" in dot and "2 -- 3;" in dot
     assert dot.startswith("graph")
-
-
-def test_induced_subgraph():
-    g = cycle_graph(5)
-    sub, labels = induced_subgraph(g, [2, 3, 5])
-    assert labels == (2, 3, 5)
-    assert sub.edges == ((1, 2),)  # only 2-3 survives among {2,3,5}

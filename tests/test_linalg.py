@@ -171,7 +171,9 @@ def test_inertia_permutation_invariance():
         a = rand_symmetric(rng, n)
         order = list(range(1, n + 1))
         rng.shuffle(order)
-        assert inertia_congruence(a.symmetric_permute(order)) == inertia_congruence(a)
+        idx = [v - 1 for v in order]
+        p = IntMatrix.from_rows([[a.rows[i][j] for j in idx] for i in idx])
+        assert inertia_congruence(p) == inertia_congruence(a)
 
 
 def test_inertia_counts_sum_and_det_sign():

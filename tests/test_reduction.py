@@ -19,8 +19,6 @@ from cpgraphs.reduction import (
     reducing_matrix,
     seesaw_graph,
     seesaw_params,
-    seesaw_vertex_map,
-    weighted_graph_from_json_obj,
     weighted_graph_to_dot,
     weighted_graph_to_json_obj,
     weighted_path_matrix,
@@ -89,9 +87,9 @@ def test_reduced_graph_back_neighbor_rule():
                 below[v].append((u, w))
             for k in range(4, n + 1):
                 got = sorted(below[k])
-                if s.qk(k) == 2:
+                if s.q[k - 1] == 2:
                     assert got == [(s.bk(k - 1), 1)]
-                elif s.qk(k) == s.qk(k - 1) + 1:
+                elif s.q[k - 1] == s.q[k - 2] + 1:
                     assert got == [(k - 1, 1)]
                 else:
                     assert got == sorted(
@@ -233,6 +231,34 @@ def test_seesaw_graph_shape():
     ]
 
 
+def seesaw_vertex_map(spec):
+    """Vertex bijection sending reduced_graph(expand(spec)) onto the seesaw.
+
+    Within the reduced graph, clique i's fresh vertices occupy a contiguous
+    label block; odd-position blocks chain down the left arm in order, even
+    ones down the right.
+    """
+    params = seesaw_params(spec)
+    odd, even = [], []
+    c = 2
+    for i, p in enumerate(spec.p, start=1):
+        (odd if i % 2 == 1 else even).extend(range(c + 1, c + p - 1))
+        c += p - 2
+    mapping = {1: 1, 2: 2}
+    mapping.update((v, 3 + i) for i, v in enumerate(odd))
+    mapping.update((v, 3 + params.left + i) for i, v in enumerate(even))
+    return mapping
+
+
+def relabeled(h, mapping):
+    """h with every vertex v renamed mapping[v]."""
+    vw = [0] * h.n
+    for v, t in mapping.items():
+        vw[t - 1] = h.vertex_weights[v - 1]
+    edges = tuple((mapping[u], mapping[v], w) for u, v, w in h.edges)
+    return WeightedGraph(h.n, tuple(vw), edges)
+
+
 def test_seesaw_matches_reduced_graph():
     # the explicit relabeling carries every reduced 2-clique-path graph onto
     # its seesaw, including vertex weights
@@ -244,17 +270,13 @@ def test_seesaw_matches_reduced_graph():
             vm = seesaw_vertex_map(spec)
             assert sorted(vm) == list(range(1, red.n + 1))
             assert sorted(vm.values()) == list(range(1, want.n + 1))
-            assert red.relabeled(vm) == want
-
-
-def test_relabeled_identity():
-    h = reduced_graph(NonLeapingSequence((0, 1, 2, 2)))
-    assert h.relabeled({v: v for v in range(1, 5)}) == h
+            assert relabeled(red, vm) == want
 
 
 def test_weighted_json_round_trip():
     h = reduced_graph(NonLeapingSequence(fx.CP8_SEQ))
-    assert weighted_graph_from_json_obj(weighted_graph_to_json_obj(h)) == h
+    obj = weighted_graph_to_json_obj(h)
+    assert WeightedGraph(obj["n"], tuple(obj["vw"]), tuple(map(tuple, obj["ew"]))) == h
 
 
 def test_weighted_dot():

@@ -68,7 +68,7 @@ def test_leap_violation_reports_position():
 def test_b_values():
     s = NonLeapingSequence((0, 1, 2, 2, 2, 2, 3, 3))
     assert s.b == (2, 2, 2, 3, 4, 5, 5, 6)
-    assert s.bk(8) == 6 and s.qk(8) == 3
+    assert s.bk(8) == 6
 
 
 def test_enumeration_matches_bruteforce():

@@ -5,7 +5,7 @@ from itertools import islice, product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_graphs import degree
+from test_graphs import degree, neighbors
 
 from cpgraphs import linalg, suites
 from cpgraphs.errors import InputError
@@ -232,7 +232,7 @@ def test_pruefer_decoder_rejects_what_is_not_a_code(n, code):
 def pruefer_encode(g):
     """Oracle: strip the smallest leaf and write down its neighbour until two
     vertices remain."""
-    nbrs = {v: set(g.neighbors(v)) for v in range(1, g.n + 1)}
+    nbrs = {v: set(neighbors(g, v)) for v in range(1, g.n + 1)}
     code = []
     while len(nbrs) > 2:
         leaf = min(v for v, adj in nbrs.items() if len(adj) == 1)

@@ -5,8 +5,6 @@ constructor checks; these tests rebuild every such value through the public
 constructor and require the same fields, equality and hash.
 """
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +44,7 @@ def assert_valid_graph(g):
     assert checked == g and hash(checked) == hash(g)
 
 
-def package_built_matrices(ns, rng):
+def package_built_matrices(ns):
     """Every kind of matrix the package derives without the constructor checks."""
     n = ns.n
     d = all_pairs_distances(build_cp_graph(ns))
@@ -54,12 +52,9 @@ def package_built_matrices(ns, rng):
     r = congruence_reduce(d, e)
     h = reduced_graph(ns.base).adjacency_matrix()
     assert r == h
-    perm = list(range(1, n + 1))
-    rng.shuffle(perm)
     return [
-        d, e, r, h, d.t, e.t, e @ d, e.t @ d, d + e,
+        d, e, r, h, d.t, e.t, e @ d, e.t @ d,
         d.leading(0), d.leading(n // 2), d.leading(n),
-        d.symmetric_permute(perm),
         _bordered(d, (1,) * n),
         _bordered(r, (1, 1) + (0,) * (n - 2)),
         weighted_path_matrix(n - 2),
@@ -81,10 +76,10 @@ def members(draw, n_max=14):
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(members(), st.randoms(use_true_random=False))
-def test_random_members_build_valid_values(ns, rng):
+@given(members())
+def test_random_members_build_valid_values(ns):
     assert_valid_graph(build_cp_graph(ns))
-    for m in package_built_matrices(ns, rng):
+    for m in package_built_matrices(ns):
         assert_valid_matrix(m)
     for member in enumerate_neighborhood_sequences(ns.base, limit=50):
         assert type(member.anchors) is tuple
@@ -93,13 +88,12 @@ def test_random_members_build_valid_values(ns, rng):
 
 
 def test_every_small_family_builds_valid_values():
-    rng = random.Random(8)
     for n in range(2, 9):
         for s in iter_nonleaping_sequences(n):
             for ns in enumerate_neighborhood_sequences(s):
                 assert ns == NeighborhoodSequence(s, ns.anchors)
                 assert_valid_graph(build_cp_graph(ns))
-                for m in package_built_matrices(ns, rng):
+                for m in package_built_matrices(ns):
                     assert_valid_matrix(m)
 
 
