@@ -54,6 +54,7 @@ from .sequences import (
     LeapViolation,
     LengthTooShort,
     NeighborhoodSequence,
+    NonLeapingSequence,
     PartTooSmall,
     count_neighborhood_sequences,
     enumerate_neighborhood_sequences,
@@ -63,7 +64,7 @@ from .sequences import (
     parse_sequence_literal,
     parse_spec_literal,
 )
-from .suites import _walk, member_reduces, run_suite
+from .suites import SUITES, _grow, member_reduces, run_suite
 
 
 def _read_text(path: str) -> str:
@@ -91,8 +92,7 @@ def _load_graph(path: str):
     return parse_graph_input(_read_text(path))
 
 
-def _member(seq_literal: str, anchors_literal: str | None) -> NeighborhoodSequence:
-    s = parse_sequence_literal(seq_literal)
+def _member(s: NonLeapingSequence, anchors_literal: str | None) -> NeighborhoodSequence:
     if anchors_literal is None:
         anchors = minimal_anchors(s)
     else:
@@ -125,6 +125,9 @@ def _decimal(count: int) -> str:
 # a 256-vertex path take about 3 s, and that time grows faster than n^3.
 MAX_MEMBERS = 2**16
 MAX_VERTICES = 256
+# The largest scale of each exponentially growing suite: the largest run the
+# docs record (up to about 50 s); each step past it at least doubles the work.
+SCALE_CAPS = {"congruence": 11, "constancy": 11, "cp2-formulas": 6, "linear-2tree": 20, "trees": 9}
 
 
 class OverCap(ResourceLimit):
@@ -191,7 +194,7 @@ def _cmd_family_count(args) -> tuple[dict, int]:
 
 
 def _cmd_graph_build(args):
-    ns = _member(args.sequence, args.anchors)
+    ns = _member(parse_sequence_literal(args.sequence), args.anchors)
     g = build_cp_graph(ns)
     if args.dot:
         return graph_to_dot(g), 0
@@ -226,7 +229,7 @@ def _cmd_graph_attach(args):
         u, v = (int(x) for x in args.edge.split(","))
     except ValueError as e:
         raise InputError(f"--edge wants two comma-separated integers, got {args.edge!r}") from e
-    ns = _member(args.cp_seq, args.cp_anchors)
+    ns = _member(parse_sequence_literal(args.cp_seq), args.cp_anchors)
     result = attach(base, (u, v), build_cp_graph(ns))
     if args.dot:
         return graph_to_dot(result.graph), 0
@@ -252,7 +255,9 @@ def _cmd_reduce_graph(args):
 
 
 def _cmd_reduce_matrix(args) -> tuple[dict, int]:
-    ns = _member(args.sequence, args.anchors)
+    s = parse_sequence_literal(args.sequence)
+    _cap_vertices(s.n, "reduce matrix")
+    ns = _member(s, args.anchors)
     e = reducing_matrix(ns)
     results = {"q": list(ns.base.q), "anchors": list(ns.anchors), "e": e.to_json_rows()}
     inputs = {"sequence": args.sequence, "anchors": args.anchors}
@@ -261,6 +266,7 @@ def _cmd_reduce_matrix(args) -> tuple[dict, int]:
 
 def _cmd_reduce_verify(args) -> tuple[dict, int]:
     s = parse_sequence_literal(args.sequence)
+    _cap_vertices(s.n, "reduce verify")
     inputs = {"sequence": args.sequence, "anchors": args.anchors}
     h = reduced_graph(s).adjacency_matrix()
     if args.anchors is not None:
@@ -270,7 +276,7 @@ def _cmd_reduce_verify(args) -> tuple[dict, int]:
     else:
         total = count_neighborhood_sequences(s)
         _cap_members(total, "pass --anchors to verify one member")
-        bad = [list(ns.anchors) for ns, _, ok in _walk(s, h) if not ok]
+        bad = [list(a) for _, a, _, ok in _grow(s.n, s.q, lambda _: h) if not ok]
     results = {
         "q": list(s.q),
         "members": total,
@@ -336,6 +342,9 @@ def _cmd_address_exact_n(args) -> tuple[dict, int]:
 
 
 def _cmd_check(args) -> tuple[dict, int]:
+    for name in SUITES if args.suite == "all" else (args.suite,):
+        if args.scale is not None and args.scale > SCALE_CAPS.get(name, args.scale):
+            raise OverCap(f"scale {args.scale} is above the cap {SCALE_CAPS[name]} of suite {name}")
     report = run_suite(args.suite, seed=args.seed, scale=args.scale)
     obj = report.to_json_obj()
     inputs = {key: obj.pop(key) for key in ("suite", "seed", "scale")}

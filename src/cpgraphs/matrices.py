@@ -55,18 +55,6 @@ class IntMatrix:
         # index() keeps int-like types but refuses floats; no silent rounding
         return cls(tuple(tuple(index(x) for x in r) for r in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls._of(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, n: int) -> "IntMatrix":
-        return cls._of(tuple((0,) * n for _ in range(n)))
-
-    @classmethod
-    def ones(cls, n: int) -> "IntMatrix":
-        return cls._of(tuple((1,) * n for _ in range(n)))
-
     @property
     def n(self) -> int:
         return len(self.rows)

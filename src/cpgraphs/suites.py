@@ -4,10 +4,11 @@ Each suite replays one verifiable claim about the library at desk scale:
 exhaustive where the instance space is small (all families up to n = 8, all
 labeled trees up to n = 7, where each leaf-growth shape of a Pruefer code is
 eliminated once), seeded-random where it is not. The suites that check every
-member of a family (and `reduce verify`) walk the family once, each member
-grown from the previous one's shared prefix: distance rows, elimination
-and E^T D E alike (see _walk). Suites are pure given (seed, scale), so
-reports are reproducible byte for byte apart from the wall time.
+member of a family (and `reduce verify`) grow each member from its parent,
+the member one vertex smaller, in one walk over the tree of prefixes:
+distance rows, elimination and E^T D E alike (see _grow). Suites are pure
+given (seed, scale), so reports are reproducible byte for byte apart from
+the wall time.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import compress, product
+from functools import cache
+from itertools import product
 from math import comb
-from operator import ne
 from typing import Callable
 
 from . import fixtures
@@ -68,7 +69,6 @@ from .sequences import (
     count_neighborhood_sequences,
     enumerate_neighborhood_sequences,
     expand_clique_path_spec,
-    iter_nonleaping_sequences,
 )
 
 
@@ -226,11 +226,6 @@ def tree_from_pruefer(n: int, code: tuple[int, ...]) -> LabeledGraph:
 # -- the suites --------------------------------------------------------------
 
 
-def _families(n_max: int):
-    for n in range(2, n_max + 1):
-        yield from iter_nonleaping_sequences(n)
-
-
 def _suite_fixtures(rec: Recorder, rng, scale) -> dict:
     before = rec.passed + rec.failed
     for name, want in fixtures.TWO_TREE_6_DETERMINANTS.items():
@@ -283,52 +278,40 @@ def _suite_fixtures(rec: Recorder, rng, scale) -> dict:
 
 def member_reduces(ns: NeighborhoodSequence, h: IntMatrix) -> bool:
     """Whether E^T D E of the member `ns` equals `h`, its family's reduced matrix A(H),
-    from the member alone (the per-member path that _walk shares across a family)."""
+    from the member alone (the per-member path that _grow shares across members)."""
     return congruence_reduce(all_pairs_distances(build_cp_graph(ns)), reducing_matrix(ns)) == h
 
 
-def _check_count(rec: Recorder, s: NonLeapingSequence, members: int):
-    """Fail (and only fail) if `members` is not the family's product-formula count."""
-    want = count_neighborhood_sequences(s)
-    if members != want:
-        rec.check(False, f"q={s.q}: enumerated {members} members, expected {want}")
+def _grow(n_max: int, q: tuple[int, ...] | None = None, h=None):
+    """Verify CP members in one depth-first walk over the tree of prefixes.
 
+    The first k vertices of a member of q are a member of q[:k], so the
+    members form one tree: a child adds one vertex, choosing its size q_k
+    and its anchor a_k, in ascending order. Without q the walk yields every
+    member of order 2..n_max; with q, only the members of q[:n_max]. Each
+    family's members come in the order of enumerate_neighborhood_sequences.
+    The walk keeps its own stack, so the recursion limit does not bound it.
 
-def _check_order_totals(rec: Recorder, by_order: dict[int, int]):
-    """Fail (and only fail) where the members of order n = m + 2 do not sum to
-    the ternary number C(3m, m) / (2m + 1)."""
-    for n, got in by_order.items():
-        want = comb(3 * n - 6, n - 2) // (2 * n - 3)
-        if got != want:
-            rec.check(False, f"order {n}: {got} members in all families, expected {want}")
+    Yields (q, a, d, got) per member: its sizes and anchors, D as a list of
+    rows (valid until the next member) and its GraphInvariants or, given h,
+    whether E^T D E == h(q), with h called once per family. Without q,
+    column k is checked once, against h(q[:k + 1]), for all descendants,
+    which holds as reduced_graph(q[:k]) is the leading block of reduced_graph(q).
 
-
-def _walk(s: NonLeapingSequence, h: IntMatrix | None = None):
-    """Verify the members of the family `s`, in the order of
-    enumerate_neighborhood_sequences(s), each from the previous one's prefix.
-
-    Yields (ns, d, got) per member: d is its distance matrix as a list of
-    rows, valid until the next member, and got its GraphInvariants or, when
-    A(H) = h is given, whether E^T D E == h.
-
-    Every W_k is a clique, so vertex order is a perfect elimination ordering:
-    adding a vertex changes no earlier distance, and the new row is
-    d(k, j) = 1 + min over w in W_k of d(w, j). A member thus shares every
-    vertex before its first changed anchor with the previous member; only
-    the vertices from there on are rebuilt. With h, column k of E^T D E is
-    compared as it is built: column k of E touches rows k, k-1, a_k and
-    a_(k-1) only, so it needs D's leading (k+1) block. Without h, vertex k
-    adds column k of the symmetric fraction-free elimination of
-    [[D, 1], [1^T, 0]], border last, after _symmetric_bareiss's step 0
-    (vertex 2 added into vertex 1, pivot 2). Column k is reduced through
-    the stored pivot rows (up-looking), so pivot k >= 1 is the leading minor
-    D_(k+1), and row k's border entry x takes the corner c to the next
-    bordered minor (c*p - x*x) // prev. det is the last pivot, inertia
-    comes from the pivot signs and cof = -corner, all as the kernel gives
-    them. A zero pivot before the last is the determinant of a prefix
-    family, so every member past it takes the kernel on its D rows instead.
+    Every W_k is a clique, so a new vertex changes no earlier distance and
+    its row is d(k, j) = 1 + min over w in W_k of d(w, j); a sibling starts
+    from its parent's state. Column k of E touches rows k, k-1, a_k and
+    a_(k-1) only, so column k of E^T D E needs D's leading (k+1) block.
+    Without h, vertex k adds column k of the symmetric fraction-free
+    elimination of [[D, 1], [1^T, 0]], border last, after _symmetric_bareiss's
+    step 0 (vertex 2 added into vertex 1, pivot 2), reduced through the
+    stored pivot rows: pivot k >= 1 is the leading minor D_(k+1), and row k's
+    border entry x takes the corner c to the next bordered minor
+    (c*p - x*x) // prev. det is the last pivot, inertia comes from the pivot
+    signs and cof = -corner, as the kernel gives them. A zero pivot before
+    the last is a prefix family's determinant, so every member below it
+    takes the kernel on its D rows instead.
     """
-    n, b = s.n, s.b
     d = [[0]]  # D's rows; after vertex k each has k + 1 entries
     anc = [0]  # anc[k] = a_(k+1) - 1, with a_2 = 1
     # elimination state: pivots[t] is row t reduced by pivots 0..t-1, its
@@ -336,101 +319,118 @@ def _walk(s: NonLeapingSequence, h: IntMatrix | None = None):
     # corners[t] is the bordered minor after pivot t, minus[t] the negative
     # pivots among 0..t
     pivots, corners, minus = [[2, 2]], [-4], [0]
-    if h is not None:  # ok[k]: columns 0..k of E^T D E match h's upper triangle
-        cols = [list(r[: k + 1]) for k, r in enumerate(h.rows)]
-        ok = [h.n == n and h.is_symmetric() and cols[0] == [0]]
-    last = None
-    for ns in enumerate_neighborhood_sequences(s):
-        a = ns.anchors
-        # rebuild from the vertex of the first changed anchor (vertex 1 for the first member)
-        r = 1 if last is None else 2 + next(compress(range(n), map(ne, a, last)), n)
-        last = a
-        del d[r:], anc[r:], pivots[r:], corners[r:], minus[r:]
-        for row in d:
-            del row[r:]
-        for t, row in enumerate(pivots):
-            del row[r - t + 1 :]
+    # ok[k]: columns 0..k of E^T D E match; targets: family -> rows of h, or
+    # False unless h is symmetric, of the family's order and 0 at (1, 1) like E^T D E
+    ok, targets = [True], {}
+    # a choice is (the new vertex's family, its anchor); vertex 1 joins vertex 0
+    stack = [iter([((0, 1) if q is None else q[:n_max], 0)])] if n_max >= 2 else []
+    while stack:
+        choice = next(stack[-1], None)
+        if choice is None:
+            stack.pop()
+            continue
+        k = len(stack)  # the vertex this choice adds
+        if len(d) > k:  # back from a sibling's subtree: cut to vertices 0..k-1
+            del d[k:], anc[k:], pivots[k:], corners[k:], minus[k:], ok[k:]
+            for row in d:
+                del row[k:]
+            for t, row in enumerate(pivots):
+                del row[k - t + 1 :]
+        here, ak = choice
+        qk = here[k]
+        anc.append(ak)
+        new = [1 + min(ws) for ws in zip(d[ak], *d[k + 1 - qk : k])]
+        for row, x in zip(d, new):
+            row.append(x)
+        new.append(0)
+        d.append(new)
         if h is not None:
-            del ok[r:]
-        for k in range(r, n):
-            anc.append(a[k - 2] - 1 if k > 1 else 0)
-            new = [1 + min(ws) for ws in zip(d[anc[k]], *d[b[k] - 1 : k])]
-            for row, x in zip(d, new):
-                row.append(x)
-            new.append(0)
-            d.append(new)
-            if h is not None:
-                if ok[-1]:
-                    # v = D times column k of E, then column k of E^T D E
-                    v = new if k == 1 else [
-                        w - x - y + z
-                        for w, x, y, z in zip(new, d[anc[k]], d[k - 1], d[anc[k - 1]])
-                    ]
-                    col = v[:2] + [
-                        v[i] - v[anc[i]] - v[i - 1] + v[anc[i - 1]] for i in range(2, k + 1)
-                    ]
-                    ok.append(col == cols[k])
-                else:
-                    ok.append(False)
-            elif len(pivots) == k and pivots[-1][1]:  # pivots 0..k-1 are all nonzero
-                # row k's border entry, then column k from row t = 0 on, as row t meets it
-                col = [1, new[0] + new[1], *new[1:]]
-                prev = 1
-                for row in pivots:
-                    f = col[1]
-                    row.append(f)
-                    p = row[1]
-                    col = [(y * p - u * f) // prev for y, u in zip(col, row)]
-                    del col[1]  # row t's own entry, now 0
-                    prev = p
-                x, p = col
-                pivots.append(col)
-                corners.append((corners[-1] * p - x * x) // prev)
-                minus.append(minus[-1] + ((p > 0) != (prev > 0)))
+            if here not in targets:
+                m = h(here)
+                good = m.n == len(here) and m.is_symmetric() and m.rows[0][0] == 0
+                targets[here] = good and m.rows
+            if ok[-1] and targets[here]:
+                # v = D times column k of E, then column k of E^T D E
+                v = new if k == 1 else [
+                    w - x - y + z for w, x, y, z in zip(new, d[ak], d[k - 1], d[anc[k - 1]])
+                ]
+                col = v[:2] + [
+                    v[i] - v[anc[i]] - v[i - 1] + v[anc[i - 1]] for i in range(2, k + 1)
+                ]
+                ok.append(tuple(col) == targets[here][k][: k + 1])
+            else:
+                ok.append(False)
+        elif len(pivots) == k and pivots[-1][1]:  # pivots 0..k-1 are all nonzero
+            # row k's border entry, then column k from row t = 0 on, as row t meets it
+            col = [1, new[0] + new[1], *new[1:]]
+            prev = 1
+            for row in pivots:
+                f = col[1]
+                row.append(f)
+                p = row[1]
+                col = [(y * p - u * f) // prev for y, u in zip(col, row)]
+                del col[1]  # row t's own entry, now 0
+                prev = p
+            x, p = col
+            pivots.append(col)
+            corners.append((corners[-1] * p - x * x) // prev)
+            minus.append(minus[-1] + ((p > 0) != (prev > 0)))
+        if k + 1 < n_max:
+            # vertex k + 1 takes size s and anchor a_(k+1) or one in [b_(k+1), b_(k+2))
+            sizes = range(2, qk + 2) if q is None else (here[k + 1],)
+            kids = [(here + (s,) if q is None else here, s) for s in sizes]
+            stack.append(iter([(f, a) for f, s in kids for a in (ak, *range(k + 1 - qk, k + 2 - s))]))
+            if q is not None:
+                continue
         if h is not None:
-            yield ns, d, ok[-1]
-        elif len(pivots) < n:
+            got = ok[-1]
+        elif len(pivots) <= k:
             m = IntMatrix._of(tuple(map(tuple, d)))
-            det, inertia = det_and_inertia(m)
-            yield ns, d, GraphInvariants(det, inertia, cofactor_sum(m))
+            got = GraphInvariants(*det_and_inertia(m), cofactor_sum(m))
         elif pivots[-1][1]:
-            inertia = Inertia(n - minus[-1], minus[-1], 0)
-            yield ns, d, GraphInvariants(pivots[-1][1], inertia, -corners[-1])
+            inertia = Inertia(k + 1 - minus[-1], minus[-1], 0)
+            got = GraphInvariants(pivots[-1][1], inertia, -corners[-1])
         else:  # only the last pivot is zero: one zero eigenvalue
-            inertia = Inertia(n - 1 - minus[-2], minus[-2], 1)
-            yield ns, d, GraphInvariants(0, inertia, -corners[-1])
+            got = GraphInvariants(0, Inertia(k - minus[-2], minus[-2], 1), -corners[-1])
+        yield here, tuple([x + 1 for x in anc[2:]]), d, got
 
 
 def _check_members(
-    rec: Recorder, s: NonLeapingSequence, want, label: Callable, h: IntMatrix | None = None
-) -> int:
-    """Check every member of the family `s` for distance invariants `want`
-    (or, given A(H) = h, for the congruence verdict `want`), and that there
-    are as many as the product formula counts.
-
-    `label(ns, got)` renders a failure. Returns the number of members.
-    """
-    members = 0
-    for ns, _, got in _walk(s, h):
-        members += 1
-        rec.check(got == want, lambda: label(ns, got))
-    _check_count(rec, s, members)
-    return members
+    rec: Recorder, want: Callable, label: Callable, n_max: int, q=None, h=None
+) -> dict:
+    """Check every member (q, a, d, got) of _grow(n_max, q, h) for got == want(q),
+    with `label(q, a, got, want)` rendering a failure. Then certify the walk's
+    own enumeration, recording only failures: each family's member count (q's
+    even if none came) against the product formula and, without q, the members
+    of each order n = m + 2 against the ternary number C(3m, m) / (2m + 1).
+    Returns the members per family, in walk order."""
+    tally = {} if q is None else {q: 0}
+    for p, a, _, got in _grow(n_max, q, h):
+        tally[p] = tally.get(p, 0) + 1
+        w = want(p)
+        rec.check(got == w, lambda: label(p, a, got, w))
+    by_order = dict.fromkeys(range(2, n_max + 1), 0)
+    for p, members in tally.items():
+        by_order[len(p)] += members
+        expected = count_neighborhood_sequences(NonLeapingSequence(p))
+        if members != expected:
+            rec.check(False, f"q={p}: enumerated {members} members, expected {expected}")
+    for n, members in by_order.items() if q is None else ():
+        expected = comb(3 * n - 6, n - 2) // (2 * n - 3)
+        if members != expected:
+            rec.check(False, f"order {n}: {members} members in all families, expected {expected}")
+    return tally
 
 
 def _suite_congruence(rec: Recorder, rng, scale) -> dict:
     n_max = scale if scale is not None else 8
-    fams = list(_families(n_max))
-    by_order = dict.fromkeys(range(2, n_max + 1), 0)
-    for s in fams:
-        by_order[s.n] += _check_members(
-            rec,
-            s,
-            True,
-            lambda ns, _: f"congruence broken for q={s.q} anchors={ns.anchors}",
-            reduced_graph(s).adjacency_matrix(),
-        )
-    _check_order_totals(rec, by_order)
+    tally = _check_members(
+        rec,
+        lambda q: True,
+        lambda q, a, *_: f"congruence broken for q={q} anchors={a}",
+        n_max,
+        h=lambda q: reduced_graph(NonLeapingSequence(q)).adjacency_matrix(),
+    )
     random_checks = 100
     for _ in range(random_checks):
         s = random_nonleaping(rng, 12)
@@ -439,24 +439,19 @@ def _suite_congruence(rec: Recorder, rng, scale) -> dict:
             member_reduces(ns, reduced_graph(s).adjacency_matrix()),
             lambda: f"congruence broken for q={s.q} anchors={ns.anchors}",
         )
-    return {"families": len(fams), "members": sum(by_order.values()), "random_members": random_checks}
+    return {"families": len(tally), "members": sum(tally.values()), "random_members": random_checks}
 
 
 def _suite_constancy(rec: Recorder, rng, scale) -> dict:
     n_max = scale if scale is not None else 8
-    fams = list(_families(n_max))
-    by_order = dict.fromkeys(range(2, n_max + 1), 0)
-    for s in fams:
-        want = family_invariants(s)
-        by_order[s.n] += _check_members(
-            rec,
-            s,
-            want,
-            lambda ns, got: f"invariants vary within q={s.q}: anchors={ns.anchors} give {got},"
-            f" family says {want}",
-        )
-    _check_order_totals(rec, by_order)
-    return {"families": len(fams), "members": sum(by_order.values())}
+    tally = _check_members(
+        rec,
+        cache(lambda q: family_invariants(NonLeapingSequence(q))),
+        lambda q, a, got, want: f"invariants vary within q={q}: anchors={a} give {got},"
+        f" family says {want}",
+        n_max,
+    )
+    return {"families": len(tally), "members": sum(tally.values())}
 
 
 def _suite_cp2(rec: Recorder, rng, scale) -> dict:
@@ -472,10 +467,11 @@ def _suite_cp2(rec: Recorder, rng, scale) -> dict:
         )
         members += _check_members(
             rec,
-            s,
-            want,
-            lambda ns, got: f"2:{spec.p} anchors={ns.anchors}: {got} differs from closed form {want}",
-        )
+            lambda _: want,
+            lambda q, a, got, _: f"2:{spec.p} anchors={a}: {got} differs from closed form {want}",
+            s.n,
+            s.q,
+        )[s.q]
     return {"specs": len(specs), "members": members}
 
 
@@ -489,12 +485,14 @@ def _suite_linear_2tree(rec: Recorder, rng, scale) -> dict:
             cp2_invariants(spec) == want,
             f"linear 2-tree closed form disagrees with 2-clique-path form at n={n}",
         )
+        s = expand_clique_path_spec(spec)
         members += _check_members(
             rec,
-            expand_clique_path_spec(spec),
-            want,
-            lambda ns, got: f"linear 2-tree n={n} anchors={ns.anchors}: {got} differs from {want}",
-        )
+            lambda _: want,
+            lambda q, a, got, _: f"linear 2-tree n={n} anchors={a}: {got} differs from {want}",
+            n,
+            s.q,
+        )[s.q]
     return {"orders": list(range(4, n_max + 1)), "members": members}
 
 
@@ -654,7 +652,8 @@ def _addressing_cases() -> list[tuple[str, LabeledGraph]]:
 
 
 def _suite_addressing(rec: Recorder, rng, scale) -> dict:
-    for name, g in _addressing_cases():
+    cases = _addressing_cases()
+    for name, g in cases:
         n = g.n
         lb, scheme = _minimum_scheme(g)
         rec.check(lb == n - 1, f"{name}: lower bound {lb} != {n - 1}")
@@ -662,7 +661,7 @@ def _suite_addressing(rec: Recorder, rng, scale) -> dict:
         rec.check(shorter is None, f"{name}: found a scheme of length {n - 2}")
         rec.check(scheme.d == n - 1, f"{name}: minimum length {scheme.d} != {n - 1}")
         rec.check(verify_scheme(g, scheme), f"{name}: no valid scheme of length {n - 1}")
-    return {"graphs": [name for name, _ in _addressing_cases()]}
+    return {"graphs": [name for name, _ in cases]}
 
 
 def _suite_linalg_crossval(rec: Recorder, rng, scale) -> dict:

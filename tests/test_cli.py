@@ -154,6 +154,21 @@ def test_vertex_cap_of_graph_distance(capsys, monkeypatch, tmp_path):
     assert err == "resource limit: order 1000000000 is above the 4-vertex cap of graph blocks\n"
 
 
+def test_vertex_cap_of_reduce(capsys, monkeypatch):
+    # 0, 1, 2, ..., n - 1 has a single member, so only the vertex cap stops it
+    over = ",".join(map(str, range(cli.MAX_VERTICES + 1)))
+    monkeypatch.setattr(cli, "reducing_matrix", None)
+    monkeypatch.setattr(cli, "reduced_graph", None)
+    for action in ("matrix", "verify"):
+        code, out, err = run(capsys, "reduce", action, over)
+        assert (code, out) == (3, "")
+        assert err == f"resource limit: order 257 is above the 256-vertex cap of reduce {action}\n"
+    monkeypatch.undo()
+    at_cap = ",".join(map(str, range(cli.MAX_VERTICES)))
+    assert run_json(capsys, "reduce", "matrix", at_cap)[1]["results"]["anchors"] == [1] * 254
+    assert run_json(capsys, "reduce", "verify", at_cap)[1]["results"]["ok"] is True
+
+
 def test_graph_build(capsys):
     code, obj = run_json(capsys, "graph", "build", "0,1,2", "--anchors", "1")
     assert code == 0
@@ -219,11 +234,11 @@ def test_reduce_commands(capsys):
 
 
 def test_reduce_verify_reports_mismatched_members(capsys, monkeypatch):
-    real = cli._walk
+    real = cli._grow
     monkeypatch.setattr(
         cli,
-        "_walk",
-        lambda s, h: ((ns, d, ok and ns.anchors != (1, 2, 2, 4, 4, 5)) for ns, d, ok in real(s, h)),
+        "_grow",
+        lambda *args: ((q, a, d, ok and a != (1, 2, 2, 4, 4, 5)) for q, a, d, ok in real(*args)),
     )
     code, obj = run_json(capsys, "reduce", "verify", "0,1,2,2,2,2,3,3")
     assert code == 1
@@ -339,6 +354,28 @@ def test_check_negative_scale_is_input_error(capsys, suite):
     code, out, err = run(capsys, "check", suite, "--scale", "-1")
     assert code == 2 and out == ""
     assert err == "error: scale must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("suite", [*cli.SCALE_CAPS, "all"])
+def test_check_scale_above_a_cap_is_refused_before_any_work(capsys, monkeypatch, suite):
+    cap = min(cli.SCALE_CAPS.values()) if suite == "all" else cli.SCALE_CAPS[suite]
+    ran = []
+    for name in suites.SUITES:
+        monkeypatch.setitem(suites.SUITES, name, lambda rec, rng, scale: ran.append(scale) or {})
+    for scale in (cap + 1, 10**20):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "check", suite, "--scale", str(scale))
+        assert time.perf_counter() - t0 < 1
+        assert (code, out) == (3, "") and ran == []
+        # "all" names its first suite over the cap
+        over = suite if suite != "all" else next(
+            name for name in suites.SUITES if cli.SCALE_CAPS.get(name, scale) < scale
+        )
+        limit = cli.SCALE_CAPS[over]
+        assert err == f"resource limit: scale {scale} is above the cap {limit} of suite {over}\n"
+    # at the cap the suite runs
+    assert run_json(capsys, "check", suite, "--scale", str(cap))[0] == 0
+    assert ran == [cap] * (len(suites.SUITES) if suite == "all" else 1)
 
 
 def test_check_all_applies_scale_to_every_suite(capsys):

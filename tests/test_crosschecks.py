@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_linalg import fraction_det
+from test_matrices import identity, zeros
 
 from cpgraphs import suites
 from cpgraphs.crosschecks import (
@@ -42,8 +43,8 @@ def test_charpoly_constant_term_is_det():
 
 
 def test_sign_rule_examples():
-    assert inertia_by_charpoly_signs(IntMatrix.zeros(2)) == Inertia(0, 0, 2)
-    assert inertia_by_charpoly_signs(IntMatrix.identity(3)) == Inertia(3, 0, 0)
+    assert inertia_by_charpoly_signs(zeros(2)) == Inertia(0, 0, 2)
+    assert inertia_by_charpoly_signs(identity(3)) == Inertia(3, 0, 0)
     assert inertia_by_charpoly_signs(
         IntMatrix.from_rows([[0, 1], [1, 0]])
     ) == Inertia(1, 1, 0)

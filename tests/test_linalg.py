@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_matrices import zeros
 
 from cpgraphs import linalg
 from cpgraphs.crosschecks import det_by_cofactor_expansion, inertia_by_charpoly_signs
@@ -127,7 +128,7 @@ def test_inertia_dataclass():
 
 def test_inertia_examples():
     assert inertia_congruence(IntMatrix.from_rows([])) == Inertia(0, 0, 0)
-    assert inertia_congruence(IntMatrix.zeros(3)) == Inertia(0, 0, 3)
+    assert inertia_congruence(zeros(3)) == Inertia(0, 0, 3)
     assert inertia_congruence(
         IntMatrix.from_rows([[2, 0, 0], [0, -3, 0], [0, 0, 0]])
     ) == Inertia(1, 1, 1)
@@ -205,7 +206,7 @@ def test_inertia_from_minors():
 
 def test_inertia_from_minors_preconditions():
     with pytest.raises(Singular):
-        inertia_leading_minors(IntMatrix.zeros(2))
+        inertia_leading_minors(zeros(2))
     with pytest.raises(Singular):
         inertia_leading_minors(IntMatrix.from_rows([[1, 1], [1, 1]]))
     # nonsingular, but the first two leading minors both vanish

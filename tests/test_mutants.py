@@ -15,6 +15,7 @@ import pytest
 
 from cpgraphs import addressing, sequences, suites
 from cpgraphs.graphs import cycle_graph, path_graph
+from cpgraphs.sequences import NonLeapingSequence
 
 
 def mutate(module, old, new):
@@ -32,14 +33,16 @@ def member_suites_pass(mod):
     return all(mod.run_suite(name, scale=8).ok for name in ("constancy", "congruence"))
 
 
-def enumeration_feeds_suites(mod):
-    """`constancy` with the enumerator of `mod`, a sequences module, swapped in."""
-    real = suites.enumerate_neighborhood_sequences
-    suites.enumerate_neighborhood_sequences = mod.enumerate_neighborhood_sequences
-    try:
-        return suites.run_suite("constancy", scale=8).ok
-    finally:
-        suites.enumerate_neighborhood_sequences = real
+def enumeration_matches_the_walk(mod):
+    """The enumerator of `mod`, a sequences module, lists each family with
+    n <= 8 as the suites' walk grows it: the same members in the same order."""
+    walked = {}
+    for q, a, _, _ in suites._grow(8):
+        walked.setdefault(q, []).append(a)
+    return len(walked) == 197 and all(
+        [ns.anchors for ns in mod.enumerate_neighborhood_sequences(NonLeapingSequence(q))] == a
+        for q, a in walked.items()
+    )
 
 
 def layout_is_bfs_order(mod):
@@ -51,11 +54,17 @@ def layout_is_bfs_order(mod):
 
 
 MUTANTS = {
-    # suites._walk: a_k is vertex k's anchor, W_k = {a_k} + [b_k, k - 1]
+    # suites._grow: vertex k (0-based) joins W = {ak} + [k + 1 - qk, k - 1]
     "walk: anchor dropped from W_k": (
         suites,
-        "zip(d[anc[k]], *d[b[k] - 1 : k])",
-        "zip(*(d[b[k] - 1 : k] or [d[anc[k]]]))",  # W_2 = {a_2} keeps it
+        "zip(d[ak], *d[k + 1 - qk : k])",
+        "zip(*(d[k + 1 - qk : k] or [d[ak]]))",  # W_2 = {a_2} keeps it
+        member_suites_pass,
+    ),
+    "walk: a_(k-1) offered only where it is the sole anchor": (
+        suites,
+        "for a in (ak, *range(k + 1 - qk, k + 2 - s))",
+        "for a in (range(k + 1 - qk, k + 2 - s) or (ak,))",
         member_suites_pass,
     ),
     "walk: pivot update divides by p, not prev": (
@@ -78,7 +87,7 @@ MUTANTS = {
     ),
     "walk: no kernel fallback below a zero pivot": (
         suites,
-        "elif len(pivots) < n:",
+        "elif len(pivots) <= k:",
         "elif False:",
         member_suites_pass,
     ),
@@ -87,7 +96,7 @@ MUTANTS = {
         "    while True:\n        yield NeighborhoodSequence._of(base, tuple(anchors))\n",
         "    count = 0\n    while True:\n        count += 1\n        if count % 4:\n"
         "            yield NeighborhoodSequence._of(base, tuple(anchors))\n",
-        enumeration_feeds_suites,
+        enumeration_matches_the_walk,
     ),
     "search layout: ties broken by descending label": (
         addressing,
@@ -114,7 +123,7 @@ EQUIVALENT = {
 
 @pytest.mark.parametrize("check, module", [
     (member_suites_pass, suites),
-    (enumeration_feeds_suites, sequences),
+    (enumeration_matches_the_walk, sequences),
     (layout_is_bfs_order, addressing),
 ])
 def test_checks_pass_on_the_package(check, module):

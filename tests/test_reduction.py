@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_matrices import identity
 
 from cpgraphs import fixtures as fx
 from cpgraphs.crosschecks import det_by_cofactor_expansion
@@ -103,6 +104,20 @@ def test_reduced_vertex_weights():
         assert h.vertex_weights == (0, 0) + (-2,) * (s.n - 2)
 
 
+def test_reduced_graph_of_a_prefix_is_the_leading_block():
+    # the congruence suite's walk checks column k once, against the A(H) of
+    # the family q[:k + 1], for every family that extends it
+    adjacency = {
+        s.q: reduced_graph(s).adjacency_matrix()
+        for n in range(2, 11)
+        for s in iter_nonleaping_sequences(n)
+    }
+    assert len(adjacency) == 2056
+    for q, a in adjacency.items():
+        for k in range(2, len(q)):
+            assert adjacency[q[:k]] == a.leading(k)
+
+
 def test_reducing_matrix_recorded_examples():
     s = NonLeapingSequence(fx.CP8_SEQ)
     chain = NeighborhoodSequence(s, fx.CP8_CHAIN_ANCHORS)
@@ -195,7 +210,7 @@ def test_congruence_reduce_real_pairs_against_brute():
 
 def test_congruence_reduce_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        congruence_reduce(IntMatrix.identity(2), IntMatrix.identity(3))
+        congruence_reduce(identity(2), identity(3))
 
 
 def test_weighted_path_matrix():

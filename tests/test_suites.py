@@ -1,5 +1,7 @@
 import random
+import sys
 from dataclasses import replace
+from functools import cache
 from itertools import islice, product
 
 import pytest
@@ -13,6 +15,7 @@ from cpgraphs.formulas import GraphInvariants, distance_invariants, tree_invaria
 from cpgraphs.linalg import Inertia, determinant
 from cpgraphs.reduction import reduced_graph
 from cpgraphs.sequences import (
+    NeighborhoodSequence,
     NonLeapingSequence,
     count_neighborhood_sequences,
     enumerate_neighborhood_sequences,
@@ -137,17 +140,21 @@ def test_tree_failure_labels(monkeypatch):
     ],
 )
 def test_member_loop_failure_labels(monkeypatch, suite, scale, counts, first):
-    real = suites._walk
-    monkeypatch.setattr(suites, "_walk", lambda s, h: ((ns, d, WRONG) for ns, d, _ in real(s, h)))
+    real = suites._grow
+    monkeypatch.setattr(
+        suites, "_grow", lambda *args: ((q, a, d, WRONG) for q, a, d, _ in real(*args))
+    )
     r = run_suite(suite, scale=scale)
     assert (r.passed, r.failed) == counts
     assert r.failures[0] == first
 
 
 def test_congruence_failure_labels(monkeypatch):
-    real = suites._walk
+    real = suites._grow
     # the exhaustive members go through the walk, the random ones through congruence_reduce
-    monkeypatch.setattr(suites, "_walk", lambda s, h: ((ns, d, False) for ns, d, _ in real(s, h)))
+    monkeypatch.setattr(
+        suites, "_grow", lambda *args, **kw: ((q, a, d, False) for q, a, d, _ in real(*args, **kw))
+    )
     monkeypatch.setattr(suites, "congruence_reduce", lambda d, e: None)
     r = run_suite("congruence", scale=3)
     assert (r.passed, r.failed) == (0, 102)
@@ -322,13 +329,19 @@ def test_tree_shapes_mask_no_fault_and_end_with_the_call(monkeypatch):
     "suite, scale", [("congruence", 4), ("constancy", 4), ("cp2-formulas", 2), ("linear-2tree", 4)]
 )
 def test_lossy_enumeration_fails_the_member_suites(monkeypatch, suite, scale):
-    real = suites.enumerate_neighborhood_sequences
-    # drop the last member of every family that has more than one
-    monkeypatch.setattr(
-        suites,
-        "enumerate_neighborhood_sequences",
-        lambda s: islice(real(s), max(1, count_neighborhood_sequences(s) - 1)),
-    )
+    real = suites._grow
+
+    def lossy(*args, **kw):
+        # drop the last member of every family that has more than one
+        members = list(real(*args, **kw))
+        last = {q: i for i, (q, *_) in enumerate(members)}
+        return (
+            (q, a, d, got)
+            for i, (q, a, d, got) in enumerate(members)
+            if i != last[q] or count_neighborhood_sequences(NonLeapingSequence(q)) == 1
+        )
+
+    monkeypatch.setattr(suites, "_grow", lossy)
     r = run_suite(suite, scale=scale)
     assert not r.ok and "q=(0, 1, 2, 2): enumerated 1 members, expected 2" in r.failures
 
@@ -336,9 +349,9 @@ def test_lossy_enumeration_fails_the_member_suites(monkeypatch, suite, scale):
 @pytest.mark.parametrize("suite, passed", [("congruence", 105), ("constancy", 5)])
 def test_missing_family_fails_the_order_total(monkeypatch, suite, passed):
     assert run_suite(suite, scale=4).passed == passed
-    real = suites._families
+    real = suites._grow
     monkeypatch.setattr(
-        suites, "_families", lambda n_max: (s for s in real(n_max) if s.q != (0, 1, 2, 2))
+        suites, "_grow", lambda *args, **kw: (m for m in real(*args, **kw) if m[0] != (0, 1, 2, 2))
     )
     r = run_suite(suite, scale=4)
     # the family's two members are neither checked nor counted
@@ -346,32 +359,45 @@ def test_missing_family_fails_the_order_total(monkeypatch, suite, passed):
     assert r.failures == ["order 4: 1 members in all families, expected 3"]
 
 
-def walk_matches_members(s, limit=None):
-    """The walk against the per-member path on the first `limit` members of
-    `s`: same members, same D, same invariants, same congruence verdict.
-    Returns the number of members compared."""
-    h = reduced_graph(s).adjacency_matrix()
-    members = list(islice(enumerate_neighborhood_sequences(s), limit))
-    walks = zip(suites._walk(s), suites._walk(s, h))
-    for ns, ((ns1, d1, inv), (ns2, d2, ok)) in zip(members, walks):
+def walk_matches_members(n_max, q=None, limit=None):
+    """The walk `_grow(n_max, q)` against the per-member path on its first
+    `limit` members: each family's members in the enumerator's order, same
+    D, same invariants, same congruence verdict. Returns the number of
+    members compared."""
+    h = cache(lambda p: reduced_graph(NonLeapingSequence(p)).adjacency_matrix())
+    by_family = {}
+    walks = islice(zip(suites._grow(n_max, q), suites._grow(n_max, q, h)), limit)
+    for (q1, a1, d1, inv), (q2, a2, d2, ok) in walks:
+        ns = NeighborhoodSequence(NonLeapingSequence(q1), a1)
         g = build_cp_graph(ns)
         d = all_pairs_distances(g).rows
-        assert ns1 == ns2 == ns
+        assert (q1, a1) == (q2, a2)
         assert tuple(map(tuple, d1)) == tuple(map(tuple, d2)) == d
         assert inv == distance_invariants(g)
-        assert ok == member_reduces(ns, h)
-    return len(members)
+        assert ok == member_reduces(ns, h(q1))
+        by_family.setdefault(q1, []).append(ns)
+    for members in by_family.values():
+        assert members == list(islice(enumerate_neighborhood_sequences(members[0].base), limit))
+    return sum(map(len, by_family.values()))
 
 
 def test_walk_matches_every_member_up_to_order_8():
-    assert sum(walk_matches_members(s) for s in suites._families(8)) == 1773
+    assert walk_matches_members(8) == 1773
+    assert list(suites._grow(0)) == list(suites._grow(1)) == []
+
+
+def test_walk_is_not_bounded_by_the_recursion_limit():
+    s = NonLeapingSequence((0, 1) + (2,) * sys.getrecursionlimit())
+    h = reduced_graph(s).adjacency_matrix()
+    q, a, d, ok = next(suites._grow(s.n, s.q, lambda _: h))
+    assert (q, a, len(d), ok) == (s.q, (1,) * (s.n - 2), s.n, True)
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(st.integers(2, 40), st.integers(0, 2**32))
 def test_walk_matches_random_families(n, seed):
     s = random_nonleaping(random.Random(seed), n)
-    assert walk_matches_members(s, 64) == min(64, count_neighborhood_sequences(s))
+    assert walk_matches_members(n, s.q, 64) == min(64, count_neighborhood_sequences(s))
 
 
 @pytest.mark.parametrize("last", [2, 3, 4])
@@ -379,10 +405,10 @@ def test_walk_falls_back_below_a_zero_leading_minor(last):
     # D_7 = 0 in every member, so pivot 6 is zero before the last one; with
     # last = 3, det = D_8 = 0 as well
     s = NonLeapingSequence((0, 1, 2, 3, 3, 4, 3, last))
-    for ns, d, inv in suites._walk(s):
+    for _, _, d, inv in suites._grow(8, s.q):
         assert determinant(IntMatrix.from_rows(d).leading(7)) == 0
         assert (inv.det == 0) == (last == 3)
-    assert walk_matches_members(s) == count_neighborhood_sequences(s)
+    assert walk_matches_members(8, s.q) == count_neighborhood_sequences(s)
 
 
 def test_walk_verdict_on_wrong_targets():
@@ -392,8 +418,10 @@ def test_walk_verdict_on_wrong_targets():
     lower[5][1] += 1  # below the diagonal only: no longer symmetric
     corner = [list(r) for r in h]
     corner[5][5] += 1
-    for rows in (lower, corner, [r[:5] for r in h[:5]]):
+    first = [list(r) for r in h]
+    first[0][0] += 1  # column 0, which no vertex's step compares
+    for rows in (lower, corner, first, [r[:5] for r in h[:5]]):
         wrong = IntMatrix.from_rows(rows)
-        verdicts = [ok for _, _, ok in suites._walk(s, wrong)]
+        verdicts = [ok for *_, ok in suites._grow(6, s.q, lambda _: wrong)]
         assert verdicts == [member_reduces(ns, wrong) for ns in enumerate_neighborhood_sequences(s)]
         assert not any(verdicts)

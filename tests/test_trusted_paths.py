@@ -58,7 +58,6 @@ def package_built_matrices(ns):
         _bordered(d, (1,) * n),
         _bordered(r, (1, 1) + (0,) * (n - 2)),
         weighted_path_matrix(n - 2),
-        IntMatrix.identity(n), IntMatrix.zeros(n), IntMatrix.ones(n),
     ]
 
 
