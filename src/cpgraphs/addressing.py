@@ -7,6 +7,9 @@ distance for every pair. The search is exhaustive at desk scale (graphs on
 at most 6 vertices, words of length at most 10) with an explicit node
 budget, so "no scheme of length d exists" is a real conclusion, not a
 timeout.
+
+The search's word tables depend on the length alone, so the searches of one
+length share them; only the lengths exact_n reaches are kept (see _kept).
 """
 
 from __future__ import annotations
@@ -142,6 +145,60 @@ def _layout(g: LabeledGraph) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[in
     return dist, order, earlier
 
 
+class _Words:
+    """What the length-d search needs of the words alone: full (every word),
+    digit (_digit_masks(d)), pair_in_order[p] (the words whose digits at p
+    and p + 1 are in order), and seen and in_order, the memos of word_info
+    and keeps_order, filled in as searches ask."""
+
+    def __init__(self, d: int):
+        self.d = d
+        self.full = (1 << 3**d) - 1
+        self.digit = digit = _digit_masks(d)
+        self.pair_in_order = [
+            reduce(or_, (digit[p][x] & digit[p + 1][y] for x in range(3) for y in range(x, 3)))
+            for p in range(d - 1)
+        ]
+        # graph distances reach MAX_VERTICES - 1, and one above d selects no word
+        self.pad = [0] * max(MAX_VERTICES - 1 - d, 0)
+        self.in_order: dict[int, int] = {}
+        self.seen: dict[int, tuple[int, list[int]]] = {}
+
+    def word_info(self, i: int) -> tuple[int, list[int]]:
+        """Word i's tied adjacent column pairs (bit p: p, p + 1), and masks[k]:
+        the words at word distance k from word i, for k up to MAX_VERTICES - 1."""
+        d, digit = self.d, self.digit
+        w = _word(i, d)
+        ties = sum(1 << p for p in range(d - 1) if w[p] == w[p + 1])
+        masks = [self.full] + [0] * d
+        for p, x in enumerate(w):
+            if x == 2:
+                continue
+            far, near = digit[p][1 - x], digit[p][x] | digit[p][2]
+            for k in range(d, 0, -1):
+                masks[k] = (masks[k] & near) | (masks[k - 1] & far)
+            masks[0] &= near
+        info = self.seen[i] = (ties, masks + self.pad)
+        return info
+
+    def keeps_order(self, ties: int) -> int:
+        """Words that keep each tied adjacent column pair (bit p: p, p + 1) in order."""
+        mask = self.full
+        for p in range(self.d - 1):
+            if ties >> p & 1:
+                mask &= self.pair_in_order[p]
+        self.in_order[ties] = mask
+        return mask
+
+
+# The tables of the lengths below MAX_VERTICES, shared by every search of
+# the process. They are the only lengths exact_n tries (its scan stops at
+# n - 1), and every word of all of them holds under 0.2 MB. A longer length
+# gets tables that go with its search: at d = 10 one word's masks are 11
+# ints of 59 049 bits.
+_kept: dict[int, _Words] = {}
+
+
 def search_scheme(
     g: LabeledGraph, d: int, budget: int | None = None
 ) -> AddressScheme | None:
@@ -156,17 +213,18 @@ def search_scheme(
     vertices already assigned, of the words at the right distance from each
     one's word, and of the words that keep every tied adjacent column pair
     in order (memoized per set of tied pairs). A word's distance masks and
-    tied pairs are built the first time it is a candidate, never for all
-    3^d words up front. The assigned words' mask lists sit on a stack,
-    padded with 0 up to distance n - 1 so that a graph distance above d
-    selects no word, and each vertex's distances to the vertices before it
-    are listed once per graph. A vertex's candidates are found before it is
-    entered, so a vertex with none is counted without a call. The set bits
-    are walked in increasing order. budget caps the number of words scanned,
-    and still counts every word, rejected or not: the index gaps between
-    candidates and the rest of each level after the last one count too.
-    Exceeding it raises instead of guessing. A length above MAX_LENGTH is
-    refused before anything is built.
+    tied pairs are built the first time any search of length d needs them,
+    and are kept with the other length-d tables for later searches when d is
+    below MAX_VERTICES (see _kept). The assigned words' mask lists sit on a
+    stack, padded with 0 up to distance MAX_VERTICES - 1 so that a graph
+    distance above d selects no word, and each vertex's distances to the
+    vertices before it are listed once per graph. A vertex's candidates are
+    found before it is entered, so a vertex with none is counted without a
+    call. The set bits are walked in increasing order. budget caps the
+    number of words scanned, and still counts every word, rejected or not:
+    the index gaps between candidates and the rest of each level after the
+    last one count too. Exceeding it raises instead of guessing. A length
+    above MAX_LENGTH is refused before anything is built.
     """
     if g.n > MAX_VERTICES:
         raise TooLarge(f"{g.n} vertices exceeds the guard of {MAX_VERTICES}")
@@ -178,45 +236,15 @@ def search_scheme(
         return AddressScheme(d, ())
     _, order, earlier = _layout(g)
     n_words = 3**d
-    full = (1 << n_words) - 1
-    digit = _digit_masks(d)
-    # words whose digits at p and p + 1 are in order
-    pair_in_order = [
-        reduce(or_, (digit[p][x] & digit[p + 1][y] for x in range(3) for y in range(x, 3)))
-        for p in range(d - 1)
-    ]
-    pad = [0] * max(len(order) - 1 - d, 0)
-    in_order: dict[int, int] = {}
-    seen: dict[int, tuple[int, list[int]]] = {}
+    words = _kept.get(d) or _Words(d)
+    if d < MAX_VERTICES:
+        _kept[d] = words
+    seen, word_info = words.seen, words.word_info
+    in_order, keeps_order = words.in_order, words.keeps_order
     stack: list[list[int]] = []
     found: list[int] = []  # the scheme's words, filled in as extend returns
     limit = math.inf if budget is None else budget
     nodes = 0
-
-    def word_info(i: int) -> tuple[int, list[int]]:
-        """Word i's tied adjacent column pairs (bit p: p, p + 1), and masks[k]:
-        the words at word distance k from word i, for k up to n - 1."""
-        w = _word(i, d)
-        ties = sum(1 << p for p in range(d - 1) if w[p] == w[p + 1])
-        masks = [full] + [0] * d
-        for p, x in enumerate(w):
-            if x == 2:
-                continue
-            far, near = digit[p][1 - x], digit[p][x] | digit[p][2]
-            for k in range(d, 0, -1):
-                masks[k] = (masks[k] & near) | (masks[k - 1] & far)
-            masks[0] &= near
-        info = seen[i] = (ties, masks + pad)
-        return info
-
-    def keeps_order(ties: int) -> int:
-        """Words that keep each tied adjacent column pair (bit p: p, p + 1) in order."""
-        mask = full
-        for p in range(d - 1):
-            if ties >> p & 1:
-                mask &= pair_in_order[p]
-        in_order[ties] = mask
-        return mask
 
     def extend(t: int, ties: int, cands: int) -> bool:
         """Try vertex order[t]'s candidates (never none); stack holds the

@@ -16,8 +16,8 @@ from .errors import InputError
 from .graphs import LabeledGraph, all_pairs_distances, build_cp_graph
 from .linalg import (
     Inertia,
+    _symmetric_bareiss,
     cofactor_sum,
-    det_and_inertia,
     leading_principal_minors,
     reduced_cofactor_sum,
 )
@@ -64,15 +64,16 @@ def invariants_to_json_obj(inv: GraphInvariants) -> dict:
 def distance_invariants(g: LabeledGraph) -> GraphInvariants:
     """Brute force on the distance matrix itself."""
     d = all_pairs_distances(g)
-    det, inertia = det_and_inertia(d)
-    return GraphInvariants(det, inertia, cofactor_sum(d))
+    # D and A(H) are symmetric by construction: no symmetry check before the kernel
+    plus, minus, zero, det = _symmetric_bareiss(d.rows)
+    return GraphInvariants(det, Inertia(plus, minus, zero), cofactor_sum(d))
 
 
 def family_invariants(s: NonLeapingSequence) -> GraphInvariants:
     """Shared invariants of every member, from the reduced graph alone."""
     a = reduced_graph(s).adjacency_matrix()
-    det, inertia = det_and_inertia(a)
-    return GraphInvariants(det, inertia, reduced_cofactor_sum(a))
+    plus, minus, zero, det = _symmetric_bareiss(a.rows)
+    return GraphInvariants(det, Inertia(plus, minus, zero), reduced_cofactor_sum(a))
 
 
 def cp2_invariants(spec: CliquePathSpec) -> GraphInvariants:

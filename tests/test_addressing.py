@@ -1,12 +1,15 @@
+import inspect
 import random
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_graphs import neighbors
+from test_mutants import load
 
+from cpgraphs import addressing
 from cpgraphs.addressing import (
     ALPHABET,
     AddressScheme,
@@ -32,6 +35,7 @@ from cpgraphs.graphs import (
     build_cp_graph,
     complete_graph,
     cycle_graph,
+    is_connected,
     path_graph,
 )
 from cpgraphs.sequences import (
@@ -205,15 +209,15 @@ def outcome(search, g, d, budget):
         return "budget exceeded"
 
 
-def nodes_needed(g, d):
-    """The least budget under which search_scheme(g, d) answers."""
+def nodes_needed(g, d, search=search_scheme):
+    """The least budget under which search(g, d) answers."""
     hi = 1
-    while outcome(search_scheme, g, d, hi) == "budget exceeded":
+    while outcome(search, g, d, hi) == "budget exceeded":
         hi *= 2
     lo = hi // 2  # too small, or 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if outcome(search_scheme, g, d, mid) == "budget exceeded":
+        if outcome(search, g, d, mid) == "budget exceeded":
             lo = mid
         else:
             hi = mid
@@ -233,6 +237,41 @@ def test_search_matches_slow_oracle(g, d):
     assert outcome(search_scheme, g, d, need - 1) == "budget exceeded"
     assert outcome(brute_search_scheme, g, d, need) == found
     assert outcome(brute_search_scheme, g, d, need - 1) == "budget exceeded"
+
+
+def connected_graphs_on(n):
+    """Every connected graph on the vertices 1..n."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    for bits in range(1 << len(pairs)):
+        g = LabeledGraph(n, tuple(p for k, p in enumerate(pairs) if bits >> k & 1))
+        if is_connected(g):
+            yield g
+
+
+def test_shared_word_tables_change_no_answer():
+    # the searches of one length share its tables across graphs; the
+    # reference is a second copy of the module whose tables are dropped
+    # before each search, so that each one builds its own
+    runs = [(g, d) for n in (4, 5) for g in connected_graphs_on(n) for d in range(1, n)]
+    assert len(runs) == 38 * 3 + 728 * 4
+    random.Random(18).shuffle(runs)
+    fresh = load(addressing, inspect.getsource(addressing))
+    fresh.BudgetExceeded = BudgetExceeded  # what outcome() catches
+
+    def alone(g, d, budget=None):
+        fresh._kept.clear()
+        return fresh.search_scheme(g, d, budget)
+
+    for g, d in runs:
+        found, want = search_scheme(g, d), alone(g, d)
+        assert (found and found.addresses) == (want and want.addresses), (g.edges, d)
+    for g, d in runs[:40]:
+        assert nodes_needed(g, d) == nodes_needed(g, d, alone), (g.edges, d)
+    # a length beyond exact_n's reach keeps nothing after its search
+    k23 = LabeledGraph(5, ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)))
+    with pytest.raises(BudgetExceeded):
+        search_scheme(k23, MAX_LENGTH, budget=1000)
+    assert addressing._kept and max(addressing._kept) < MAX_VERTICES
 
 
 # name: (graph on MAX_VERTICES vertices, minimum address length)

@@ -337,6 +337,28 @@ def test_exact_n_searches_each_length_once(capsys, tmp_path, monkeypatch):
     assert AddressScheme(4, tuple(obj["results"]["scheme"]["addr"])) == want
 
 
+def test_address_output_does_not_depend_on_earlier_searches(capsys, monkeypatch):
+    # as the benchmark drives the CLI: in one process, exact-n and then a
+    # failing search one length shorter, on graphs of orders 4, 5 and 6 in turn
+    texts = [
+        "n 4\n1 4\n2 4\n3 4\n",
+        "n 5\n1 2\n2 4\n2 5\n3 4\n3 5\n",
+        "n 6\n1 3\n1 4\n1 5\n1 6\n2 3\n2 4\n",
+        "n 4\n1 2\n1 4\n2 3\n3 4\n",
+        "n 5\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n",
+        "n 6\n1 2\n1 6\n2 3\n3 4\n4 5\n5 6\n",
+    ]
+    first = {}
+    for text in texts + texts[::-1] + texts[1::2] + texts[::2]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, exact, _ = run(capsys, "address", "exact-n", "-")
+        k = json.loads(exact)["results"]["n"]
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code2, search, _ = run(capsys, "address", "search", "-", "--length", str(k - 1))
+        assert code == code2 == 0 and json.loads(search)["results"]["found"] is False
+        assert first.setdefault(text, (exact, search)) == (exact, search), text
+
+
 def test_check_command(capsys):
     code, obj = run_json(capsys, "check", "weighted-path", "--scale", "6")
     assert code == 0

@@ -363,6 +363,6 @@ def test_symmetric_determinant_vs_oracles(m):
 def test_near_symmetric_matrices_are_refused(m):
     assert not m.is_symmetric()
     with mock.patch.object(linalg, "_symmetric_bareiss", side_effect=AssertionError):
-        for f in (determinant, cofactor_sum, reduced_cofactor_sum):
+        for f in (determinant, det_and_inertia, cofactor_sum, reduced_cofactor_sum):
             with pytest.raises(NotSymmetric):
                 f(m)

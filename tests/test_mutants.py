@@ -14,18 +14,23 @@ import types
 import pytest
 
 from cpgraphs import addressing, sequences, suites
-from cpgraphs.graphs import cycle_graph, path_graph
+from cpgraphs.graphs import complete_graph, cycle_graph, path_graph
 from cpgraphs.sequences import NonLeapingSequence
+
+
+def load(module, source):
+    """`source` executed into a fresh module object standing for `module`."""
+    # the real name, so dataclasses resolve annotations in the package's own module
+    mod = types.ModuleType(module.__name__)
+    mod.__package__ = "cpgraphs"
+    exec(compile(source, module.__file__, "exec"), mod.__dict__)
+    return mod
 
 
 def mutate(module, old, new):
     source = inspect.getsource(module)
     assert source.count(old) == 1, f"{module.__name__}: snippet occurs {source.count(old)} times"
-    # the real name, so dataclasses resolve annotations in the package's own module
-    mod = types.ModuleType(module.__name__)
-    mod.__package__ = "cpgraphs"
-    exec(compile(source.replace(old, new), module.__file__, "exec"), mod.__dict__)
-    return mod
+    return load(module, source.replace(old, new))
 
 
 def member_suites_pass(mod):
@@ -51,6 +56,34 @@ def layout_is_bfs_order(mod):
         mod._layout(cycle_graph(5))[1] == (1, 2, 5, 3, 4)
         and mod._layout(path_graph(3))[1] == (1, 2, 3)
     )
+
+
+# (graph, length, the least budget under which search_scheme answers, the
+# scheme it finds or None), counts as the slow oracle scans them; lengths 2
+# and 3 alternate, so each search of one length follows one of the other
+SEARCHES = (
+    (path_graph(4), 2, 225, None),
+    (path_graph(4), 3, 22, ("000", "001", "011", "111")),
+    (complete_graph(3), 2, 9, ("00", "01", "1*")),
+    (complete_graph(4), 3, 27, ("000", "001", "01*", "1**")),
+    (cycle_graph(5), 2, 225, None),
+    (cycle_graph(5), 3, 4671, None),
+)
+
+
+def searches_match_the_oracle(mod):
+    """search_scheme of `mod`, an addressing module, finds each scheme of
+    SEARCHES, which its verify_scheme accepts, with exactly that budget."""
+    for g, d, need, addresses in SEARCHES:
+        found = mod.search_scheme(g, d, need)
+        if (found and found.addresses) != addresses or (found and not mod.verify_scheme(g, found)):
+            return False
+        try:
+            mod.search_scheme(g, d, need - 1)
+        except mod.BudgetExceeded:
+            continue
+        return False
+    return True
 
 
 MUTANTS = {
@@ -104,6 +137,48 @@ MUTANTS = {
         "key=lambda v: (rows[0][v - 1], -v)",
         layout_is_bfs_order,
     ),
+    "search: a vertex without candidates left uncounted": (
+        addressing,
+        "nodes += n_words  # checked",
+        "nodes += 0  # checked",
+        searches_match_the_oracle,
+    ),
+    "search: last vertex's word counted one short": (
+        addressing,
+        "nodes += i + 1",
+        "nodes += i",
+        searches_match_the_oracle,
+    ),
+    "search: distances above d padded with every word": (
+        addressing,
+        "self.pad = [0] * max(",
+        "self.pad = [self.full] * max(",
+        searches_match_the_oracle,
+    ),
+    "search: tied column pairs not narrowed to the new word's ties": (
+        addressing,
+        "            tied &= ties\n",
+        "",
+        searches_match_the_oracle,
+    ),
+    "search: a rejected word's masks left on the stack": (
+        addressing,
+        "            stack.pop()\n",
+        "",
+        searches_match_the_oracle,
+    ),
+    "search: verify_scheme counts * against a digit": (
+        addressing,
+        'x + y in ("01", "10")',
+        "x != y",
+        searches_match_the_oracle,
+    ),
+    "search: tables kept without their length": (
+        addressing,
+        "words = _kept.get(d)",
+        "words = next(iter(_kept.values()), None)",
+        searches_match_the_oracle,
+    ),
 }
 
 # Mutants that cannot change any answer, with the reason; each must still
@@ -125,6 +200,7 @@ EQUIVALENT = {
     (member_suites_pass, suites),
     (enumeration_matches_the_walk, sequences),
     (layout_is_bfs_order, addressing),
+    (searches_match_the_oracle, addressing),
 ])
 def test_checks_pass_on_the_package(check, module):
     assert check(module)
