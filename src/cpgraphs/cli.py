@@ -144,6 +144,16 @@ def _cap_vertices(n: int, command: str) -> None:
         raise OverCap(f"order {n} is above the {MAX_VERTICES}-vertex cap of {command}")
 
 
+def _capped_sequence(text: str, command: str) -> NonLeapingSequence:
+    """The sequence literal `text`, with its order checked against the vertex
+    cap of `command`, for clique-path shorthand before it is expanded."""
+    if ":" in text:
+        _cap_vertices(parse_spec_literal(text).n, command)
+    s = parse_sequence_literal(text)
+    _cap_vertices(s.n, command)
+    return s
+
+
 def _report(command: str, inputs: dict, results: dict, **extra) -> dict:
     out = {"command": command, "inputs": inputs, "results": results}
     out.update(extra)
@@ -194,7 +204,7 @@ def _cmd_family_count(args) -> tuple[dict, int]:
 
 
 def _cmd_graph_build(args):
-    ns = _member(parse_sequence_literal(args.sequence), args.anchors)
+    ns = _member(_capped_sequence(args.sequence, "graph build"), args.anchors)
     g = build_cp_graph(ns)
     if args.dot:
         return graph_to_dot(g), 0
@@ -229,7 +239,7 @@ def _cmd_graph_attach(args):
         u, v = (int(x) for x in args.edge.split(","))
     except ValueError as e:
         raise InputError(f"--edge wants two comma-separated integers, got {args.edge!r}") from e
-    ns = _member(parse_sequence_literal(args.cp_seq), args.cp_anchors)
+    ns = _member(_capped_sequence(args.cp_seq, "graph attach"), args.cp_anchors)
     result = attach(base, (u, v), build_cp_graph(ns))
     if args.dot:
         return graph_to_dot(result.graph), 0
@@ -255,8 +265,7 @@ def _cmd_reduce_graph(args):
 
 
 def _cmd_reduce_matrix(args) -> tuple[dict, int]:
-    s = parse_sequence_literal(args.sequence)
-    _cap_vertices(s.n, "reduce matrix")
+    s = _capped_sequence(args.sequence, "reduce matrix")
     ns = _member(s, args.anchors)
     e = reducing_matrix(ns)
     results = {"q": list(ns.base.q), "anchors": list(ns.anchors), "e": e.to_json_rows()}
@@ -265,8 +274,7 @@ def _cmd_reduce_matrix(args) -> tuple[dict, int]:
 
 
 def _cmd_reduce_verify(args) -> tuple[dict, int]:
-    s = parse_sequence_literal(args.sequence)
-    _cap_vertices(s.n, "reduce verify")
+    s = _capped_sequence(args.sequence, "reduce verify")
     inputs = {"sequence": args.sequence, "anchors": args.anchors}
     h = reduced_graph(s).adjacency_matrix()
     if args.anchors is not None:
@@ -276,7 +284,7 @@ def _cmd_reduce_verify(args) -> tuple[dict, int]:
     else:
         total = count_neighborhood_sequences(s)
         _cap_members(total, "pass --anchors to verify one member")
-        bad = [list(a) for _, a, _, ok in _grow(s.n, s.q, lambda _: h) if not ok]
+        bad = [list(a) for _, a, _, ok in _grow([s.q], lambda _: h) if not ok]
     results = {
         "q": list(s.q),
         "members": total,
@@ -295,8 +303,7 @@ def _cmd_invariants(args) -> tuple[dict, int]:
         inv = distance_invariants(g)
         source = {"source": "graph", "graph": args.graph}
     elif args.seq is not None:
-        s = parse_sequence_literal(args.seq)
-        _cap_vertices(s.n, "invariants")
+        s = _capped_sequence(args.seq, "invariants")
         inv = family_invariants(s)
         source = {"source": "family", "sequence": args.seq}
     else:

@@ -232,7 +232,7 @@ def minimal_anchors(base: NonLeapingSequence) -> tuple[int, ...]:
 
 
 def iter_nonleaping_sequences(n: int) -> Iterator[NonLeapingSequence]:
-    """All non-leaping sequences of length n, lexicographically. Test-suite helper."""
+    """All non-leaping sequences of length n, lexicographically."""
     if n < 2:
         raise InputError("sequences have length at least 2")
     q = [0, 1] + [2] * (n - 2)

@@ -3,12 +3,11 @@
 Each suite replays one verifiable claim about the library at desk scale:
 exhaustive where the instance space is small (all families up to n = 8, all
 labeled trees up to n = 7, where each leaf-growth shape of a Pruefer code is
-eliminated once), seeded-random where it is not. The suites that check every
-member of a family (and `reduce verify`) grow each member from its parent,
-the member one vertex smaller, in one walk over the tree of prefixes:
-distance rows, elimination and E^T D E alike (see _grow). Suites are pure
-given (seed, scale), so reports are reproducible byte for byte apart from
-the wall time.
+eliminated once), seeded-random where it is not. Each suite that checks every
+member of the families it lists (and `reduce verify`) makes one walk over the
+tree of their prefixes, growing each member from its parent (see _grow).
+Suites are pure given (seed, scale), so reports are reproducible byte for
+byte apart from the wall time.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from functools import cache
 from itertools import product
 from math import comb
 from typing import Callable
@@ -69,6 +67,7 @@ from .sequences import (
     count_neighborhood_sequences,
     enumerate_neighborhood_sequences,
     expand_clique_path_spec,
+    iter_nonleaping_sequences,
 )
 
 
@@ -282,21 +281,23 @@ def member_reduces(ns: NeighborhoodSequence, h: IntMatrix) -> bool:
     return congruence_reduce(all_pairs_distances(build_cp_graph(ns)), reducing_matrix(ns)) == h
 
 
-def _grow(n_max: int, q: tuple[int, ...] | None = None, h=None):
-    """Verify CP members in one depth-first walk over the tree of prefixes.
+def _grow(families, h=None):
+    """Verify the members of the listed families in one depth-first walk.
 
     The first k vertices of a member of q are a member of q[:k], so the
     members form one tree: a child adds one vertex, choosing its size q_k
-    and its anchor a_k, in ascending order. Without q the walk yields every
-    member of order 2..n_max; with q, only the members of q[:n_max]. Each
-    family's members come in the order of enumerate_neighborhood_sequences.
-    The walk keeps its own stack, so the recursion limit does not bound it.
+    and its anchor a_k, in ascending order. A node's sizes are those the
+    listed families extending it take next, so each node is grown once, but
+    only the members of listed families are yielded, each family's in the
+    order of enumerate_neighborhood_sequences. The walk keeps its own stack,
+    so the recursion limit does not bound it.
 
     Yields (q, a, d, got) per member: its sizes and anchors, D as a list of
     rows (valid until the next member) and its GraphInvariants or, given h,
-    whether E^T D E == h(q), with h called once per family. Without q,
-    column k is checked once, against h(q[:k + 1]), for all descendants,
-    which holds as reduced_graph(q[:k]) is the leading block of reduced_graph(q).
+    whether E^T D E == h(q), with h called once per listed family. Column k
+    is checked once, for all descendants, against h of q[:k + 1] or, if that
+    is not listed, of a listed family extending it, which holds as
+    reduced_graph(q[:k]) is the leading block of reduced_graph(q).
 
     Every W_k is a clique, so a new vertex changes no earlier distance and
     its row is d(k, j) = 1 + min over w in W_k of d(w, j); a sibling starts
@@ -312,6 +313,13 @@ def _grow(n_max: int, q: tuple[int, ...] | None = None, h=None):
     the last is a prefix family's determinant, so every member below it
     takes the kernel on its D rows instead.
     """
+    sizes, reads = {}, {}  # per prefix: its next sizes and the listed family whose h it reads
+    for f in families:
+        for k in range(2, len(f)):
+            sizes.setdefault(f[:k], set()).add(f[k])
+            reads.setdefault(f[:k], f)
+        reads[f] = f
+    sizes = {p: sorted(s) for p, s in sizes.items()}
     d = [[0]]  # D's rows; after vertex k each has k + 1 entries
     anc = [0]  # anc[k] = a_(k+1) - 1, with a_2 = 1
     # elimination state: pivots[t] is row t reduced by pivots 0..t-1, its
@@ -322,8 +330,8 @@ def _grow(n_max: int, q: tuple[int, ...] | None = None, h=None):
     # ok[k]: columns 0..k of E^T D E match; targets: family -> rows of h, or
     # False unless h is symmetric, of the family's order and 0 at (1, 1) like E^T D E
     ok, targets = [True], {}
-    # a choice is (the new vertex's family, its anchor); vertex 1 joins vertex 0
-    stack = [iter([((0, 1) if q is None else q[:n_max], 0)])] if n_max >= 2 else []
+    # a choice is (the new vertex's prefix, its anchor); vertex 1 joins vertex 0
+    stack = [iter([((0, 1), 0)])] if reads else []
     while stack:
         choice = next(stack[-1], None)
         if choice is None:
@@ -345,11 +353,12 @@ def _grow(n_max: int, q: tuple[int, ...] | None = None, h=None):
         new.append(0)
         d.append(new)
         if h is not None:
-            if here not in targets:
-                m = h(here)
-                good = m.n == len(here) and m.is_symmetric() and m.rows[0][0] == 0
-                targets[here] = good and m.rows
-            if ok[-1] and targets[here]:
+            fam = reads[here]
+            if fam not in targets:
+                m = h(fam)
+                good = m.n == len(fam) and m.is_symmetric() and m.rows[0][0] == 0
+                targets[fam] = good and m.rows
+            if ok[-1] and targets[fam]:
                 # v = D times column k of E, then column k of E^T D E
                 v = new if k == 1 else [
                     w - x - y + z for w, x, y, z in zip(new, d[ak], d[k - 1], d[anc[k - 1]])
@@ -357,7 +366,7 @@ def _grow(n_max: int, q: tuple[int, ...] | None = None, h=None):
                 col = v[:2] + [
                     v[i] - v[anc[i]] - v[i - 1] + v[anc[i - 1]] for i in range(2, k + 1)
                 ]
-                ok.append(tuple(col) == targets[here][k][: k + 1])
+                ok.append(tuple(col) == targets[fam][k][: k + 1])
             else:
                 ok.append(False)
         elif len(pivots) == k and pivots[-1][1]:  # pivots 0..k-1 are all nonzero
@@ -375,13 +384,12 @@ def _grow(n_max: int, q: tuple[int, ...] | None = None, h=None):
             pivots.append(col)
             corners.append((corners[-1] * p - x * x) // prev)
             minus.append(minus[-1] + ((p > 0) != (prev > 0)))
-        if k + 1 < n_max:
-            # vertex k + 1 takes size s and anchor a_(k+1) or one in [b_(k+1), b_(k+2))
-            sizes = range(2, qk + 2) if q is None else (here[k + 1],)
-            kids = [(here + (s,) if q is None else here, s) for s in sizes]
-            stack.append(iter([(f, a) for f, s in kids for a in (ak, *range(k + 1 - qk, k + 2 - s))]))
-            if q is not None:
-                continue
+        if here in sizes:  # vertex k + 1: size s, anchor a_(k+1) or one in [b_(k+1), b_(k+2))
+            stack.append(iter([
+                (here + (s,), a) for s in sizes[here] for a in (ak, *range(k + 1 - qk, k + 2 - s))
+            ]))
+        if reads[here] != here:  # not listed
+            continue
         if h is not None:
             got = ok[-1]
         elif len(pivots) <= k:
@@ -395,41 +403,43 @@ def _grow(n_max: int, q: tuple[int, ...] | None = None, h=None):
         yield here, tuple([x + 1 for x in anc[2:]]), d, got
 
 
-def _check_members(
-    rec: Recorder, want: Callable, label: Callable, n_max: int, q=None, h=None
-) -> dict:
-    """Check every member (q, a, d, got) of _grow(n_max, q, h) for got == want(q),
-    with `label(q, a, got, want)` rendering a failure. Then certify the walk's
-    own enumeration, recording only failures: each family's member count (q's
-    even if none came) against the product formula and, without q, the members
-    of each order n = m + 2 against the ternary number C(3m, m) / (2m + 1).
-    Returns the members per family, in walk order."""
-    tally = {} if q is None else {q: 0}
-    for p, a, _, got in _grow(n_max, q, h):
-        tally[p] = tally.get(p, 0) + 1
-        w = want(p)
-        rec.check(got == w, lambda: label(p, a, got, w))
-    by_order = dict.fromkeys(range(2, n_max + 1), 0)
+def _check_members(rec: Recorder, want: dict, label: Callable, h=None) -> int:
+    """Check every member (q, a, d, got) of _grow(want, h) for got == want[q],
+    with `label(q, a, got, want[q])` rendering a failure. Then record each
+    family whose member count, 0 if the walk never reached it, is not the
+    product formula's. Returns the number of members walked."""
+    tally = dict.fromkeys(want, 0)
+    for p, a, _, got in _grow(want, h):
+        tally[p] += 1
+        rec.check(got == want[p], lambda: label(p, a, got, want[p]))
     for p, members in tally.items():
-        by_order[len(p)] += members
         expected = count_neighborhood_sequences(NonLeapingSequence(p))
         if members != expected:
             rec.check(False, f"q={p}: enumerated {members} members, expected {expected}")
-    for n, members in by_order.items() if q is None else ():
+    return sum(tally.values())
+
+
+def _every_family(rec: Recorder, n_max: int) -> list[tuple[int, ...]]:
+    """Every size sequence of order 2..n_max. Records each order n whose families'
+    product-formula counts do not sum to the ternary number C(3m, m) / (2m + 1), m = n - 2."""
+    families = []
+    for n in range(2, n_max + 1):
+        order = list(iter_nonleaping_sequences(n))
+        members = sum(map(count_neighborhood_sequences, order))
         expected = comb(3 * n - 6, n - 2) // (2 * n - 3)
         if members != expected:
             rec.check(False, f"order {n}: {members} members in all families, expected {expected}")
-    return tally
+        families += (s.q for s in order)
+    return families
 
 
 def _suite_congruence(rec: Recorder, rng, scale) -> dict:
-    n_max = scale if scale is not None else 8
-    tally = _check_members(
+    want = dict.fromkeys(_every_family(rec, scale if scale is not None else 8), True)
+    members = _check_members(
         rec,
-        lambda q: True,
+        want,
         lambda q, a, *_: f"congruence broken for q={q} anchors={a}",
-        n_max,
-        h=lambda q: reduced_graph(NonLeapingSequence(q)).adjacency_matrix(),
+        lambda q: reduced_graph(NonLeapingSequence(q)).adjacency_matrix(),
     )
     random_checks = 100
     for _ in range(random_checks):
@@ -439,60 +449,50 @@ def _suite_congruence(rec: Recorder, rng, scale) -> dict:
             member_reduces(ns, reduced_graph(s).adjacency_matrix()),
             lambda: f"congruence broken for q={s.q} anchors={ns.anchors}",
         )
-    return {"families": len(tally), "members": sum(tally.values()), "random_members": random_checks}
+    return {"families": len(want), "members": members, "random_members": random_checks}
 
 
 def _suite_constancy(rec: Recorder, rng, scale) -> dict:
-    n_max = scale if scale is not None else 8
-    tally = _check_members(
-        rec,
-        cache(lambda q: family_invariants(NonLeapingSequence(q))),
-        lambda q, a, got, want: f"invariants vary within q={q}: anchors={a} give {got},"
-        f" family says {want}",
-        n_max,
-    )
-    return {"families": len(tally), "members": sum(tally.values())}
+    families = _every_family(rec, scale if scale is not None else 8)
+    want = {q: family_invariants(NonLeapingSequence(q)) for q in families}
+    members = _check_members(rec, want, lambda q, a, got, w: (
+        f"invariants vary within q={q}: anchors={a} give {got}, family says {w}"
+    ))
+    return {"families": len(want), "members": members}
 
 
 def _suite_cp2(rec: Recorder, rng, scale) -> dict:
     m_max = scale if scale is not None else 4
-    specs = [CliquePathSpec(p) for m in range(m_max + 1) for p in product((3, 4, 5), repeat=m)]
-    members = 0
-    for spec in specs:
-        want = cp2_invariants(spec)
-        s = expand_clique_path_spec(spec)
-        rec.check(
-            family_invariants(s) == want,
-            f"reduced-graph invariants disagree with the closed form for 2:{spec.p}",
-        )
-        members += _check_members(
-            rec,
-            lambda _: want,
-            lambda q, a, got, _: f"2:{spec.p} anchors={a}: {got} differs from closed form {want}",
-            s.n,
-            s.q,
-        )[s.q]
-    return {"specs": len(specs), "members": members}
+    want, specs = {}, {}  # per family: its closed form and its clique sizes
+    for m in range(m_max + 1):
+        for p in product((3, 4, 5), repeat=m):
+            spec = CliquePathSpec(p)
+            s = expand_clique_path_spec(spec)
+            want[s.q], specs[s.q] = cp2_invariants(spec), p
+            rec.check(
+                family_invariants(s) == want[s.q],
+                f"reduced-graph invariants disagree with the closed form for 2:{p}",
+            )
+    members = _check_members(rec, want, lambda q, a, got, w: (
+        f"2:{specs[q]} anchors={a}: {got} differs from closed form {w}"
+    ))
+    return {"specs": len(want), "members": members}
 
 
 def _suite_linear_2tree(rec: Recorder, rng, scale) -> dict:
     n_max = scale if scale is not None else 10
-    members = 0
+    want = {}
     for n in range(4, n_max + 1):
         spec = CliquePathSpec((3,) * (n - 2))
-        want = linear_2tree_invariants(n)
+        q = expand_clique_path_spec(spec).q
+        want[q] = linear_2tree_invariants(n)
         rec.check(
-            cp2_invariants(spec) == want,
+            cp2_invariants(spec) == want[q],
             f"linear 2-tree closed form disagrees with 2-clique-path form at n={n}",
         )
-        s = expand_clique_path_spec(spec)
-        members += _check_members(
-            rec,
-            lambda _: want,
-            lambda q, a, got, _: f"linear 2-tree n={n} anchors={a}: {got} differs from {want}",
-            n,
-            s.q,
-        )[s.q]
+    members = _check_members(rec, want, lambda q, a, got, w: (
+        f"linear 2-tree n={len(q)} anchors={a}: {got} differs from {w}"
+    ))
     return {"orders": list(range(4, n_max + 1)), "members": members}
 
 

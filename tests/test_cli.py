@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpgraphs import addressing, cli, suites
+from cpgraphs import addressing, cli, sequences, suites
 from cpgraphs.addressing import AddressScheme
 from cpgraphs.cli import build_parser, main, parse_graph_input
 from cpgraphs.graphs import LabeledGraph, path_graph
@@ -152,6 +152,31 @@ def test_vertex_cap_of_graph_distance(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "graph", "blocks", str(p))
     assert (code, out) == (3, "")
     assert err == "resource limit: order 1000000000 is above the 4-vertex cap of graph blocks\n"
+
+
+def test_vertex_cap_before_shorthand_expansion(capsys, monkeypatch, tmp_path):
+    # 2:3000000 is one clique on 3 000 000 vertices: the cap trips on the shorthand
+    monkeypatch.setattr(sequences, "expand_clique_path_spec", None)
+    base = tmp_path / "edge.edges"
+    base.write_text("1 2\n")
+    over = ",".join(map(str, range(cli.MAX_VERTICES + 1)))
+    for command, argv in (
+        ("graph build", ["graph", "build", "2:3000000"]),
+        ("graph attach", ["graph", "attach", str(base), "--edge", "1,2", "--cp-seq", "2:3000000"]),
+        ("invariants", ["invariants", "--seq", "2:3000000"]),
+        ("reduce matrix", ["reduce", "matrix", "2:3000000"]),
+        ("reduce verify", ["reduce", "verify", "2:3000000"]),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"resource limit: order 3000000 is above the 256-vertex cap of {command}\n"
+    for command, argv in (
+        ("graph build", ["graph", "build", over]),
+        ("graph attach", ["graph", "attach", str(base), "--edge", "1,2", "--cp-seq", over]),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"resource limit: order 257 is above the 256-vertex cap of {command}\n"
 
 
 def test_vertex_cap_of_reduce(capsys, monkeypatch):

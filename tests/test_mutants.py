@@ -15,7 +15,8 @@ import pytest
 
 from cpgraphs import addressing, sequences, suites
 from cpgraphs.graphs import complete_graph, cycle_graph, path_graph
-from cpgraphs.sequences import NonLeapingSequence
+from cpgraphs.reduction import reduced_graph
+from cpgraphs.sequences import NonLeapingSequence, iter_nonleaping_sequences
 
 
 def load(module, source):
@@ -38,11 +39,27 @@ def member_suites_pass(mod):
     return all(mod.run_suite(name, scale=8).ok for name in ("constancy", "congruence"))
 
 
+def listed_walks_pass(mod):
+    """The walks over short family lists, run from `mod`, a suites module: the
+    linear 2-trees, whose list leaves out their prefix (0, 1, 2); the 2-clique
+    paths of up to two cliques, whose nodes take up to three next sizes; and
+    one family, each prefix of which reads the family's reduced graph."""
+    s = NonLeapingSequence((0, 1, 2, 2, 2, 2, 3, 3))
+    h = reduced_graph(s).adjacency_matrix()
+    verdicts = [ok for *_, ok in mod._grow([s.q], lambda _: h)]
+    return (
+        mod.run_suite("linear-2tree", scale=6).ok
+        and mod.run_suite("cp2-formulas", scale=2).ok
+        and verdicts == [True] * 16
+    )
+
+
 def enumeration_matches_the_walk(mod):
     """The enumerator of `mod`, a sequences module, lists each family with
     n <= 8 as the suites' walk grows it: the same members in the same order."""
     walked = {}
-    for q, a, _, _ in suites._grow(8):
+    families = [s.q for n in range(2, 9) for s in iter_nonleaping_sequences(n)]
+    for q, a, _, _ in suites._grow(families):
         walked.setdefault(q, []).append(a)
     return len(walked) == 197 and all(
         [ns.anchors for ns in mod.enumerate_neighborhood_sequences(NonLeapingSequence(q))] == a
@@ -124,6 +141,24 @@ MUTANTS = {
         "elif False:",
         member_suites_pass,
     ),
+    "walk: members of prefixes that are not listed yielded": (
+        suites,
+        "        if reads[here] != here:  # not listed\n            continue\n",
+        "",
+        listed_walks_pass,
+    ),
+    "walk: h read from the node's own prefix, not its listed family": (
+        suites,
+        "fam = reads[here]",
+        "fam = here",
+        listed_walks_pass,
+    ),
+    "walk: only the smallest next size kept": (
+        suites,
+        "sizes = {p: sorted(s) for p, s in sizes.items()}",
+        "sizes = {p: sorted(s)[:1] for p, s in sizes.items()}",
+        listed_walks_pass,
+    ),
     "enumeration: every fourth member dropped": (
         sequences,
         "    while True:\n        yield NeighborhoodSequence._of(base, tuple(anchors))\n",
@@ -198,6 +233,7 @@ EQUIVALENT = {
 
 @pytest.mark.parametrize("check, module", [
     (member_suites_pass, suites),
+    (listed_walks_pass, suites),
     (enumeration_matches_the_walk, sequences),
     (layout_is_bfs_order, addressing),
     (searches_match_the_oracle, addressing),

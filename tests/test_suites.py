@@ -9,16 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_graphs import degree, neighbors
 
-from cpgraphs import linalg, suites
+from cpgraphs import cli, linalg, suites
 from cpgraphs.errors import InputError
 from cpgraphs.formulas import GraphInvariants, distance_invariants, tree_invariants
 from cpgraphs.linalg import Inertia, determinant
 from cpgraphs.reduction import reduced_graph
 from cpgraphs.sequences import (
+    CliquePathSpec,
     NeighborhoodSequence,
     NonLeapingSequence,
     count_neighborhood_sequences,
     enumerate_neighborhood_sequences,
+    expand_clique_path_spec,
+    iter_nonleaping_sequences,
 )
 from cpgraphs.suites import (
     Recorder,
@@ -348,6 +351,7 @@ def test_lossy_enumeration_fails_the_member_suites(monkeypatch, suite, scale):
 
 @pytest.mark.parametrize("suite, passed", [("congruence", 105), ("constancy", 5)])
 def test_missing_family_fails_the_order_total(monkeypatch, suite, passed):
+    # the list still holds the family, so its count of 0 fails, not the order total
     assert run_suite(suite, scale=4).passed == passed
     real = suites._grow
     monkeypatch.setattr(
@@ -356,17 +360,35 @@ def test_missing_family_fails_the_order_total(monkeypatch, suite, passed):
     r = run_suite(suite, scale=4)
     # the family's two members are neither checked nor counted
     assert r.passed == passed - 2
+    assert r.failures == ["q=(0, 1, 2, 2): enumerated 0 members, expected 2"]
+
+
+@pytest.mark.parametrize("suite, passed", [("congruence", 105), ("constancy", 5)])
+def test_family_missing_from_the_list_fails_the_order_total(monkeypatch, suite, passed):
+    real = suites.iter_nonleaping_sequences
+    monkeypatch.setattr(
+        suites,
+        "iter_nonleaping_sequences",
+        lambda n: (s for s in real(n) if s.q != (0, 1, 2, 2)),
+    )
+    r = run_suite(suite, scale=4)
+    # its children are still listed, so the walk passes through it unchecked
+    assert r.passed == passed - 2
     assert r.failures == ["order 4: 1 members in all families, expected 3"]
 
 
-def walk_matches_members(n_max, q=None, limit=None):
-    """The walk `_grow(n_max, q)` against the per-member path on its first
+def every_family(n_max):
+    return [s.q for n in range(2, n_max + 1) for s in iter_nonleaping_sequences(n)]
+
+
+def walk_matches_members(families, limit=None):
+    """The walk `_grow(families)` against the per-member path on its first
     `limit` members: each family's members in the enumerator's order, same
     D, same invariants, same congruence verdict. Returns the number of
     members compared."""
     h = cache(lambda p: reduced_graph(NonLeapingSequence(p)).adjacency_matrix())
     by_family = {}
-    walks = islice(zip(suites._grow(n_max, q), suites._grow(n_max, q, h)), limit)
+    walks = islice(zip(suites._grow(families), suites._grow(families, h)), limit)
     for (q1, a1, d1, inv), (q2, a2, d2, ok) in walks:
         ns = NeighborhoodSequence(NonLeapingSequence(q1), a1)
         g = build_cp_graph(ns)
@@ -382,14 +404,52 @@ def walk_matches_members(n_max, q=None, limit=None):
 
 
 def test_walk_matches_every_member_up_to_order_8():
-    assert walk_matches_members(8) == 1773
-    assert list(suites._grow(0)) == list(suites._grow(1)) == []
+    assert walk_matches_members(every_family(8)) == 1773
+    assert list(suites._grow([])) == []
+
+
+def test_walk_yields_the_listed_families_only():
+    cp2 = [
+        expand_clique_path_spec(CliquePathSpec(p)).q
+        for m in range(5)
+        for p in product((3, 4, 5), repeat=m)
+    ]
+    loose = [(0, 1, 2, 2, 3), (0, 1, 2, 3, 3, 2)]  # no prefix of either is listed
+    loose_members = sum(count_neighborhood_sequences(NonLeapingSequence(q)) for q in loose)
+    for families, members in ((cp2, 2461), (loose, loose_members)):
+        walked = [(q, a) for q, a, _, _ in suites._grow(families)]
+        assert len(walked) == len(set(walked)) == members
+        by_family = {}
+        for q, a in walked:
+            by_family.setdefault(q, []).append(a)
+        assert sorted(by_family) == sorted(families)
+        for q, anchors in by_family.items():
+            family = enumerate_neighborhood_sequences(NonLeapingSequence(q))
+            assert anchors == [ns.anchors for ns in family]
+
+
+def test_walk_calls_h_once_per_listed_family(monkeypatch, capsys):
+    calls = []
+
+    def counting(real):
+        def grow(families, h=None):
+            return real(families, lambda q: calls.append(q) or h(q))
+        return grow
+
+    monkeypatch.setattr(suites, "_grow", counting(suites._grow))
+    assert run_suite("congruence", scale=8).ok
+    assert sorted(calls) == sorted(every_family(8))
+    calls.clear()
+    monkeypatch.setattr(cli, "_grow", counting(cli._grow))
+    assert cli.main(["reduce", "verify", "0,1,2,2,2,2,3,3"]) == 0
+    assert calls == [(0, 1, 2, 2, 2, 2, 3, 3)]
+    capsys.readouterr()
 
 
 def test_walk_is_not_bounded_by_the_recursion_limit():
     s = NonLeapingSequence((0, 1) + (2,) * sys.getrecursionlimit())
     h = reduced_graph(s).adjacency_matrix()
-    q, a, d, ok = next(suites._grow(s.n, s.q, lambda _: h))
+    q, a, d, ok = next(suites._grow([s.q], lambda _: h))
     assert (q, a, len(d), ok) == (s.q, (1,) * (s.n - 2), s.n, True)
 
 
@@ -397,7 +457,7 @@ def test_walk_is_not_bounded_by_the_recursion_limit():
 @given(st.integers(2, 40), st.integers(0, 2**32))
 def test_walk_matches_random_families(n, seed):
     s = random_nonleaping(random.Random(seed), n)
-    assert walk_matches_members(n, s.q, 64) == min(64, count_neighborhood_sequences(s))
+    assert walk_matches_members([s.q], 64) == min(64, count_neighborhood_sequences(s))
 
 
 @pytest.mark.parametrize("last", [2, 3, 4])
@@ -405,10 +465,10 @@ def test_walk_falls_back_below_a_zero_leading_minor(last):
     # D_7 = 0 in every member, so pivot 6 is zero before the last one; with
     # last = 3, det = D_8 = 0 as well
     s = NonLeapingSequence((0, 1, 2, 3, 3, 4, 3, last))
-    for _, _, d, inv in suites._grow(8, s.q):
+    for _, _, d, inv in suites._grow([s.q]):
         assert determinant(IntMatrix.from_rows(d).leading(7)) == 0
         assert (inv.det == 0) == (last == 3)
-    assert walk_matches_members(8, s.q) == count_neighborhood_sequences(s)
+    assert walk_matches_members([s.q]) == count_neighborhood_sequences(s)
 
 
 def test_walk_verdict_on_wrong_targets():
@@ -422,6 +482,6 @@ def test_walk_verdict_on_wrong_targets():
     first[0][0] += 1  # column 0, which no vertex's step compares
     for rows in (lower, corner, first, [r[:5] for r in h[:5]]):
         wrong = IntMatrix.from_rows(rows)
-        verdicts = [ok for *_, ok in suites._grow(6, s.q, lambda _: wrong)]
+        verdicts = [ok for *_, ok in suites._grow([s.q], lambda _: wrong)]
         assert verdicts == [member_reduces(ns, wrong) for ns in enumerate_neighborhood_sequences(s)]
         assert not any(verdicts)
