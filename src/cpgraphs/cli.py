@@ -144,11 +144,17 @@ def _cap_vertices(n: int, command: str) -> None:
         raise OverCap(f"order {n} is above the {MAX_VERTICES}-vertex cap of {command}")
 
 
+def _cap_shorthand(text: str, command: str) -> None:
+    """Check the order of `text`, if it is clique-path shorthand, against the
+    vertex cap of `command` before it is expanded. Plain literals pass."""
+    if ":" in text:
+        _cap_vertices(parse_spec_literal(text).n, command)
+
+
 def _capped_sequence(text: str, command: str) -> NonLeapingSequence:
     """The sequence literal `text`, with its order checked against the vertex
     cap of `command`, for clique-path shorthand before it is expanded."""
-    if ":" in text:
-        _cap_vertices(parse_spec_literal(text).n, command)
+    _cap_shorthand(text, command)
     s = parse_sequence_literal(text)
     _cap_vertices(s.n, command)
     return s
@@ -166,6 +172,7 @@ def _report(command: str, inputs: dict, results: dict, **extra) -> dict:
 def _cmd_seq_validate(args) -> tuple[dict, int]:
     inputs = {"sequence": args.sequence}
     try:
+        _cap_shorthand(args.sequence, "seq validate")
         s = parse_sequence_literal(args.sequence)
     except (LengthTooShort, HeadMismatch, LeapViolation, PartTooSmall) as e:
         return _report("seq validate", inputs, {"ok": False, "reason": str(e)}), 1
@@ -175,12 +182,14 @@ def _cmd_seq_validate(args) -> tuple[dict, int]:
 
 def _cmd_seq_expand(args) -> tuple[dict, int]:
     spec = parse_spec_literal(args.spec)
+    _cap_vertices(spec.n, "seq expand")
     s = expand_clique_path_spec(spec)
     results = {"p": list(spec.p), "q": list(s.q), "b": list(s.b), "n": s.n}
     return _report("seq expand", {"spec": args.spec}, results), 0
 
 
 def _cmd_family_enumerate(args) -> tuple[dict, int]:
+    _cap_shorthand(args.sequence, "family enumerate")
     s = parse_sequence_literal(args.sequence)
     total = count_neighborhood_sequences(s)
     total_text = _decimal(total)
@@ -198,6 +207,7 @@ def _cmd_family_enumerate(args) -> tuple[dict, int]:
 
 
 def _cmd_family_count(args) -> tuple[dict, int]:
+    _cap_shorthand(args.sequence, "family count")
     s = parse_sequence_literal(args.sequence)
     results = {"q": list(s.q), "members": _decimal(count_neighborhood_sequences(s))}
     return _report("family count", {"sequence": args.sequence}, results), 0
@@ -255,6 +265,7 @@ def _cmd_graph_attach(args):
 
 
 def _cmd_reduce_graph(args):
+    _cap_shorthand(args.sequence, "reduce graph")
     s = parse_sequence_literal(args.sequence)
     h = reduced_graph(s)
     if args.dot:

@@ -2,10 +2,11 @@
 
 Each suite replays one verifiable claim about the library at desk scale:
 exhaustive where the instance space is small (all families up to n = 8, all
-labeled trees up to n = 7, where each leaf-growth shape of a Pruefer code is
-eliminated once), seeded-random where it is not. Each suite that checks every
-member of the families it lists (and `reduce verify`) makes one walk over the
-tree of their prefixes, growing each member from its parent (see _grow).
+labeled trees up to n = 7, where every Pruefer code is decoded and checked but
+one tree per rooted isomorphism class is eliminated), seeded-random where it
+is not. Each suite that checks every member of the families it lists (and
+`reduce verify`) makes one walk over the tree of their prefixes, growing each
+member from its parent (see _grow).
 Suites are pure given (seed, scale), so reports are reproducible byte for
 byte apart from the wall time.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from itertools import product
 from math import comb
 from typing import Callable
@@ -197,22 +197,40 @@ def pruefer_growth(n: int, code: tuple[int, ...]) -> tuple[tuple[int, ...], tupl
 
 
 def _pruefer_growth(n: int, code: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """pruefer_growth without the input check, for codes the trees suite builds itself."""
+    """pruefer_growth without the input check, for codes the trees suite builds itself.
+
+    The linear-time decode: each step removes the smallest leaf. That is the
+    pointer `ptr`, the smallest leaf not yet passed, unless the code vertex
+    just freed is a leaf below it; then that one goes at once. The leaf
+    removed at step i takes growth position n - 1 - i.
+    """
     if n == 1:
         return (1,), ()
-    deg = [1] * (n + 1)
+    deg = [0] + [1] * n
     for v in code:
         deg[v] += 1
-    leaves = [v for v in range(1, n + 1) if deg[v] == 1]  # ascending, so a heap
-    removed = []
-    for v in code:
-        removed.append(heappop(leaves))
+    order, pos = [n] * n, [0] * (n + 1)
+    leaf = ptr = deg.index(1)
+    for j, v in zip(range(n - 1, 1, -1), code):
+        order[j], pos[leaf] = leaf, j
         deg[v] -= 1
-        if deg[v] == 1:
-            heappush(leaves, v)
-    order = (n, leaves[0], *reversed(removed))  # the two survivors are leaves[0] < n
-    pos = dict(zip(order, range(n)))
-    return order, tuple(map(pos.__getitem__, (n, *reversed(code))))
+        if deg[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            leaf = ptr = deg.index(1, ptr + 1)
+    order[1], pos[leaf] = leaf, 1  # the two survivors are leaf < n
+    return tuple(order), (0, *[pos[v] for v in reversed(code)])
+
+
+def _rooted_class(parents: tuple[int, ...]) -> tuple:
+    """The canonical form of the growth tree `parents` rooted at position 0: each
+    vertex's key is the sorted tuple of its children's keys (Aho, Hopcroft and
+    Ullman, 1974). Equal keys mean isomorphic rooted trees. As parents[j - 1] < j,
+    descending j meets every vertex after all its children."""
+    kids = [[] for _ in range(len(parents) + 1)]
+    for j in range(len(parents), 0, -1):
+        kids[parents[j - 1]].append(tuple(sorted(kids[j])))
+    return tuple(sorted(kids[0]))
 
 
 def tree_from_pruefer(n: int, code: tuple[int, ...]) -> LabeledGraph:
@@ -515,7 +533,9 @@ def _suite_trees(rec: Recorder, rng, scale) -> dict:
     n_max = scale if scale is not None else 7
     orders = list(range(2, n_max + 1))
     trees = 0
-    by_shape = {}  # a shape fixes the tree up to relabelling, so it is eliminated once
+    # a shape fixes the tree up to relabelling and a rooted class up to
+    # isomorphism, so each class is eliminated once
+    by_shape, by_class = {}, {}
     for n in orders:
         want = tree_invariants(n)
         composed = compose_blocks([(-1, -2)] * (n - 1))
@@ -528,7 +548,11 @@ def _suite_trees(rec: Recorder, rng, scale) -> dict:
             shape = _pruefer_growth(n, code)[1]
             got = by_shape.get(shape)
             if got is None:
-                got = by_shape[shape] = distance_invariants(tree_from_pruefer(n, code))
+                key = _rooted_class(shape)
+                got = by_class.get(key)
+                if got is None:
+                    got = by_class[key] = distance_invariants(tree_from_pruefer(n, code))
+                by_shape[shape] = got
             rec.check(got == want, lambda: f"tree code={code}: {got} != {want}")
     return {"orders": orders, "trees": trees}
 

@@ -179,6 +179,24 @@ def test_vertex_cap_before_shorthand_expansion(capsys, monkeypatch, tmp_path):
         assert err == f"resource limit: order 257 is above the 256-vertex cap of {command}\n"
 
 
+@pytest.mark.parametrize("command", [
+    "seq validate", "seq expand", "family count", "family enumerate", "reduce graph",
+])
+def test_vertex_cap_of_shorthand_in_sequence_commands(capsys, monkeypatch, command):
+    # the shorthand's order is read before expansion; plain literals stay uncapped
+    monkeypatch.setattr(sequences, "expand_clique_path_spec", None)
+    monkeypatch.setattr(cli, "expand_clique_path_spec", None)
+    code, out, err = run(capsys, *command.split(), "2:3000000")
+    assert (code, out) == (3, "")
+    assert err == f"resource limit: order 3000000 is above the 256-vertex cap of {command}\n"
+    monkeypatch.undo()
+    assert run(capsys, *command.split(), "2:257")[0] == 3  # 257 vertices
+    assert run_json(capsys, *command.split(), "2:256")[0] == 0
+    if command != "seq expand":
+        over = ",".join(map(str, range(cli.MAX_VERTICES + 1)))
+        assert run_json(capsys, *command.split(), over)[0] == 0
+
+
 def test_vertex_cap_of_reduce(capsys, monkeypatch):
     # 0, 1, 2, ..., n - 1 has a single member, so only the vertex cap stops it
     over = ",".join(map(str, range(cli.MAX_VERTICES + 1)))

@@ -12,6 +12,7 @@ import inspect
 import types
 
 import pytest
+from test_suites import ROOTED_TREES, all_codes, class_counts, heap_growth
 
 from cpgraphs import addressing, sequences, suites
 from cpgraphs.graphs import complete_graph, cycle_graph, path_graph
@@ -64,6 +65,15 @@ def enumeration_matches_the_walk(mod):
     return len(walked) == 197 and all(
         [ns.anchors for ns in mod.enumerate_neighborhood_sequences(NonLeapingSequence(q))] == a
         for q, a in walked.items()
+    )
+
+
+def trees_decode_and_classes(mod):
+    """The trees suite's decoder in `mod`, a suites module, matches the heap
+    oracle on every code with n <= 6, and its rooted-class key gives the
+    rooted-tree counts for n = 1..8."""
+    return class_counts(mod._rooted_class) == ROOTED_TREES and all(
+        mod._pruefer_growth(n, code) == heap_growth(n, code) for n, code in all_codes(6)
     )
 
 
@@ -159,6 +169,31 @@ MUTANTS = {
         "sizes = {p: sorted(s)[:1] for p, s in sizes.items()}",
         listed_walks_pass,
     ),
+    # suites._pruefer_growth and suites._rooted_class, under the trees suite
+    "trees decode: a freed code vertex above the pointer taken at once": (
+        suites,
+        "if deg[v] == 1 and v < ptr:",
+        "if deg[v] == 1:",
+        trees_decode_and_classes,
+    ),
+    "trees decode: the pointer's scan starts after the removed leaf, not the pointer": (
+        suites,
+        "deg.index(1, ptr + 1)",
+        "deg.index(1, leaf + 1)",
+        trees_decode_and_classes,
+    ),
+    "trees decode: the other survivor placed at the root's position": (
+        suites,
+        "order[1], pos[leaf] = leaf, 1",
+        "order[1], pos[leaf] = leaf, 0",
+        trees_decode_and_classes,
+    ),
+    "trees classes: children's keys left unsorted": (
+        suites,
+        "append(tuple(sorted(kids[j])))",
+        "append(tuple(kids[j]))",
+        trees_decode_and_classes,
+    ),
     "enumeration: every fourth member dropped": (
         sequences,
         "    while True:\n        yield NeighborhoodSequence._of(base, tuple(anchors))\n",
@@ -234,6 +269,7 @@ EQUIVALENT = {
 @pytest.mark.parametrize("check, module", [
     (member_suites_pass, suites),
     (listed_walks_pass, suites),
+    (trees_decode_and_classes, suites),
     (enumeration_matches_the_walk, sequences),
     (layout_is_bfs_order, addressing),
     (searches_match_the_oracle, addressing),

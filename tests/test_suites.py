@@ -2,6 +2,7 @@ import random
 import sys
 from dataclasses import replace
 from functools import cache
+from heapq import heappop, heappush
 from itertools import islice, product
 
 import pytest
@@ -280,6 +281,70 @@ def test_growth_shapes_of_small_trees():
     # vertex j of the growth order hangs from one of 0..j-1, and every choice occurs
     assert {n: len(s) for n, s in shapes.items()} == {2: 1, 3: 2, 4: 6, 5: 24, 6: 120, 7: 720}
     assert pruefer_growth(1, ()) == ((1,), ())
+
+
+def heap_growth(n, code):
+    """Oracle for pruefer_growth: pop the smallest leaf from a heap at each
+    step, then list n, the other survivor and the removed leaves backwards."""
+    if n == 1:
+        return (1,), ()
+    deg = [1] * (n + 1)
+    for v in code:
+        deg[v] += 1
+    leaves = [v for v in range(1, n + 1) if deg[v] == 1]  # ascending, so a heap
+    removed = []
+    for v in code:
+        removed.append(heappop(leaves))
+        deg[v] -= 1
+        if deg[v] == 1:
+            heappush(leaves, v)
+    order = (n, leaves[0], *reversed(removed))
+    pos = dict(zip(order, range(n)))
+    return order, tuple(map(pos.__getitem__, (n, *reversed(code))))
+
+
+def test_growth_matches_the_heap_decoder():
+    assert pruefer_growth(1, ()) == heap_growth(1, ())
+    for n, code in all_codes(8):
+        assert pruefer_growth(n, code) == heap_growth(n, code)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(2, 14).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2))
+))
+def test_growth_matches_the_heap_decoder_on_random_codes(case):
+    n, code = case
+    assert pruefer_growth(n, tuple(code)) == heap_growth(n, tuple(code))
+
+
+# rooted trees on n = 1..8 vertices up to isomorphism (OEIS A000081)
+ROOTED_TREES = (1, 1, 2, 4, 9, 20, 48, 115)
+
+
+def class_counts(key):
+    """The number of distinct `key`s of the growth shapes on n = 1..8 vertices,
+    where vertex j hangs from any of 0..j-1, so every rooted tree occurs."""
+    return tuple(
+        len(set(map(key, product(*(range(j) for j in range(1, n)))))) for n in range(1, 9)
+    )
+
+
+def test_rooted_classes_count_the_rooted_trees():
+    # the key is an isomorphism invariant, so matching counts mean it merges
+    # exactly the shapes that are isomorphic as trees rooted at position 0
+    assert class_counts(suites._rooted_class) == ROOTED_TREES
+
+
+def test_trees_suite_eliminates_one_tree_per_rooted_class(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        suites, "distance_invariants", lambda g: calls.append(g.n) or distance_invariants(g)
+    )
+    r = run_suite("trees")
+    assert (r.passed, r.failed, r.results["trees"]) == (18254, 0, 18248)
+    assert len(calls) == sum(ROOTED_TREES[1:7]) == 84
+    assert [calls.count(n) for n in range(2, 8)] == list(ROOTED_TREES[1:7])
 
 
 def shape_twin(n, parents):
