@@ -148,8 +148,9 @@ def _layout(g: LabeledGraph) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[in
 class _Words:
     """What the length-d search needs of the words alone: full (every word),
     digit (_digit_masks(d)), pair_in_order[p] (the words whose digits at p
-    and p + 1 are in order), and seen and in_order, the memos of word_info
-    and keeps_order, filled in as searches ask."""
+    and p + 1 are in order), no_one (the words without a digit 1), and seen
+    and in_order, the memos of word_info and keeps_order, filled in as
+    searches ask."""
 
     def __init__(self, d: int):
         self.d = d
@@ -159,6 +160,7 @@ class _Words:
             reduce(or_, (digit[p][x] & digit[p + 1][y] for x in range(3) for y in range(x, 3)))
             for p in range(d - 1)
         ]
+        self.no_one = self.full & ~reduce(or_, (digit[p][1] for p in range(d)), 0)
         # graph distances reach MAX_VERTICES - 1, and one above d selects no word
         self.pad = [0] * max(MAX_VERTICES - 1 - d, 0)
         self.in_order: dict[int, int] = {}
@@ -205,9 +207,18 @@ def search_scheme(
     """Exhaustive search for a valid length-d scheme; None means none exists.
 
     Vertices are assigned in BFS order, each trying the 3^d words in
-    lexicographic order. Symmetry breaking: the columns of the growing
-    address matrix must stay lexicographically nondecreasing, which keeps
-    one representative per column permutation without losing any scheme.
+    lexicographic order. Symmetry breaking, without losing any scheme:
+    the columns of the growing address matrix must stay lexicographically
+    nondecreasing, which keeps one representative per column permutation;
+    and the first vertex's word holds no digit 1, which breaks the column
+    complements. Complementing a column (0 <-> 1) keeps every word distance,
+    so any valid scheme can have the columns where the first word holds a 1
+    complemented and its columns re-sorted, leaving that word in {0, *}.
+    With sorted columns the first word is 0^a 1^b *^c; for b > 0 that move
+    gives a valid scheme whose first word 0^(a+b) *^c is lexicographically
+    smaller. So the scheme returned, the lexicographically first sorted
+    one, never has a 1 in its first word, and the words skipped lead
+    nowhere: the answer is the one the column sort alone gives.
 
     A vertex's candidates are a bitmask over word indices: the AND, over the
     vertices already assigned, of the words at the right distance from each
@@ -287,7 +298,7 @@ def search_scheme(
         return False
 
     ties = (1 << max(d - 1, 0)) - 1
-    if not extend(0, ties, keeps_order(ties)):
+    if not extend(0, ties, keeps_order(ties) & words.no_one):
         return None
     by_label = [""] * g.n
     for v, i in zip(order, reversed(found)):

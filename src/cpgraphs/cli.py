@@ -125,9 +125,22 @@ def _decimal(count: int) -> str:
 # a 256-vertex path take about 3 s, and that time grows faster than n^3.
 MAX_MEMBERS = 2**16
 MAX_VERTICES = 256
-# The largest scale of each exponentially growing suite: the largest run the
-# docs record (up to about 50 s); each step past it at least doubles the work.
-SCALE_CAPS = {"congruence": 11, "constancy": 11, "cp2-formulas": 6, "linear-2tree": 20, "trees": 9}
+# The largest scale of each suite whose work grows with it. For the
+# exponentially growing ones, the largest run the docs record (up to about
+# 50 s); each step past it at least doubles the work. For the rest, a run of
+# about 20-30 s: weighted-path 600 (one elimination per order up to the
+# scale, 27 s), attach 50 000 pairs (25 s), linalg-crossval 50 000 matrices
+# (20 s). Every cap is at least 6, so `check all` keeps the cap 6.
+SCALE_CAPS = {
+    "congruence": 11,
+    "constancy": 11,
+    "cp2-formulas": 6,
+    "linear-2tree": 20,
+    "trees": 9,
+    "weighted-path": 600,
+    "attach": 50_000,
+    "linalg-crossval": 50_000,
+}
 
 
 class OverCap(ResourceLimit):
@@ -193,9 +206,10 @@ def _cmd_family_enumerate(args) -> tuple[dict, int]:
     s = parse_sequence_literal(args.sequence)
     total = count_neighborhood_sequences(s)
     total_text = _decimal(total)
-    if args.limit is None:
-        _cap_members(total, "pass --limit to list some of them")
-    members = [list(ns.anchors) for ns in enumerate_neighborhood_sequences(s, limit=args.limit)]
+    # the members listed, which also keeps islice's stop within sys.maxsize
+    shown = total if args.limit is None else min(args.limit, total)
+    _cap_members(shown, f"pass a --limit of at most {MAX_MEMBERS} to list some of them")
+    members = [list(ns.anchors) for ns in enumerate_neighborhood_sequences(s, limit=shown)]
     results = {
         "q": list(s.q),
         "count": len(members),

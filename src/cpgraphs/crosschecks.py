@@ -101,8 +101,15 @@ def brute_search_scheme(
 ) -> AddressScheme | None:
     """search_scheme's answer, node count and budget, one candidate at a time.
 
-    Same BFS vertex order, lexicographic word order and column-sort symmetry
-    break; each word scanned counts one node, whether it is rejected or not.
+    Same BFS vertex order, lexicographic word order and symmetry breaks:
+    the columns stay sorted, and the first vertex's word holds no 1.
+    Complementing a column keeps every word distance, so complementing the
+    columns where the first word holds a 1 and re-sorting turns a sorted
+    scheme whose first word is 0^a 1^b *^c, b > 0, into one whose first word
+    0^(a+b) *^c comes earlier; so the first scheme found never has such a
+    first word, and skipping them loses no scheme and changes no answer.
+    Each word scanned counts one node, whether it is rejected or not, so a
+    first word with a 1 counts before it is skipped.
     """
     if g.n > MAX_VERTICES:
         raise TooLarge(f"{g.n} vertices exceeds the guard of {MAX_VERTICES}")
@@ -147,7 +154,7 @@ def brute_search_scheme(
                 word_dist(assigned[pos], cand) == dist.rows[order[pos] - 1][v - 1]
                 for pos in range(t)
             )
-            if not ok or not columns_stay_sorted(cand):
+            if not ok or (t == 0 and 1 in cand) or not columns_stay_sorted(cand):
                 continue
             assigned.append(cand)
             found = extend(t + 1)

@@ -68,6 +68,17 @@ def test_family_enumerate_negative_limit(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_family_enumerate_limit_beyond_sys_maxsize(capsys):
+    huge = str(10**20)
+    assert int(huge) > sys.maxsize
+    code, out, err = run(capsys, "family", "enumerate", "2:3,4", "--limit", huge)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["inputs"]["limit"] == 10**20
+    assert obj["results"]["anchors"] == [[1, 1, 1], [1, 2, 2]]
+    assert obj["results"]["truncated"] is False
+
+
 def test_family_enumerate_deeper_than_recursion_limit(capsys):
     n = sys.getrecursionlimit() + 500
     literal = ",".join(["0", "1"] + ["2"] * (n - 2))
@@ -104,6 +115,17 @@ def test_member_cap(capsys, monkeypatch):
     # --limit and --anchors bound the work themselves
     code, obj = run_json(capsys, "family", "enumerate", over, "--limit", "2")
     assert code == 0 and obj["results"]["count"] == 2
+    code, obj = run_json(capsys, "family", "enumerate", deep, "--limit", "10")
+    assert code == 0 and obj["results"]["count"] == 10
+    # a --limit above the cap is refused before any member is built, unless
+    # the family is smaller than the cap
+    with mock.patch.object(cli, "enumerate_neighborhood_sequences") as listed:
+        for family in (over, deep):
+            for limit in (cli.MAX_MEMBERS + 1, 10**18, 10**20):
+                assert_guard_tripped(capsys, "family", "enumerate", family, "--limit", str(limit))
+    assert not listed.called
+    code, obj = run_json(capsys, "family", "enumerate", "0,1,2,2,2", "--limit", str(10**18))
+    assert code == 0 and obj["results"]["count"] == 4
     code, obj = run_json(capsys, "reduce", "verify", over, "--anchors", ",".join(["1"] * 18))
     assert code == 0 and obj["results"]["members"] == 1
     # a family of exactly the cap still runs
@@ -111,9 +133,14 @@ def test_member_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_MEMBERS", 16)
     assert run_json(capsys, "family", "enumerate", sixteen)[1]["results"]["count"] == 16
     assert run_json(capsys, "reduce", "verify", sixteen)[1]["results"]["members"] == 16
+    listed = run_json(capsys, "family", "enumerate", sixteen, "--limit", "17")[1]["results"]
+    assert listed["count"] == 16
     monkeypatch.setattr(cli, "MAX_MEMBERS", 15)
     assert_guard_tripped(capsys, "family", "enumerate", sixteen)
     assert_guard_tripped(capsys, "reduce", "verify", sixteen)
+    assert_guard_tripped(capsys, "family", "enumerate", sixteen, "--limit", "16")
+    listed = run_json(capsys, "family", "enumerate", sixteen, "--limit", "15")[1]["results"]
+    assert listed["count"] == 15
 
 
 def test_vertex_cap_of_invariants(capsys, monkeypatch, tmp_path):

@@ -89,12 +89,12 @@ def layout_is_bfs_order(mod):
 # scheme it finds or None), counts as the slow oracle scans them; lengths 2
 # and 3 alternate, so each search of one length follows one of the other
 SEARCHES = (
-    (path_graph(4), 2, 225, None),
+    (path_graph(4), 2, 90, None),
     (path_graph(4), 3, 22, ("000", "001", "011", "111")),
     (complete_graph(3), 2, 9, ("00", "01", "1*")),
     (complete_graph(4), 3, 27, ("000", "001", "01*", "1**")),
-    (cycle_graph(5), 2, 225, None),
-    (cycle_graph(5), 3, 4671, None),
+    (cycle_graph(5), 2, 90, None),
+    (cycle_graph(5), 3, 1134, None),
 )
 
 
@@ -247,6 +247,18 @@ MUTANTS = {
         addressing,
         "words = _kept.get(d)",
         "words = next(iter(_kept.values()), None)",
+        searches_match_the_oracle,
+    ),
+    "search: the first vertex's words with a 1 scanned": (
+        addressing,
+        "keeps_order(ties) & words.no_one",
+        "keeps_order(ties)",
+        searches_match_the_oracle,
+    ),
+    "search: every vertex's words with a 1 skipped": (
+        addressing,
+        "        mask = self.full\n",
+        "        mask = self.no_one\n",  # loses P4's 000, 001, 011, 111
         searches_match_the_oracle,
     ),
 }
