@@ -13,7 +13,6 @@ Run: python3 demos/05_addressing.py
 from cpgraphs import (
     CliquePathSpec,
     NeighborhoodSequence,
-    addressing_lower_bound,
     all_pairs_distances,
     build_cp_graph,
     complete_graph,
@@ -22,7 +21,6 @@ from cpgraphs import (
     expand_clique_path_spec,
     inertia_congruence,
     path_graph,
-    search_scheme,
 )
 
 two_tree5 = build_cp_graph(
@@ -38,20 +36,18 @@ cases = [
     ("linear 2-tree on 5", two_tree5),
 ]
 
-for name, g in cases:
+def show(name, g):
+    """The inertia, exact_n's lower bound and minimum length, and its scheme."""
+    lb, scheme = exact_n(g)
     inertia = inertia_congruence(all_pairs_distances(g))
-    lb = addressing_lower_bound(inertia)
-    n_exact = exact_n(g)
-    scheme = search_scheme(g, n_exact)
-    print(f"{name}: inertia {inertia}, lower bound {lb}, minimum length {n_exact}")
-    assert scheme is not None
+    print(f"{name}: inertia {inertia}, lower bound {lb}, minimum length {scheme.d}")
     for v, word in enumerate(scheme.addresses, start=1):
         print(f"    vertex {v}: {word}")
+
+
+for name, g in cases:
+    show(name, g)
     print()
 
 # not every graph needs n - 1 symbols: the 4-cycle fits in 2
-c4 = cycle_graph(4)
-print(f"C4: inertia {inertia_congruence(all_pairs_distances(c4))}, minimum length {exact_n(c4)}")
-scheme = search_scheme(c4, exact_n(c4))
-for v, word in enumerate(scheme.addresses, start=1):
-    print(f"    vertex {v}: {word}")
+show("C4", cycle_graph(4))

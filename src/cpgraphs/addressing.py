@@ -145,30 +145,31 @@ def _layout(g: LabeledGraph) -> tuple[IntMatrix, tuple[int, ...], tuple[tuple[in
     return dist, order, earlier
 
 
-class _Words:
-    """What the length-d search needs of the words alone: full (every word),
-    digit (_digit_masks(d)), pair_in_order[p] (the words whose digits at p
-    and p + 1 are in order), no_one (the words without a digit 1), and seen
-    and in_order, the memos of word_info and keeps_order, filled in as
-    searches ask."""
+class _Words(dict):
+    """The length-d search's word tables. Item i is word i's (ties, masks),
+    built the first time a search asks for it: its tied adjacent column pairs
+    (bit p: p, p + 1), and masks[k], the words at word distance k from it,
+    for k up to MAX_VERTICES - 1. Beside them: full (every word), digit
+    (_digit_masks(d)), no_one (the words without a digit 1) and in_order[t]
+    (the words that keep each tied adjacent column pair of t in order)."""
 
     def __init__(self, d: int):
+        super().__init__()
         self.d = d
         self.full = (1 << 3**d) - 1
         self.digit = digit = _digit_masks(d)
-        self.pair_in_order = [
-            reduce(or_, (digit[p][x] & digit[p + 1][y] for x in range(3) for y in range(x, 3)))
-            for p in range(d - 1)
-        ]
         self.no_one = self.full & ~reduce(or_, (digit[p][1] for p in range(d)), 0)
+        # in_order[t + 2^p] adds the pair (p, p + 1) to in_order[t], t < 2^p
+        self.in_order = in_order = [self.full]
+        for p in range(d - 1):
+            pair_in_order = reduce(
+                or_, (digit[p][x] & digit[p + 1][y] for x in range(3) for y in range(x, 3))
+            )
+            in_order += [mask & pair_in_order for mask in in_order]
         # graph distances reach MAX_VERTICES - 1, and one above d selects no word
         self.pad = [0] * max(MAX_VERTICES - 1 - d, 0)
-        self.in_order: dict[int, int] = {}
-        self.seen: dict[int, tuple[int, list[int]]] = {}
 
-    def word_info(self, i: int) -> tuple[int, list[int]]:
-        """Word i's tied adjacent column pairs (bit p: p, p + 1), and masks[k]:
-        the words at word distance k from word i, for k up to MAX_VERTICES - 1."""
+    def __missing__(self, i: int) -> tuple[int, list[int]]:
         d, digit = self.d, self.digit
         w = _word(i, d)
         ties = sum(1 << p for p in range(d - 1) if w[p] == w[p + 1])
@@ -180,17 +181,8 @@ class _Words:
             for k in range(d, 0, -1):
                 masks[k] = (masks[k] & near) | (masks[k - 1] & far)
             masks[0] &= near
-        info = self.seen[i] = (ties, masks + self.pad)
+        info = self[i] = (ties, masks + self.pad)
         return info
-
-    def keeps_order(self, ties: int) -> int:
-        """Words that keep each tied adjacent column pair (bit p: p, p + 1) in order."""
-        mask = self.full
-        for p in range(self.d - 1):
-            if ties >> p & 1:
-                mask &= self.pair_in_order[p]
-        self.in_order[ties] = mask
-        return mask
 
 
 # The tables of the lengths below MAX_VERTICES, shared by every search of
@@ -223,19 +215,20 @@ def search_scheme(
     A vertex's candidates are a bitmask over word indices: the AND, over the
     vertices already assigned, of the words at the right distance from each
     one's word, and of the words that keep every tied adjacent column pair
-    in order (memoized per set of tied pairs). A word's distance masks and
-    tied pairs are built the first time any search of length d needs them,
-    and are kept with the other length-d tables for later searches when d is
-    below MAX_VERTICES (see _kept). The assigned words' mask lists sit on a
-    stack, padded with 0 up to distance MAX_VERTICES - 1 so that a graph
-    distance above d selects no word, and each vertex's distances to the
-    vertices before it are listed once per graph. A vertex's candidates are
-    found before it is entered, so a vertex with none is counted without a
-    call. The set bits are walked in increasing order. budget caps the
-    number of words scanned, and still counts every word, rejected or not:
-    the index gaps between candidates and the rest of each level after the
-    last one count too. Exceeding it raises instead of guessing. A length
-    above MAX_LENGTH is refused before anything is built.
+    in order (listed per set of tied pairs when the length's tables are
+    built). A word's distance masks and tied pairs are built the first time
+    any search of length d needs them, and are kept with the other length-d
+    tables for later searches when d is below MAX_VERTICES (see _kept). The
+    assigned words' mask lists sit on a stack, padded with 0 up to distance
+    MAX_VERTICES - 1 so that a graph distance above d selects no word, and
+    each vertex's distances to the vertices before it are listed once per
+    graph. A vertex's candidates are found before it is entered, so a vertex
+    with none is counted without a call. The set bits are walked in
+    increasing order. budget caps the number of words scanned, and still
+    counts every word, rejected or not: the index gaps between candidates
+    and the rest of each level after the last one count too. Exceeding it
+    raises instead of guessing. A length above MAX_LENGTH is refused before
+    anything is built.
     """
     if g.n > MAX_VERTICES:
         raise TooLarge(f"{g.n} vertices exceeds the guard of {MAX_VERTICES}")
@@ -247,11 +240,10 @@ def search_scheme(
         return AddressScheme(d, ())
     _, order, earlier = _layout(g)
     n_words = 3**d
-    words = _kept.get(d) or _Words(d)
+    words = _kept[d] if d in _kept else _Words(d)
     if d < MAX_VERTICES:
         _kept[d] = words
-    seen, word_info = words.seen, words.word_info
-    in_order, keeps_order = words.in_order, words.keeps_order
+    in_order = words.in_order
     stack: list[list[int]] = []
     found: list[int] = []  # the scheme's words, filled in as extend returns
     limit = math.inf if budget is None else budget
@@ -278,12 +270,10 @@ def search_scheme(
             if nodes > limit:
                 raise BudgetExceeded(f"budget of {budget} nodes exhausted")
             last = i
-            tied, masks = seen.get(i) or word_info(i)
+            tied, masks = words[i]
             stack.append(masks)
             tied &= ties
-            nxt = in_order.get(tied)
-            if nxt is None:
-                nxt = keeps_order(tied)
+            nxt = in_order[tied]
             for m, k in zip(stack, row):
                 nxt &= m[k]
             if not nxt:
@@ -298,7 +288,7 @@ def search_scheme(
         return False
 
     ties = (1 << max(d - 1, 0)) - 1
-    if not extend(0, ties, keeps_order(ties) & words.no_one):
+    if not extend(0, ties, in_order[ties] & words.no_one):
         return None
     by_label = [""] * g.n
     for v, i in zip(order, reversed(found)):
@@ -306,8 +296,14 @@ def search_scheme(
     return AddressScheme(d, tuple(by_label))
 
 
-def _minimum_scheme(g: LabeledGraph, budget: int | None = None) -> tuple[int, AddressScheme]:
-    """exact_n's scan, one search per length: (inertia lower bound, minimum scheme)."""
+def exact_n(g: LabeledGraph, budget: int | None = None) -> tuple[int, AddressScheme]:
+    """Minimum address length, searched upward from the inertia bound, one
+    search per length: (the inertia lower bound, the scheme search_scheme
+    finds at the minimum length, whose d is that length).
+
+    The Winkler bound guarantees a scheme of length n - 1 exists, so the
+    scan terminates. An exhausted budget raises rather than answering.
+    """
     if g.n > MAX_VERTICES:
         raise TooLarge(f"{g.n} vertices exceeds the guard of {MAX_VERTICES}")
     if g.n <= 1:
@@ -318,12 +314,3 @@ def _minimum_scheme(g: LabeledGraph, budget: int | None = None) -> tuple[int, Ad
         if scheme is not None:
             return lb, scheme
     raise RuntimeError("no scheme found up to n - 1; this contradicts the length bound")
-
-
-def exact_n(g: LabeledGraph, budget: int | None = None) -> int:
-    """Minimum address length, searched upward from the inertia bound.
-
-    The Winkler bound guarantees a scheme of length n - 1 exists, so the
-    scan terminates. An exhausted budget raises rather than answering.
-    """
-    return _minimum_scheme(g, budget)[1].d

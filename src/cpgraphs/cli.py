@@ -17,10 +17,11 @@ import functools
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .addressing import (
-    _minimum_scheme,
+    exact_n,
     scheme_from_json_obj,
     scheme_to_json_obj,
     search_scheme,
@@ -64,7 +65,7 @@ from .sequences import (
     parse_sequence_literal,
     parse_spec_literal,
 )
-from .suites import SUITES, _grow, member_reduces, run_suite
+from .suites import _grow, member_reduces, run_suite
 
 
 def _read_text(path: str) -> str:
@@ -120,27 +121,14 @@ def _decimal(count: int) -> str:
 
 
 # Desk-scale guards, checked before the work is started. On 2 cores with
-# Python 3.11, the 2^16 members of 0,1,2,...,2 (19 terms) are listed in
-# about 1.3 s (14 MB of JSON) and verified in about 35 s; the invariants of
-# a 256-vertex path take about 3 s, and that time grows faster than n^3.
+# Python 3.11, the 2^16 members of 0,1,2,...,2 (19 terms) are verified in
+# about 35 s; the invariants of a 256-vertex path take about 3 s, and that
+# time grows faster than n^3. family enumerate prints a JSON line per
+# anchor, so it lists at most MAX_ANCHORS anchors in all: 2^18 of them
+# (members of 1000 vertices) take about 0.2 s, 3 MB of JSON and 40 MB.
 MAX_MEMBERS = 2**16
+MAX_ANCHORS = 2**18
 MAX_VERTICES = 256
-# The largest scale of each suite whose work grows with it. For the
-# exponentially growing ones, the largest run the docs record (up to about
-# 50 s); each step past it at least doubles the work. For the rest, a run of
-# about 20-30 s: weighted-path 600 (one elimination per order up to the
-# scale, 27 s), attach 50 000 pairs (25 s), linalg-crossval 50 000 matrices
-# (20 s). Every cap is at least 6, so `check all` keeps the cap 6.
-SCALE_CAPS = {
-    "congruence": 11,
-    "constancy": 11,
-    "cp2-formulas": 6,
-    "linear-2tree": 20,
-    "trees": 9,
-    "weighted-path": 600,
-    "attach": 50_000,
-    "linalg-crossval": 50_000,
-}
 
 
 class OverCap(ResourceLimit):
@@ -206,10 +194,17 @@ def _cmd_family_enumerate(args) -> tuple[dict, int]:
     s = parse_sequence_literal(args.sequence)
     total = count_neighborhood_sequences(s)
     total_text = _decimal(total)
+    if args.limit is not None and args.limit < 0:
+        raise InputError(f"--limit must be nonnegative, got {args.limit}")
     # the members listed, which also keeps islice's stop within sys.maxsize
     shown = total if args.limit is None else min(args.limit, total)
     _cap_members(shown, f"pass a --limit of at most {MAX_MEMBERS} to list some of them")
-    members = [list(ns.anchors) for ns in enumerate_neighborhood_sequences(s, limit=shown)]
+    if shown * (s.n - 2) > MAX_ANCHORS:
+        raise OverCap(
+            f"{shown} members of {s.n - 2} anchors each are more than the {MAX_ANCHORS}"
+            " anchors family enumerate lists; pass a smaller --limit"
+        )
+    members = [list(ns.anchors) for ns in islice(enumerate_neighborhood_sequences(s), shown)]
     results = {
         "q": list(s.q),
         "count": len(members),
@@ -259,6 +254,7 @@ def _cmd_graph_blocks(args) -> tuple[dict, int]:
 
 def _cmd_graph_attach(args):
     base = _load_graph(args.base)
+    _cap_vertices(base.n, "graph attach")
     try:
         u, v = (int(x) for x in args.edge.split(","))
     except ValueError as e:
@@ -339,6 +335,7 @@ def _cmd_invariants(args) -> tuple[dict, int]:
 
 def _cmd_address_verify(args) -> tuple[dict, int]:
     g = _load_graph(args.graph)
+    _cap_vertices(g.n, "address verify")
     try:
         obj = json.loads(_read_text(args.scheme))
     except json.JSONDecodeError as e:
@@ -367,16 +364,13 @@ def _cmd_address_search(args) -> tuple[dict, int]:
 
 def _cmd_address_exact_n(args) -> tuple[dict, int]:
     g = _load_graph(args.graph)
-    lb, scheme = _minimum_scheme(g, budget=_budget(args))
+    lb, scheme = exact_n(g, budget=_budget(args))
     results = {"n": scheme.d, "lower_bound": lb, "scheme": scheme_to_json_obj(scheme)}
     inputs = {"graph": args.graph, "budget": args.budget}
     return _report("address exact-n", inputs, results), 0
 
 
 def _cmd_check(args) -> tuple[dict, int]:
-    for name in SUITES if args.suite == "all" else (args.suite,):
-        if args.scale is not None and args.scale > SCALE_CAPS.get(name, args.scale):
-            raise OverCap(f"scale {args.scale} is above the cap {SCALE_CAPS[name]} of suite {name}")
     report = run_suite(args.suite, seed=args.seed, scale=args.scale)
     obj = report.to_json_obj()
     inputs = {key: obj.pop(key) for key in ("suite", "seed", "scale")}

@@ -21,7 +21,6 @@ checks nothing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -173,18 +172,9 @@ class NeighborhoodSequence:
         return self.base.n
 
 
-def enumerate_neighborhood_sequences(
-    base: NonLeapingSequence, limit: int | None = None
-) -> Iterator[NeighborhoodSequence]:
-    """All anchor choices for the given size sequence, in ascending anchor order."""
-    if limit is not None and limit < 0:
-        raise InputError(f"limit must be nonnegative, got {limit}")
-    stream = _members(base)
-    return stream if limit is None else itertools.islice(stream, limit)
-
-
-def _members(base: NonLeapingSequence) -> Iterator[NeighborhoodSequence]:
-    """Odometer over the sorted admissible sets, last step fastest.
+def enumerate_neighborhood_sequences(base: NonLeapingSequence) -> Iterator[NeighborhoodSequence]:
+    """All anchor choices for the given size sequence, in ascending anchor
+    order: an odometer over the sorted admissible sets, last step fastest.
 
     Since a_{k-1} < b_{k-1} <= b_k, the step-k set sorts as a_{k-1}, b_{k-1},
     ..., b_k - 1 (with a_2 = 1), so digit d at step k picks a_{k-1} for d = 0

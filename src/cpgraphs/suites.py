@@ -22,7 +22,7 @@ from typing import Callable
 
 from . import fixtures
 from .crosschecks import det_by_cofactor_expansion, inertia_by_charpoly_signs
-from .errors import InputError
+from .errors import InputError, ResourceLimit
 from .formulas import (
     BlockCliquePathRecipe,
     BlockPart,
@@ -46,7 +46,7 @@ from .graphs import (
     is_connected,
     path_graph,
 )
-from .addressing import _minimum_scheme, search_scheme, verify_scheme
+from .addressing import exact_n, search_scheme, verify_scheme
 from .linalg import (
     ConsecutiveZeroMinors,
     Inertia,
@@ -452,7 +452,7 @@ def _every_family(rec: Recorder, n_max: int) -> list[tuple[int, ...]]:
 
 
 def _suite_congruence(rec: Recorder, rng, scale) -> dict:
-    want = dict.fromkeys(_every_family(rec, scale if scale is not None else 8), True)
+    want = dict.fromkeys(_every_family(rec, scale), True)
     members = _check_members(
         rec,
         want,
@@ -471,7 +471,7 @@ def _suite_congruence(rec: Recorder, rng, scale) -> dict:
 
 
 def _suite_constancy(rec: Recorder, rng, scale) -> dict:
-    families = _every_family(rec, scale if scale is not None else 8)
+    families = _every_family(rec, scale)
     want = {q: family_invariants(NonLeapingSequence(q)) for q in families}
     members = _check_members(rec, want, lambda q, a, got, w: (
         f"invariants vary within q={q}: anchors={a} give {got}, family says {w}"
@@ -480,9 +480,8 @@ def _suite_constancy(rec: Recorder, rng, scale) -> dict:
 
 
 def _suite_cp2(rec: Recorder, rng, scale) -> dict:
-    m_max = scale if scale is not None else 4
     want, specs = {}, {}  # per family: its closed form and its clique sizes
-    for m in range(m_max + 1):
+    for m in range(scale + 1):
         for p in product((3, 4, 5), repeat=m):
             spec = CliquePathSpec(p)
             s = expand_clique_path_spec(spec)
@@ -498,9 +497,8 @@ def _suite_cp2(rec: Recorder, rng, scale) -> dict:
 
 
 def _suite_linear_2tree(rec: Recorder, rng, scale) -> dict:
-    n_max = scale if scale is not None else 10
     want = {}
-    for n in range(4, n_max + 1):
+    for n in range(4, scale + 1):
         spec = CliquePathSpec((3,) * (n - 2))
         q = expand_clique_path_spec(spec).q
         want[q] = linear_2tree_invariants(n)
@@ -511,13 +509,12 @@ def _suite_linear_2tree(rec: Recorder, rng, scale) -> dict:
     members = _check_members(rec, want, lambda q, a, got, w: (
         f"linear 2-tree n={len(q)} anchors={a}: {got} differs from {w}"
     ))
-    return {"orders": list(range(4, n_max + 1)), "members": members}
+    return {"orders": list(range(4, scale + 1)), "members": members}
 
 
 def _suite_weighted_path(rec: Recorder, rng, scale) -> dict:
-    n_max = scale if scale is not None else 12
     rec.check(determinant(weighted_path_matrix(0)) == 1, "empty path determinant is not 1")
-    for n in range(1, n_max + 1):
+    for n in range(1, scale + 1):
         a = weighted_path_matrix(n)
         want_det = (-1) ** n * (n + 1)
         got_det = determinant(a)
@@ -526,12 +523,11 @@ def _suite_weighted_path(rec: Recorder, rng, scale) -> dict:
         rec.check(
             got_in == Inertia(0, n, 0), f"path n={n}: inertia {got_in} != (0, {n}, 0)"
         )
-    return {"orders": n_max}
+    return {"orders": scale}
 
 
 def _suite_trees(rec: Recorder, rng, scale) -> dict:
-    n_max = scale if scale is not None else 7
-    orders = list(range(2, n_max + 1))
+    orders = list(range(2, scale + 1))
     trees = 0
     # a shape fixes the tree up to relabelling and a rooted class up to
     # isomorphism, so each class is eliminated once
@@ -558,14 +554,13 @@ def _suite_trees(rec: Recorder, rng, scale) -> dict:
 
 
 def _suite_attach(rec: Recorder, rng, scale) -> dict:
-    pairs = scale if scale is not None else 20
     chain = all_pairs_distances(fixtures.fixture_graph("c5_cp8_chain"))
     hub = all_pairs_distances(fixtures.fixture_graph("c5_cp8_hub"))
     rec.check(
         det_and_inertia(chain) == det_and_inertia(hub),
         "the two bundled five-cycle attachments have different determinants or inertias",
     )
-    for i in range(pairs):
+    for i in range(scale):
         base = random_connected_graph(rng, rng.randint(3, 6))
         u, v = rng.choice(base.edges)
         edge = (u, v) if rng.random() < 0.5 else (v, u)
@@ -596,7 +591,7 @@ def _suite_attach(rec: Recorder, rng, scale) -> dict:
             det_and_inertia(all_pairs_distances(ab)) == det_and_inertia(all_pairs_distances(ba)),
             f"double {i}: attachment order changed the determinant or inertia",
         )
-    return {"fixture_pairs": 1, "random_pairs": pairs, "double_attachments": doubles}
+    return {"fixture_pairs": 1, "random_pairs": scale, "double_attachments": doubles}
 
 
 def _crafted_recipes() -> list[BlockCliquePathRecipe]:
@@ -638,10 +633,9 @@ def _crafted_recipes() -> list[BlockCliquePathRecipe]:
 
 
 def _suite_block_inertia(rec: Recorder, rng, scale) -> dict:
-    n_max = scale if scale is not None else 12
     recipes = _crafted_recipes()
     while len(recipes) < 30:
-        recipes.append(random_recipe(rng, n_max))
+        recipes.append(random_recipe(rng, scale))
     for i, recipe in enumerate(recipes):
         d = all_pairs_distances(realize_recipe(recipe))
         n = d.n
@@ -679,7 +673,7 @@ def _suite_addressing(rec: Recorder, rng, scale) -> dict:
     cases = _addressing_cases()
     for name, g in cases:
         n = g.n
-        lb, scheme = _minimum_scheme(g)
+        lb, scheme = exact_n(g)
         rec.check(lb == n - 1, f"{name}: lower bound {lb} != {n - 1}")
         shorter = search_scheme(g, n - 2)
         rec.check(shorter is None, f"{name}: found a scheme of length {n - 2}")
@@ -689,10 +683,9 @@ def _suite_addressing(rec: Recorder, rng, scale) -> dict:
 
 
 def _suite_linalg_crossval(rec: Recorder, rng, scale) -> dict:
-    count = scale if scale is not None else 200
     jones_applied = 0
     jones_skipped = 0
-    for i in range(count):
+    for i in range(scale):
         n = rng.randint(1, 7)
         rows = [[0] * n for _ in range(n)]
         for r in range(n):
@@ -712,21 +705,31 @@ def _suite_linalg_crossval(rec: Recorder, rng, scale) -> dict:
             continue
         jones_applied += 1
         rec.check(jones == cong, f"matrix {i}: minor-sign {jones} != congruence {cong}")
-    return {"matrices": count, "jones_applied": jones_applied, "jones_skipped": jones_skipped}
+    return {"matrices": scale, "jones_applied": jones_applied, "jones_skipped": jones_skipped}
 
 
+# name: (suite, its default scale, its cap). run_suite refuses a scale above
+# the cap of any suite it would run before any of them starts. For the
+# exponentially growing suites the cap is the largest run the docs record (up
+# to about 50 s on 2 cores with Python 3.11); each step past it at least
+# doubles the work. For the rest it is a run of about 20-30 s: weighted-path
+# 600 (one elimination per order up to the scale, 27 s), attach 50 000 pairs
+# (25 s), linalg-crossval 50 000 matrices (20 s). Every cap is at least 6, so
+# "all" has the cap 6. fixtures and addressing take no scale, and
+# block-inertia's only bounds the order of 30 random recipes, each of which
+# stops growing with probability 0.3 at every part, so none of them has a cap.
 SUITES = {
-    "fixtures": _suite_fixtures,
-    "congruence": _suite_congruence,
-    "constancy": _suite_constancy,
-    "cp2-formulas": _suite_cp2,
-    "linear-2tree": _suite_linear_2tree,
-    "weighted-path": _suite_weighted_path,
-    "trees": _suite_trees,
-    "attach": _suite_attach,
-    "block-inertia": _suite_block_inertia,
-    "addressing": _suite_addressing,
-    "linalg-crossval": _suite_linalg_crossval,
+    "fixtures": (_suite_fixtures, None, None),
+    "congruence": (_suite_congruence, 8, 11),
+    "constancy": (_suite_constancy, 8, 11),
+    "cp2-formulas": (_suite_cp2, 4, 6),
+    "linear-2tree": (_suite_linear_2tree, 10, 20),
+    "weighted-path": (_suite_weighted_path, 12, 600),
+    "trees": (_suite_trees, 7, 9),
+    "attach": (_suite_attach, 20, 50_000),
+    "block-inertia": (_suite_block_inertia, 12, None),
+    "addressing": (_suite_addressing, None, None),
+    "linalg-crossval": (_suite_linalg_crossval, 200, 50_000),
 }
 
 
@@ -736,22 +739,27 @@ def available_suites() -> list[str]:
 
 def run_suite(name: str, seed: int = 0, scale: int | None = None) -> Report:
     """Run one suite (or "all", each suite at the same seed and scale) and
-    return its report."""
+    return its report. A scale of None runs each suite at its default; a
+    scale above the cap of a suite it would run raises ResourceLimit before
+    any suite starts."""
     if scale is not None and scale < 0:
         raise InputError(f"scale must be nonnegative, got {scale}")
+    if name != "all" and name not in SUITES:
+        raise UnknownSuite(f"unknown suite {name!r}; available: {', '.join(available_suites())}")
+    names = list(SUITES) if name == "all" else [name]
+    for sub_name in names:
+        cap = SUITES[sub_name][2]
+        if scale is not None and cap is not None and scale > cap:
+            raise ResourceLimit(f"scale {scale} is above the cap {cap} of suite {sub_name}")
     t0 = time.perf_counter()
     rec = Recorder()
-    if name == "all":
-        results = {}
-        for sub_name, suite in SUITES.items():
-            passed, failed = rec.passed, rec.failed
-            suite(rec, random.Random(seed), scale)
-            results[sub_name] = {"passed": rec.passed - passed, "failed": rec.failed - failed}
-    elif name in SUITES:
-        results = SUITES[name](rec, random.Random(seed), scale)
-    else:
-        raise UnknownSuite(f"unknown suite {name!r}; available: {', '.join(available_suites())}")
+    totals = {}
+    for sub_name in names:
+        suite, default, _ = SUITES[sub_name]
+        passed, failed = rec.passed, rec.failed
+        results = suite(rec, random.Random(seed), default if scale is None else scale)
+        totals[sub_name] = {"passed": rec.passed - passed, "failed": rec.failed - failed}
     return Report(
-        name, seed, scale, results, rec.passed, rec.failed, rec.failures,
-        time.perf_counter() - t0,
+        name, seed, scale, totals if name == "all" else results, rec.passed, rec.failed,
+        rec.failures, time.perf_counter() - t0,
     )

@@ -129,15 +129,24 @@ def test_k3_needs_two_symbols():
 
 
 def test_exact_n_small_graphs():
-    assert exact_n(path_graph(1)) == 0
-    assert exact_n(path_graph(2)) == 1
-    assert exact_n(path_graph(3)) == 2
-    assert exact_n(path_graph(4)) == 3
-    assert exact_n(complete_graph(3)) == 2
-    assert exact_n(complete_graph(4)) == 3
-    assert exact_n(linear_2tree_5()) == 4
-    # the 4-cycle packs into fewer than n-1 symbols
-    assert exact_n(cycle_graph(4)) == 2
+    # (graph, inertia lower bound, minimum length)
+    cases = [
+        (path_graph(1), 0, 0),
+        (path_graph(2), 1, 1),
+        (path_graph(3), 2, 2),
+        (path_graph(4), 3, 3),
+        (complete_graph(3), 2, 2),
+        (complete_graph(4), 3, 3),
+        (linear_2tree_5(), 4, 4),
+        # the 4-cycle packs into fewer than n-1 symbols
+        (cycle_graph(4), 2, 2),
+    ]
+    for g, bound, minimum in cases:
+        lb, scheme = exact_n(g)
+        assert (lb, scheme.d) == (bound, minimum)
+        assert verify_scheme(g, scheme)
+        # the scheme is the one the search returns at that length
+        assert g.n <= 1 or scheme == search_scheme(g, minimum)
 
 
 def test_size_guard():
@@ -289,9 +298,9 @@ def test_first_word_rule_changes_no_answer():
     # first vertex's word holds no 1, so that only the column sort breaks
     # symmetry there
     source = inspect.getsource(addressing)
-    rule = "keeps_order(ties) & words.no_one"
+    rule = "in_order[ties] & words.no_one"
     assert source.count(rule) == 1
-    sorted_only = load(addressing, source.replace(rule, "keeps_order(ties)"))
+    sorted_only = load(addressing, source.replace(rule, "in_order[ties]"))
     runs = [(g, d) for n in (4, 5) for g in connected_graphs_on(n) for d in range(1, n)]
     assert len(runs) == 3026
     runs += [(g, d) for g, _ in SIX_VERTEX.values() for d in range(1, MAX_VERTICES)]
@@ -310,7 +319,7 @@ def test_first_word_rule_changes_no_answer():
 )
 def test_six_vertex_search_matches_slow_oracle(name, d):
     g, minimum = SIX_VERTEX[name]
-    assert exact_n(g) == minimum
+    assert exact_n(g)[1].d == minimum
     found = search_scheme(g, d)
     assert (found is not None) == (d >= minimum)
     if found is not None:

@@ -1,7 +1,9 @@
+import argparse
 import io
 import json
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from cpgraphs import addressing, cli, sequences, suites
 from cpgraphs.addressing import AddressScheme
 from cpgraphs.cli import build_parser, main, parse_graph_input
+from cpgraphs.errors import ResourceLimit
 from cpgraphs.graphs import LabeledGraph, path_graph
 
 
@@ -141,6 +144,60 @@ def test_member_cap(capsys, monkeypatch):
     assert_guard_tripped(capsys, "family", "enumerate", sixteen, "--limit", "16")
     listed = run_json(capsys, "family", "enumerate", sixteen, "--limit", "15")[1]["results"]
     assert listed["count"] == 15
+
+
+def test_family_enumerate_caps_the_anchors_it_lists(capsys, monkeypatch):
+    # 2^16 members of a family deeper than the recursion limit would be some
+    # 10^8 anchors; the cap trips before any member is built
+    deep = ",".join(["0", "1"] + ["2"] * (sys.getrecursionlimit() + 500))
+    with mock.patch.object(cli, "enumerate_neighborhood_sequences") as listed:
+        assert_guard_tripped(capsys, "family", "enumerate", deep, "--limit", str(cli.MAX_MEMBERS))
+    assert not listed.called
+    # 16 members of 6 anchors each
+    sixteen = "0,1,2,2,2,2,3,3"
+    monkeypatch.setattr(cli, "MAX_ANCHORS", 96)
+    assert run_json(capsys, "family", "enumerate", sixteen)[1]["results"]["count"] == 16
+    monkeypatch.setattr(cli, "MAX_ANCHORS", 95)
+    assert_guard_tripped(capsys, "family", "enumerate", sixteen)
+    listed = run_json(capsys, "family", "enumerate", sixteen, "--limit", "15")[1]["results"]
+    assert listed["count"] == 15
+
+
+def test_vertex_cap_of_graph_attach_base(capsys, monkeypatch, tmp_path):
+    # a bare header is enough: --dot prints a line per vertex
+    p = tmp_path / "base.edges"
+    p.write_text(f"n {10**12}\n1 2\n")
+    argv = ("graph", "attach", str(p), "--edge", "1,2", "--cp-seq", "2:3", "--dot")
+    assert_guard_tripped(capsys, *argv)
+    monkeypatch.setattr(cli, "MAX_VERTICES", 4)
+    p.write_text("n 4\n1 2\n")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.count(";") == 5 + 3  # vertices 1..5, edges 1-2, 1-5, 2-5
+    p.write_text("n 5\n1 2\n")
+    assert_guard_tripped(capsys, *argv)
+
+
+def test_vertex_cap_of_address_verify(capsys, tmp_path):
+    # the 8-cube, vertex i + 1 addressed by i in binary, and the same with a
+    # pendant vertex 257 on vertex 1, addressed by a ninth column
+    words = [format(i, "08b") for i in range(256)]
+    edges = "".join(
+        f"{i + 1} {(i | 1 << b) + 1}\n" for i in range(256) for b in range(8) if not i >> b & 1
+    )
+    cube, pendant = tmp_path / "cube.edges", tmp_path / "pendant.edges"
+    cube.write_text(edges)
+    pendant.write_text(edges + "1 257\n")
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps({"d": 8, "addr": words}))
+    code, obj = run_json(capsys, "address", "verify", str(cube), "--scheme", str(scheme))
+    assert code == 0 and obj["results"]["ok"] is True
+    valid = AddressScheme(9, tuple(w + "0" for w in words) + ("0" * 8 + "1",))
+    assert addressing.verify_scheme(parse_graph_input(pendant.read_text()), valid)
+    scheme.write_text(json.dumps({"d": 9, "addr": list(valid.addresses)}))
+    assert_guard_tripped(capsys, "address", "verify", str(pendant), "--scheme", str(scheme))
+    # the order is checked before the scheme is read
+    missing = str(tmp_path / "missing.json")
+    assert_guard_tripped(capsys, "address", "verify", str(pendant), "--scheme", missing)
 
 
 def test_vertex_cap_of_invariants(capsys, monkeypatch, tmp_path):
@@ -448,23 +505,31 @@ def test_check_negative_scale_is_input_error(capsys, suite):
     assert err == "error: scale must be nonnegative, got -1\n"
 
 
-@pytest.mark.parametrize("suite", [*cli.SCALE_CAPS, "all"])
+CAPS = {name: cap for name, (_, _, cap) in suites.SUITES.items() if cap is not None}
+
+
+@pytest.mark.parametrize("suite", [*CAPS, "all"])
 def test_check_scale_above_a_cap_is_refused_before_any_work(capsys, monkeypatch, suite):
-    cap = min(cli.SCALE_CAPS.values()) if suite == "all" else cli.SCALE_CAPS[suite]
+    cap = min(CAPS.values()) if suite == "all" else CAPS[suite]
     ran = []
-    for name in suites.SUITES:
-        monkeypatch.setitem(suites.SUITES, name, lambda rec, rng, scale: ran.append(scale) or {})
+    fake = lambda rec, rng, scale: ran.append(scale) or {}
+    for name, (_, default, limit) in suites.SUITES.items():
+        monkeypatch.setitem(suites.SUITES, name, (fake, default, limit))
     for scale in (cap + 1, 10**20):
+        # "all" names its first suite over the cap
+        over = suite if suite != "all" else next(
+            name for name in suites.SUITES if CAPS.get(name, scale) < scale
+        )
+        message = f"scale {scale} is above the cap {CAPS[over]} of suite {over}"
         t0 = time.perf_counter()
         code, out, err = run(capsys, "check", suite, "--scale", str(scale))
         assert time.perf_counter() - t0 < 1
         assert (code, out) == (3, "") and ran == []
-        # "all" names its first suite over the cap
-        over = suite if suite != "all" else next(
-            name for name in suites.SUITES if cli.SCALE_CAPS.get(name, scale) < scale
-        )
-        limit = cli.SCALE_CAPS[over]
-        assert err == f"resource limit: scale {scale} is above the cap {limit} of suite {over}\n"
+        assert err == f"resource limit: {message}\n"
+        # the library refuses it the same way
+        with pytest.raises(ResourceLimit) as refused:
+            suites.run_suite(suite, scale=scale)
+        assert str(refused.value) == message and ran == []
     # at the cap the suite runs
     assert run_json(capsys, "check", suite, "--scale", str(cap))[0] == 0
     assert ran == [cap] * (len(suites.SUITES) if suite == "all" else 1)
@@ -525,9 +590,31 @@ def test_cached_parser_keeps_no_state(capsys, tmp_path):
     assert code == 0 and obj["command"] == "seq validate" and obj["results"]["n"] == 5
 
 
+def leaf_commands(parser, words=()):
+    """The words of every command under `parser` that takes no subcommand."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return [" ".join(words)]
+    return [
+        command
+        for name, sub in subparsers[0].choices.items()
+        for command in leaf_commands(sub, (*words, name))
+    ]
+
+
 def _literal(terms):
     return ",".join(map(str, terms))
 
+
+huge = st.integers(-(10**20), 10**20)
+integers = st.one_of(st.integers(-3, 20), huge)
+
+spec_literals = st.one_of(
+    st.lists(st.one_of(st.integers(-1, 6), huge), max_size=5).map(lambda p: "2:" + _literal(p)),
+    # above the 256-vertex cap
+    st.integers(255, 400).map(lambda m: "2:" + _literal([3] * m)),
+    st.text(alphabet="0123456789,: -x", max_size=12),
+)
 
 sequence_literals = st.one_of(
     st.lists(st.integers(-1, 5), max_size=10).map(_literal),
@@ -536,50 +623,156 @@ sequence_literals = st.one_of(
     st.tuples(st.integers(0, 500), st.sampled_from([2, 3, 4])).map(
         lambda t: _literal([0, 1] + [2] * (sys.getrecursionlimit() + t[0]) + [t[1]])
     ),
-    st.text(alphabet="0123456789,: -x", max_size=12),
+    spec_literals,
+)
+
+anchor_literals = st.one_of(
+    st.lists(st.one_of(st.integers(-1, 8), huge), max_size=8).map(_literal),
+    st.text(alphabet="0123456789,- x", max_size=10),
 )
 
 
 @st.composite
 def graph_texts(draw):
-    n = draw(st.integers(0, 6))
-    pairs = draw(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=10))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["small", "text", "path", "json", "header"]))
+    if kind == "small":
+        n = draw(st.integers(0, 6))
+        pairs = draw(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=10))
         return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
-    return draw(st.text(alphabet="0123456789 n#\n{}", max_size=20))
+    if kind == "text":
+        return draw(st.text(alphabet="0123456789 n#\n{}", max_size=20))
+    # above the 256-vertex cap: a path, as an edge list or JSON, or a bare header
+    n = draw(st.integers(257, 300))
+    if kind == "path":
+        return "".join(f"{v} {v + 1}\n" for v in range(1, n))
+    if kind == "json":
+        return json.dumps({"n": n, "edges": [[v, v + 1] for v in range(1, n)]})
+    return f"n {draw(st.integers(257, 10**20))}\n"
 
 
-budgets = st.one_of(st.integers(-50, -1), st.just(0), st.integers(1, 300))
+scheme_texts = st.one_of(
+    st.builds(
+        lambda d, addr: json.dumps({"d": d, "addr": addr}),
+        integers,
+        st.lists(st.text(alphabet="01*", max_size=4), max_size=7),
+    ),
+    st.text(alphabet='{}[]"d:adr01*, ', max_size=20),
+)
+
+budgets = st.one_of(st.integers(-50, -1), st.just(0), st.integers(1, 300), huge)
+
+
+def _option(draw, flag, values):
+    """[flag, a drawn value], or nothing."""
+    return [flag, str(draw(values))] if draw(st.booleans()) else []
+
+
+def _dot(draw):
+    return ["--dot"] if draw(st.booleans()) else []
+
+
+# command -> draw -> (its arguments, stdin text, the --scheme file's text or None)
+ARGUMENTS = {
+    "seq validate": lambda draw: ([draw(sequence_literals)], "", None),
+    "seq expand": lambda draw: ([draw(spec_literals)], "", None),
+    "family enumerate": lambda draw: (
+        [draw(sequence_literals), *_option(draw, "--limit", integers)], "", None
+    ),
+    "family count": lambda draw: ([draw(sequence_literals)], "", None),
+    "graph build": lambda draw: (
+        [draw(sequence_literals), *_option(draw, "--anchors", anchor_literals), *_dot(draw)],
+        "",
+        None,
+    ),
+    "graph distance": lambda draw: (["-"], draw(graph_texts()), None),
+    "graph blocks": lambda draw: (["-"], draw(graph_texts()), None),
+    "graph attach": lambda draw: (
+        [
+            "-",
+            "--edge",
+            f"{draw(integers)},{draw(integers)}",
+            "--cp-seq",
+            draw(sequence_literals),
+            *_option(draw, "--cp-anchors", anchor_literals),
+            *_dot(draw),
+        ],
+        draw(graph_texts()),
+        None,
+    ),
+    "reduce graph": lambda draw: ([draw(sequence_literals), *_dot(draw)], "", None),
+    "reduce matrix": lambda draw: (
+        [draw(sequence_literals), *_option(draw, "--anchors", anchor_literals)], "", None
+    ),
+    "reduce verify": lambda draw: (
+        [draw(sequence_literals), *_option(draw, "--anchors", anchor_literals)], "", None
+    ),
+    "invariants": lambda draw: draw(st.one_of(
+        graph_texts().map(lambda text: (["--graph", "-"], text, None)),
+        sequence_literals.map(lambda seq: (["--seq", seq], "", None)),
+        spec_literals.map(lambda spec: (["--spec", spec], "", None)),
+    )),
+    "address verify": lambda draw: (["-"], draw(graph_texts()), draw(scheme_texts)),
+    "address search": lambda draw: (
+        ["-", "--length", str(draw(integers)), *_option(draw, "--budget", budgets)],
+        draw(graph_texts()),
+        None,
+    ),
+    "address exact-n": lambda draw: (
+        ["-", *_option(draw, "--budget", budgets)], draw(graph_texts()), None
+    ),
+    # a suite's own scales run for up to about 50 s below its cap, and its
+    # default runs are timed in test_check_all_default_counts
+    "check": lambda draw: (
+        [
+            draw(st.sampled_from(suites.available_suites())),
+            *_option(draw, "--seed", huge),
+            "--scale",
+            str(draw(st.one_of(st.integers(-3, 3), huge))),
+        ],
+        "",
+        None,
+    ),
+}
+COMMANDS = leaf_commands(build_parser())
+
+
+def test_every_command_has_a_fuzz_strategy():
+    assert len(COMMANDS) == 16
+    assert sorted(ARGUMENTS) == sorted(COMMANDS)
 
 
 @st.composite
 def cli_calls(draw):
-    """(argv, stdin text): family enumerate, reduce verify, address search or
-    address exact-n."""
-    kind = draw(st.sampled_from(["enumerate", "verify", "search", "exact-n"]))
-    if kind == "enumerate":
-        literal = draw(sequence_literals)
-        argv = ["family", "enumerate", literal]
-        # an unlimited enumeration of a long sequence trips the member cap
-        if draw(st.booleans()):
-            argv += ["--limit", str(draw(st.integers(-2, 3)))]
-        return argv, ""
-    if kind == "verify":
-        return ["reduce", "verify", draw(sequence_literals)], ""
-    argv = ["address", kind, "-"]
-    if kind == "search":
-        argv += ["--length", str(draw(st.integers(-3, 13)))]
-    if draw(st.booleans()):
-        argv += ["--budget", str(draw(budgets))]
-    return argv, draw(graph_texts())
+    """(argv, stdin text, --scheme file text or None) for any command of the parser."""
+    command = draw(st.sampled_from(COMMANDS))
+    arguments, stdin, scheme = ARGUMENTS[command](draw)
+    return [*command.split(), *arguments], stdin, scheme
+
+
+@pytest.fixture(scope="module")
+def scheme_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scheme.json"
+
+
+FUZZ_PEAK = 4 * 2**20  # bytes traced by one call; the calls drawn peak under 1.3 MB
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(cli_calls())
-def test_cli_fuzz_exit_codes(call):
-    argv, stdin = call
+def test_cli_fuzz_exit_codes(scheme_file, call):
+    argv, stdin, scheme = call
+    if scheme is not None:
+        scheme_file.write_text(scheme)
+        argv = [*argv, "--scheme", str(scheme_file)]
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+    fed = mock.patch("sys.stdin", io.StringIO(stdin))
+    tracemalloc.start()
+    try:
+        with fed, redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()
+    assert peak < FUZZ_PEAK, (argv, peak)

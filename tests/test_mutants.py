@@ -245,20 +245,26 @@ MUTANTS = {
     ),
     "search: tables kept without their length": (
         addressing,
-        "words = _kept.get(d)",
-        "words = next(iter(_kept.values()), None)",
+        "words = _kept[d] if d in _kept else",
+        "words = next(iter(_kept.values())) if _kept else",
         searches_match_the_oracle,
     ),
     "search: the first vertex's words with a 1 scanned": (
         addressing,
-        "keeps_order(ties) & words.no_one",
-        "keeps_order(ties)",
+        "in_order[ties] & words.no_one",
+        "in_order[ties]",
+        searches_match_the_oracle,
+    ),
+    "search: the tied-pair table left at every word": (
+        addressing,
+        "in_order += [mask & pair_in_order for mask in in_order]",
+        "in_order += in_order",  # no column order kept
         searches_match_the_oracle,
     ),
     "search: every vertex's words with a 1 skipped": (
         addressing,
-        "        mask = self.full\n",
-        "        mask = self.no_one\n",  # loses P4's 000, 001, 011, 111
+        "in_order = [self.full]",
+        "in_order = [self.no_one]",  # loses P4's 000, 001, 011, 111
         searches_match_the_oracle,
     ),
 }

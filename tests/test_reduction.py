@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -165,7 +165,7 @@ def test_congruence_random_members():
             q.append(rng.randint(2, q[-1] + 1))
         s = NonLeapingSequence(tuple(q))
         h = reduced_graph(s).adjacency_matrix()
-        for ns in enumerate_neighborhood_sequences(s, limit=6):
+        for ns in islice(enumerate_neighborhood_sequences(s), 6):
             d = all_pairs_distances(build_cp_graph(ns))
             assert congruence_reduce(d, reducing_matrix(ns)) == h
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from test_graphs import degree, neighbors
 
 from cpgraphs import cli, linalg, suites
-from cpgraphs.errors import InputError
+from cpgraphs.errors import InputError, ResourceLimit
 from cpgraphs.formulas import GraphInvariants, distance_invariants, tree_invariants
 from cpgraphs.linalg import Inertia, determinant
 from cpgraphs.reduction import reduced_graph
@@ -197,7 +197,10 @@ def test_all_aggregates_suites_in_order(monkeypatch):
 
         return suite
 
-    monkeypatch.setattr(suites, "SUITES", {"a": fake("a", 3, 15), "b": fake("b", 2, 10)})
+    # (suite, default scale, cap)
+    monkeypatch.setattr(
+        suites, "SUITES", {"a": (fake("a", 3, 15), 1, None), "b": (fake("b", 2, 10), 2, 5)}
+    )
     r = run_suite("all", seed=5, scale=4)
     assert (r.suite, r.seed, r.scale) == ("all", 5, 4)
     assert r.results == {"a": {"passed": 3, "failed": 15}, "b": {"passed": 2, "failed": 10}}
@@ -206,6 +209,15 @@ def test_all_aggregates_suites_in_order(monkeypatch):
     # each suite gets its own rng seeded from the one seed, and the one scale
     first = random.Random(5).random()
     assert calls == [("a", first, 4), ("b", first, 4)]
+    # or, given none, its own default; the report keeps the scale asked for
+    calls.clear()
+    assert run_suite("all", seed=5).scale is None
+    assert calls == [("a", first, 1), ("b", first, 2)]
+    # a scale above b's cap runs neither suite
+    calls.clear()
+    with pytest.raises(ResourceLimit, match="^scale 6 is above the cap 5 of suite b$"):
+        run_suite("all", seed=5, scale=6)
+    assert run_suite("a", seed=5, scale=6).results == {"tag": "a"} and calls == [("a", first, 6)]
 
 
 def test_all_counts_each_suite_as_if_run_alone(monkeypatch):
