@@ -122,10 +122,11 @@ def _decimal(count: int) -> str:
 
 # Desk-scale guards, checked before the work is started. On 2 cores with
 # Python 3.11, the 2^16 members of 0,1,2,...,2 (19 terms) are verified in
-# about 35 s; the invariants of a 256-vertex path take about 3 s, and that
-# time grows faster than n^3. family enumerate prints a JSON line per
-# anchor, so it lists at most MAX_ANCHORS anchors in all: 2^18 of them
-# (members of 1000 vertices) take about 0.2 s, 3 MB of JSON and 40 MB.
+# about 35 s; the invariants of a 256-vertex graph take about 0.03 s on a
+# path and up to about 3 s on random graphs, and that time grows like n^3 or
+# faster. family enumerate prints a JSON line per anchor, so it lists at
+# most MAX_ANCHORS anchors in all: 2^18 of them (members of 1000 vertices)
+# take about 0.2 s, 3 MB of JSON and 40 MB.
 MAX_MEMBERS = 2**16
 MAX_ANCHORS = 2**18
 MAX_VERTICES = 256

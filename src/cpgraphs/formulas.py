@@ -10,14 +10,16 @@ paths at cut vertices, for which the distance inertia is pinned to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
 from .errors import InputError
 from .graphs import LabeledGraph, all_pairs_distances, build_cp_graph
 from .linalg import (
     Inertia,
+    _bordered,
     _symmetric_bareiss,
-    cofactor_sum,
+    determinant,
     leading_principal_minors,
     reduced_cofactor_sum,
 )
@@ -61,12 +63,47 @@ def invariants_to_json_obj(inv: GraphInvariants) -> dict:
     }
 
 
+def _difference_congruence(rows, parents) -> tuple[tuple[int, ...], ...]:
+    """U^T A U for a symmetric A, where column j of U is e_j - e_parents[j],
+    or e_j where parents[j] is None. The parent map must be a forest, so U is
+    unit triangular in a topological order and det U = 1.
+
+    Row j of U^T A is row j minus row parents[j]; the same differences taken
+    on the rows of its transpose A U finish the congruence.
+    """
+
+    def differences(rows):
+        return [r if p is None else tuple(map(sub, r, rows[p])) for r, p in zip(rows, parents)]
+
+    return tuple(differences(list(zip(*differences(rows)))))
+
+
 def distance_invariants(g: LabeledGraph) -> GraphInvariants:
-    """Brute force on the distance matrix itself."""
-    d = all_pairs_distances(g)
-    # D and A(H) are symmetric by construction: no symmetry check before the kernel
-    plus, minus, zero, det = _symmetric_bareiss(d.rows)
-    return GraphInvariants(det, Inertia(plus, minus, zero), cofactor_sum(d))
+    """det, inertia and cofactor sum of D, read from M = U^T D U: the
+    differences along a BFS tree rooted at vertex n (Graham and Pollak's
+    move on trees; see _difference_congruence). Each other vertex's parent
+    is its smallest neighbour one level closer to n, read off D's last row.
+
+    det U = 1, so M has D's det and inertia (Sylvester's law), and with
+    u = U^T 1 = e_n, 1^T adj(D) 1 = u^T adj(M) u = -det([[M, u], [u^T, 0]]).
+    M is cheap to eliminate: every entry lies in [-2, 2], the non-root
+    diagonal is -2, and the root's dense row (1, ..., 1, 0) comes last. For
+    a tree M is [[-2I, 1], [1^T, 0]].
+    """
+    d = all_pairs_distances(g).rows
+    root = g.n - 1
+    level = d[root] if d else ()
+    adj = g._adj
+    parents = [
+        None if v == root else next(w - 1 for w in adj[v + 1] if level[w - 1] < level[v])
+        for v in range(g.n)
+    ]
+    m = _difference_congruence(d, parents)
+    # M is symmetric by construction: no symmetry check before the kernel
+    plus, minus, zero, det = _symmetric_bareiss(m)
+    u = tuple(int(p is None) for p in parents)  # U^T 1
+    cof = -determinant(_bordered(IntMatrix._of(m), u))
+    return GraphInvariants(det, Inertia(plus, minus, zero), cof)
 
 
 def family_invariants(s: NonLeapingSequence) -> GraphInvariants:

@@ -388,6 +388,46 @@ def test_invariants_sources_agree(capsys, tmp_path):
     assert by_spec["results"] == by_seq["results"] == by_graph["results"]
 
 
+INVARIANTS_OUTPUT = """{
+  "command": "invariants",
+  "inputs": {
+    "source": "graph",
+    "graph": %s
+  },
+  "results": {
+    "det": "%s",
+    "inertia": [
+      %d,
+      %d,
+      %d
+    ],
+    "cof": "%s"
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("text, det, inertia, cof", [
+    ("n 0\n", 1, (0, 0, 0), 0),
+    ("n 1\n", 0, (0, 0, 1), 1),
+    ("1 2\n", -1, (1, 1, 0), -2),
+])
+def test_invariants_of_the_smallest_graphs(capsys, tmp_path, text, det, inertia, cof):
+    p = tmp_path / "g.edges"
+    p.write_text(text)
+    code, out, err = run(capsys, "invariants", "--graph", str(p))
+    assert (code, err) == (0, "")
+    assert out == INVARIANTS_OUTPUT % (json.dumps(str(p)), det, *inertia, cof)
+
+
+def test_invariants_of_a_disconnected_graph(capsys, tmp_path):
+    p = tmp_path / "g.edges"
+    p.write_text("n 3\n1 2\n")
+    assert run(capsys, "invariants", "--graph", str(p)) == (
+        2, "", "error: vertex 1 cannot reach every vertex\n"
+    )
+
+
 def test_address_commands(capsys, tmp_path):
     p = tmp_path / "k3.edges"
     p.write_text("1 2\n2 3\n1 3\n")

@@ -1,11 +1,17 @@
 import random
 from itertools import islice, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_graphs import degree
+from test_linalg import symmetric_matrices
+from test_suites import all_codes
 
+from cpgraphs import formulas
+from cpgraphs.cli import MAX_VERTICES
+from cpgraphs.crosschecks import det_by_cofactor_expansion
 from cpgraphs.formulas import (
     BlockCliquePathRecipe,
     BlockPart,
@@ -13,6 +19,7 @@ from cpgraphs.formulas import (
     GraphInvariants,
     CrossCheckFailed,
     InvalidRecipe,
+    _difference_congruence,
     addressing_lower_bound,
     block_2cp_inertia,
     compose_blocks,
@@ -27,6 +34,7 @@ from cpgraphs.formulas import (
 from cpgraphs.graphs import (
     LabeledGraph,
     all_pairs_distances,
+    attach,
     blocks,
     build_cp_graph,
     complete_graph,
@@ -34,7 +42,15 @@ from cpgraphs.graphs import (
     is_connected,
     path_graph,
 )
-from cpgraphs.linalg import Inertia, cofactor_sum, determinant, inertia_congruence
+from cpgraphs.linalg import (
+    Inertia,
+    _bordered,
+    cofactor_sum,
+    det_and_inertia,
+    determinant,
+    inertia_congruence,
+)
+from cpgraphs.matrices import IntMatrix
 from cpgraphs.sequences import (
     CliquePathSpec,
     NeighborhoodSequence,
@@ -43,7 +59,12 @@ from cpgraphs.sequences import (
     enumerate_neighborhood_sequences,
     expand_clique_path_spec,
 )
-from cpgraphs.suites import random_member, random_nonleaping
+from cpgraphs.suites import (
+    random_connected_graph,
+    random_member,
+    random_nonleaping,
+    tree_from_pruefer,
+)
 
 EDGE = CliquePathSpec(())
 
@@ -308,3 +329,127 @@ def test_random_2cp_members_match_closed_forms(spec, rng):
     s = expand_clique_path_spec(spec)
     inv = distance_invariants(build_cp_graph(random_member(rng, s)))
     assert inv == family_invariants(s) == cp2_invariants(spec)
+
+
+# -- distance_invariants eliminates M = U^T D U, the BFS-tree differences of D
+
+
+def hypercube(d):
+    """Q_d on 1..2^d: two labels are adjacent when v - 1 and w - 1 differ in one bit."""
+    return LabeledGraph(
+        2**d, tuple((v + 1, (v | 1 << b) + 1) for v in range(2**d) for b in range(d) if not v >> b & 1)
+    )
+
+
+def relabelled(rng, g):
+    """g with its labels shuffled, so that vertex n, the BFS root, is any vertex."""
+    perm = rng.sample(range(1, g.n + 1), g.n)
+    return LabeledGraph(g.n, tuple((perm[u - 1], perm[v - 1]) for u, v in g.edges))
+
+
+def raw_invariants(g):
+    """det, inertia and cofactor sum of the distance matrix itself."""
+    d = all_pairs_distances(g)
+    det, inertia = det_and_inertia(d)
+    return GraphInvariants(det, inertia, cofactor_sum(d))
+
+
+def eliminated_matrix(formulas_module, g):
+    """The rows that distance_invariants of `formulas_module` hands the
+    kernel for g: M, not D, whose values are the same."""
+    kernel = formulas_module._symmetric_bareiss
+    with mock.patch.object(formulas_module, "_symmetric_bareiss", wraps=kernel) as spy:
+        formulas_module.distance_invariants(g)
+    return spy.call_args.args[0]
+
+
+def has_difference_shape(m):
+    """The root's row (1, ..., 1, 0) last, -2 on the rest of the diagonal and
+    every entry in [-2, 2]: the shape that makes M cheap to eliminate."""
+    n = len(m)
+    return (
+        m[-1] == (1,) * (n - 1) + (0,)
+        and all(m[i][i] == -2 for i in range(n - 1))
+        and all(-2 <= x <= 2 for row in m for x in row)
+    )
+
+
+def tree_difference_matrix(n):
+    """[[-2I, 1], [1^T, 0]] of order n."""
+    rows = [tuple(-2 if j == i else 0 for j in range(n - 1)) + (1,) for i in range(n - 1)]
+    return tuple(rows) + ((1,) * (n - 1) + (0,),)
+
+
+@st.composite
+def matrices_and_forests(draw):
+    """A symmetric matrix and an acyclic parent map on its indices: each index
+    in a random order is a root or takes an earlier index as its parent."""
+    m = draw(symmetric_matrices())
+    order = draw(st.permutations(range(m.n)))
+    parents = [None] * m.n
+    for k in range(1, m.n):
+        parents[order[k]] = draw(st.none() | st.sampled_from(order[:k]))
+    return m, parents
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(matrices_and_forests())
+def test_difference_congruence_keeps_det_inertia_and_cofactor_sum(case):
+    m, parents = case
+    t = IntMatrix.from_rows(_difference_congruence(m.rows, parents))
+    u = tuple(int(p is None) for p in parents)  # U^T 1
+    assert t.is_symmetric()
+    assert det_and_inertia(t) == det_and_inertia(m)
+    assert -determinant(_bordered(t, u)) == cofactor_sum(m)
+
+
+def invariant_graphs(rng):
+    """Trees, random connected graphs, graphs combined by attach, K_n, cycles
+    and Q_3, each with its labels shuffled."""
+    out = [complete_graph(n) for n in range(1, 8)] + [cycle_graph(n) for n in range(3, 10)]
+    out.append(hypercube(3))
+    for n in range(2, 13):
+        out.append(tree_from_pruefer(n, tuple(rng.randint(1, n) for _ in range(n - 2))))
+        out.append(random_connected_graph(rng, n))
+    for _ in range(8):
+        base = random_connected_graph(rng, rng.randint(2, 7))
+        cp = build_cp_graph(random_member(rng, random_nonleaping(rng, rng.randint(2, 6))))
+        out.append(attach(base, rng.choice(base.edges), cp).graph)
+    return [relabelled(rng, g) for g in out]
+
+
+def test_distance_invariants_match_the_raw_matrix():
+    rng = random.Random(35)
+    for g in invariant_graphs(rng):
+        inv = distance_invariants(g)
+        assert inv == raw_invariants(g), g
+        if g.n <= 7:
+            d = all_pairs_distances(g)
+            assert inv.det == det_by_cofactor_expansion(d)
+            assert inv.cof == -det_by_cofactor_expansion(_bordered(d, (1,) * g.n))
+
+
+def test_difference_matrix_shape():
+    rng = random.Random(36)
+    graphs = invariant_graphs(rng)
+    for n in range(2, 25):
+        graphs.append(build_cp_graph(random_member(rng, random_nonleaping(rng, n))))
+    for g in graphs:
+        assert has_difference_shape(eliminated_matrix(formulas, g)), g
+
+
+def test_difference_matrix_of_every_tree():
+    rng = random.Random(37)
+    trees = [tree_from_pruefer(n, code) for n, code in all_codes(6)]
+    trees += [relabelled(rng, path_graph(n)) for n in range(2, 40)]
+    for n in range(7, 40):
+        trees.append(tree_from_pruefer(n, tuple(rng.randint(1, n) for _ in range(n - 2))))
+    for t in trees:
+        assert eliminated_matrix(formulas, t) == tree_difference_matrix(t.n), t
+
+
+def test_distance_invariants_at_the_vertex_cap():
+    n = MAX_VERTICES
+    assert distance_invariants(path_graph(n)) == tree_invariants(n)
+    square = tuple((v, v + 1) for v in range(1, n)) + tuple((v, v + 2) for v in range(1, n - 1))
+    assert distance_invariants(LabeledGraph(n, square)) == linear_2tree_invariants(n)

@@ -9,15 +9,19 @@ rewrites a targeted function re-points its entries.
 """
 
 import inspect
+import random
 import types
+from dataclasses import astuple
 
 import pytest
+from test_formulas import eliminated_matrix, has_difference_shape, hypercube, raw_invariants
 from test_suites import ROOTED_TREES, all_codes, class_counts, heap_growth
 
-from cpgraphs import addressing, sequences, suites
-from cpgraphs.graphs import complete_graph, cycle_graph, path_graph
+from cpgraphs import addressing, formulas, sequences, suites
+from cpgraphs.graphs import LabeledGraph, build_cp_graph, complete_graph, cycle_graph, path_graph
 from cpgraphs.reduction import reduced_graph
 from cpgraphs.sequences import NonLeapingSequence, iter_nonleaping_sequences
+from cpgraphs.suites import random_member
 
 
 def load(module, source):
@@ -82,6 +86,29 @@ def layout_is_bfs_order(mod):
     return (
         mod._layout(cycle_graph(5))[1] == (1, 2, 5, 3, 4)
         and mod._layout(path_graph(3))[1] == (1, 2, 3)
+    )
+
+
+# K_4, C_5, Q_3, P_4, a star centred at vertex 3 (not the BFS root) and a CP member
+DIFFERENCE_GRAPHS = (
+    complete_graph(4),
+    cycle_graph(5),
+    hypercube(3),
+    path_graph(4),
+    LabeledGraph(5, ((1, 3), (2, 3), (3, 4), (3, 5))),
+    build_cp_graph(random_member(random.Random(1), NonLeapingSequence((0, 1, 2, 3, 3, 2, 3)))),
+)
+
+
+def differences_match_the_raw_matrix(mod):
+    """distance_invariants of `mod`, a formulas module, equals det, inertia
+    and cofactor sum of D itself on DIFFERENCE_GRAPHS, and the M it
+    eliminates has the difference shape."""
+    # a fresh module has its own GraphInvariants class: compare the fields
+    return all(
+        astuple(mod.distance_invariants(g)) == astuple(raw_invariants(g))
+        and has_difference_shape(eliminated_matrix(mod, g))
+        for g in DIFFERENCE_GRAPHS
     )
 
 
@@ -267,6 +294,37 @@ MUTANTS = {
         "in_order = [self.no_one]",  # loses P4's 000, 001, 011, 111
         searches_match_the_oracle,
     ),
+    # formulas.distance_invariants: M = U^T D U over a BFS tree rooted at vertex n
+    "differences: a parent at the same level as its child": (
+        formulas,
+        "if level[w - 1] < level[v]",
+        "if level[w - 1] <= level[v]",  # K_4 pairs 1 and 2: U is singular
+        differences_match_the_raw_matrix,
+    ),
+    "differences: u all ones, not U^T 1": (
+        formulas,
+        "u = tuple(int(p is None) for p in parents)",
+        "u = (1,) * len(parents)",
+        differences_match_the_raw_matrix,
+    ),
+    "differences: the column step skipped": (
+        formulas,
+        "return tuple(differences(list(zip(*differences(rows)))))",
+        "return tuple(differences(rows))",
+        differences_match_the_raw_matrix,
+    ),
+    "differences: the root placed first": (
+        formulas,
+        "root = g.n - 1",
+        "root = 0",  # the same values from a tree rooted at vertex 1
+        differences_match_the_raw_matrix,
+    ),
+    "differences: D itself eliminated": (
+        formulas,
+        "m = _difference_congruence(d, parents)",
+        "m, parents = d, [None] * g.n",  # U = I and u = 1: the same values
+        differences_match_the_raw_matrix,
+    ),
 }
 
 # Mutants that cannot change any answer, with the reason; each must still
@@ -291,6 +349,7 @@ EQUIVALENT = {
     (enumeration_matches_the_walk, sequences),
     (layout_is_bfs_order, addressing),
     (searches_match_the_oracle, addressing),
+    (differences_match_the_raw_matrix, formulas),
 ])
 def test_checks_pass_on_the_package(check, module):
     assert check(module)
