@@ -89,8 +89,11 @@ def parse_graph_input(text: str):
     return parse_edge_list(text)
 
 
-def _load_graph(path: str):
-    return parse_graph_input(_read_text(path))
+def _load_graph(path: str, command: str):
+    """The graph at `path`, with its order checked against the vertex cap of `command`."""
+    g = parse_graph_input(_read_text(path))
+    _cap_vertices(g.n, command)
+    return g
 
 
 def _member(s: NonLeapingSequence, anchors_literal: str | None) -> NeighborhoodSequence:
@@ -235,16 +238,14 @@ def _cmd_graph_build(args):
 
 
 def _cmd_graph_distance(args) -> tuple[dict, int]:
-    g = _load_graph(args.graph)
-    _cap_vertices(g.n, "graph distance")
+    g = _load_graph(args.graph, "graph distance")
     d = all_pairs_distances(g)
     results = {"n": g.n, "distances": [list(row) for row in d.rows]}
     return _report("graph distance", {"graph": args.graph}, results), 0
 
 
 def _cmd_graph_blocks(args) -> tuple[dict, int]:
-    g = _load_graph(args.graph)
-    _cap_vertices(g.n, "graph blocks")
+    g = _load_graph(args.graph, "graph blocks")
     out = []
     for b in blocks(g):
         edges = [[b.vertices[u - 1], b.vertices[v - 1]] for u, v in b.graph.edges]
@@ -254,8 +255,7 @@ def _cmd_graph_blocks(args) -> tuple[dict, int]:
 
 
 def _cmd_graph_attach(args):
-    base = _load_graph(args.base)
-    _cap_vertices(base.n, "graph attach")
+    base = _load_graph(args.base, "graph attach")
     try:
         u, v = (int(x) for x in args.edge.split(","))
     except ValueError as e:
@@ -320,8 +320,7 @@ def _cmd_reduce_verify(args) -> tuple[dict, int]:
 
 def _cmd_invariants(args) -> tuple[dict, int]:
     if args.graph is not None:
-        g = _load_graph(args.graph)
-        _cap_vertices(g.n, "invariants")
+        g = _load_graph(args.graph, "invariants")
         inv = distance_invariants(g)
         source = {"source": "graph", "graph": args.graph}
     elif args.seq is not None:
@@ -335,8 +334,7 @@ def _cmd_invariants(args) -> tuple[dict, int]:
 
 
 def _cmd_address_verify(args) -> tuple[dict, int]:
-    g = _load_graph(args.graph)
-    _cap_vertices(g.n, "address verify")
+    g = _load_graph(args.graph, "address verify")
     try:
         obj = json.loads(_read_text(args.scheme))
     except json.JSONDecodeError as e:
@@ -354,7 +352,7 @@ def _budget(args) -> int | None:
 
 
 def _cmd_address_search(args) -> tuple[dict, int]:
-    g = _load_graph(args.graph)
+    g = _load_graph(args.graph, "address search")
     scheme = search_scheme(g, args.length, budget=_budget(args))
     inputs = {"graph": args.graph, "length": args.length, "budget": args.budget}
     if scheme is None:
@@ -364,7 +362,7 @@ def _cmd_address_search(args) -> tuple[dict, int]:
 
 
 def _cmd_address_exact_n(args) -> tuple[dict, int]:
-    g = _load_graph(args.graph)
+    g = _load_graph(args.graph, "address exact-n")
     lb, scheme = exact_n(g, budget=_budget(args))
     results = {"n": scheme.d, "lower_bound": lb, "scheme": scheme_to_json_obj(scheme)}
     inputs = {"graph": args.graph, "budget": args.budget}

@@ -17,7 +17,6 @@ from .errors import InputError
 from .graphs import LabeledGraph, all_pairs_distances, build_cp_graph
 from .linalg import (
     Inertia,
-    _bordered,
     _symmetric_bareiss,
     determinant,
     leading_principal_minors,
@@ -79,30 +78,35 @@ def _difference_congruence(rows, parents) -> tuple[tuple[int, ...], ...]:
 
 
 def distance_invariants(g: LabeledGraph) -> GraphInvariants:
-    """det, inertia and cofactor sum of D, read from M = U^T D U: the
-    differences along a BFS tree rooted at vertex n (Graham and Pollak's
-    move on trees; see _difference_congruence). Each other vertex's parent
-    is its smallest neighbour one level closer to n, read off D's last row.
+    """det, inertia and cofactor sum of g's distance matrix (see _distance_matrix_invariants)."""
+    return _distance_matrix_invariants(all_pairs_distances(g).rows)
+
+
+def _distance_matrix_invariants(rows) -> GraphInvariants:
+    """det, inertia and cofactor sum of D, a connected graph's distance matrix
+    given by its rows, from M = U^T D U, the differences along a BFS tree
+    rooted at vertex n (Graham and Pollak's move; see _difference_congruence).
+    A vertex's parent is its smallest w with D[v][w] = 1 one level closer to n.
 
     det U = 1, so M has D's det and inertia (Sylvester's law), and with
-    u = U^T 1 = e_n, 1^T adj(D) 1 = u^T adj(M) u = -det([[M, u], [u^T, 0]]).
-    M is cheap to eliminate: every entry lies in [-2, 2], the non-root
-    diagonal is -2, and the root's dense row (1, ..., 1, 0) comes last. For
-    a tree M is [[-2I, 1], [1^T, 0]].
+    u = U^T 1 = e_n, 1^T adj(D) 1 = u^T adj(M) u = det B, B M's leading n - 1
+    block, read as -det([[B, 0], [0, -1]]) like linalg's bordered cofactor
+    sums: a wrong determinant moves family_invariants' cofactor alike. M's
+    entries lie in [-2, 2], its non-root diagonal is -2 and the root's row
+    (1, ..., 1, 0) comes last; for a tree M is [[-2I, 1], [1^T, 0]].
     """
-    d = all_pairs_distances(g).rows
-    root = g.n - 1
-    level = d[root] if d else ()
-    adj = g._adj
+    if not rows:
+        return GraphInvariants(1, Inertia(0, 0, 0), 0)
+    level = rows[-1]
     parents = [
-        None if v == root else next(w - 1 for w in adj[v + 1] if level[w - 1] < level[v])
-        for v in range(g.n)
+        next((w for w, x in enumerate(row) if x == 1 and level[w] < level[v]), None)
+        for v, row in enumerate(rows)
     ]
-    m = _difference_congruence(d, parents)
+    m = _difference_congruence(rows, parents)
     # M is symmetric by construction: no symmetry check before the kernel
     plus, minus, zero, det = _symmetric_bareiss(m)
-    u = tuple(int(p is None) for p in parents)  # U^T 1
-    cof = -determinant(_bordered(IntMatrix._of(m), u))
+    block = [r[:-1] + (0,) for r in m[:-1]]
+    cof = -determinant(IntMatrix._of((*block, (0,) * len(block) + (-1,))))
     return GraphInvariants(det, Inertia(plus, minus, zero), cof)
 
 

@@ -12,10 +12,10 @@ matrix here must be symmetric; others raise NotSymmetric. Jones'
 leading-principal-minor sign rule is kept as a second method for inertia.
 Cofactor sums are one bordered determinant each, itself symmetric:
 u^T adj(A) u = -det([[A, u], [u^T, 0]]). A unimodular congruence M = U^T A U
-keeps det and inertia, and u^T adj(M) u with u = U^T 1 is A's cofactor sum,
-so formulas.distance_invariants hands the kernel a distance matrix's BFS-tree
-differences, with entries in [-2, 2], in place of D, whose minors, and so
-the kernel's intermediate entries, grow far faster.
+keeps det and inertia, and u^T adj(M) u with u = U^T 1 is A's cofactor sum.
+So formulas.distance_invariants hands the kernel a distance matrix's BFS-tree
+differences M, entries in [-2, 2], in place of D, whose minors grow far
+faster; there u = e_n, and the cofactor sum is det of M's leading n - 1 block.
 """
 
 from __future__ import annotations

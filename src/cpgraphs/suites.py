@@ -28,6 +28,7 @@ from .formulas import (
     BlockPart,
     CrossCheckFailed,
     GraphInvariants,
+    _distance_matrix_invariants,
     block_2cp_inertia,
     compose_blocks,
     cp2_invariants,
@@ -51,7 +52,6 @@ from .linalg import (
     ConsecutiveZeroMinors,
     Inertia,
     Singular,
-    cofactor_sum,
     det_and_inertia,
     determinant,
     inertia_congruence,
@@ -329,7 +329,7 @@ def _grow(families, h=None):
     (c*p - x*x) // prev. det is the last pivot, inertia comes from the pivot
     signs and cof = -corner, as the kernel gives them. A zero pivot before
     the last is a prefix family's determinant, so every member below it
-    takes the kernel on its D rows instead.
+    goes to formulas._distance_matrix_invariants with its D rows instead.
     """
     sizes, reads = {}, {}  # per prefix: its next sizes and the listed family whose h it reads
     for f in families:
@@ -411,8 +411,7 @@ def _grow(families, h=None):
         if h is not None:
             got = ok[-1]
         elif len(pivots) <= k:
-            m = IntMatrix._of(tuple(map(tuple, d)))
-            got = GraphInvariants(*det_and_inertia(m), cofactor_sum(m))
+            got = _distance_matrix_invariants(d)
         elif pivots[-1][1]:
             inertia = Inertia(k + 1 - minus[-1], minus[-1], 0)
             got = GraphInvariants(pivots[-1][1], inertia, -corners[-1])
@@ -517,12 +516,9 @@ def _suite_weighted_path(rec: Recorder, rng, scale) -> dict:
     for n in range(1, scale + 1):
         a = weighted_path_matrix(n)
         want_det = (-1) ** n * (n + 1)
-        got_det = determinant(a)
+        got_det, got_in = det_and_inertia(a)
         rec.check(got_det == want_det, f"path n={n}: determinant {got_det} != {want_det}")
-        got_in = inertia_congruence(a)
-        rec.check(
-            got_in == Inertia(0, n, 0), f"path n={n}: inertia {got_in} != (0, {n}, 0)"
-        )
+        rec.check(got_in == Inertia(0, n, 0), f"path n={n}: inertia {got_in} != (0, {n}, 0)")
     return {"orders": scale}
 
 
@@ -712,8 +708,8 @@ def _suite_linalg_crossval(rec: Recorder, rng, scale) -> dict:
 # the cap of any suite it would run before any of them starts. For the
 # exponentially growing suites the cap is the largest run the docs record (up
 # to about 50 s on 2 cores with Python 3.11); each step past it at least
-# doubles the work. For the rest it is a run of about 20-30 s: weighted-path
-# 600 (one elimination per order up to the scale, 27 s), attach 50 000 pairs
+# doubles the work. For the rest it is a run of about 15-30 s: weighted-path
+# 600 (one elimination per order up to the scale, 17 s), attach 50 000 pairs
 # (25 s), linalg-crossval 50 000 matrices (20 s). Every cap is at least 6, so
 # "all" has the cap 6. fixtures and addressing take no scale, and
 # block-inertia's only bounds the order of 30 random recipes, each of which

@@ -5,9 +5,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_graphs import degree
+from test_graphs import degree, neighbors
 from test_linalg import symmetric_matrices
-from test_suites import all_codes
+from test_suites import all_codes, dense_invariants
 
 from cpgraphs import formulas
 from cpgraphs.cli import MAX_VERTICES
@@ -349,9 +349,7 @@ def relabelled(rng, g):
 
 def raw_invariants(g):
     """det, inertia and cofactor sum of the distance matrix itself."""
-    d = all_pairs_distances(g)
-    det, inertia = det_and_inertia(d)
-    return GraphInvariants(det, inertia, cofactor_sum(d))
+    return dense_invariants(all_pairs_distances(g).rows)
 
 
 def eliminated_matrix(formulas_module, g):
@@ -448,8 +446,33 @@ def test_difference_matrix_of_every_tree():
         assert eliminated_matrix(formulas, t) == tree_difference_matrix(t.n), t
 
 
+def adjacency_parents(g):
+    """Each vertex's smallest neighbour one level closer to vertex n, as
+    0-based indices, and None for n: the BFS tree read from the adjacency lists."""
+    level = all_pairs_distances(g).rows[-1]
+    return [
+        next((w - 1 for w in neighbors(g, v) if level[w - 1] < level[v - 1]), None)
+        for v in range(1, g.n + 1)
+    ]
+
+
+def path_square(n):
+    """The square of the path on n vertices: the linear 2-tree with every clique K_3."""
+    edges = tuple((v, v + 1) for v in range(1, n)) + tuple((v, v + 2) for v in range(1, n - 1))
+    return LabeledGraph(n, edges)
+
+
+def test_difference_matrix_follows_the_adjacency_bfs_tree():
+    # the parents read from D's rows are those of the adjacency lists, so M is
+    # the same matrix as when the tree was read from them
+    graphs = invariant_graphs(random.Random(38))
+    graphs += [path_graph(MAX_VERTICES), path_square(MAX_VERTICES)]
+    for g in graphs:
+        d = all_pairs_distances(g).rows
+        assert eliminated_matrix(formulas, g) == _difference_congruence(d, adjacency_parents(g)), g
+
+
 def test_distance_invariants_at_the_vertex_cap():
     n = MAX_VERTICES
     assert distance_invariants(path_graph(n)) == tree_invariants(n)
-    square = tuple((v, v + 1) for v in range(1, n)) + tuple((v, v + 2) for v in range(1, n - 1))
-    assert distance_invariants(LabeledGraph(n, square)) == linear_2tree_invariants(n)
+    assert distance_invariants(path_square(n)) == linear_2tree_invariants(n)

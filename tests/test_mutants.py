@@ -294,17 +294,29 @@ MUTANTS = {
         "in_order = [self.no_one]",  # loses P4's 000, 001, 011, 111
         searches_match_the_oracle,
     ),
-    # formulas.distance_invariants: M = U^T D U over a BFS tree rooted at vertex n
+    # formulas._distance_matrix_invariants: M = U^T D U over a BFS tree rooted at vertex n
     "differences: a parent at the same level as its child": (
         formulas,
-        "if level[w - 1] < level[v]",
-        "if level[w - 1] <= level[v]",  # K_4 pairs 1 and 2: U is singular
+        "x == 1 and level[w] < level[v]",
+        "x == 1 and level[w] <= level[v]",  # K_4 pairs 1 and 2: U is singular
         differences_match_the_raw_matrix,
     ),
-    "differences: u all ones, not U^T 1": (
+    "differences: a parent that is not a neighbour": (
         formulas,
-        "u = tuple(int(p is None) for p in parents)",
-        "u = (1,) * len(parents)",
+        "x == 1 and level[w] < level[v]",
+        "x >= 1 and level[w] < level[v]",  # still unimodular: only M's shape changes
+        differences_match_the_raw_matrix,
+    ),
+    "differences: the cofactor at vertex 1, not at the root": (
+        formulas,
+        "block = [r[:-1] + (0,) for r in m[:-1]]",
+        "block = [r[1:] + (0,) for r in m[1:]]",  # u = e_1, not U^T 1 = e_n
+        differences_match_the_raw_matrix,
+    ),
+    "differences: the cofactor's sign lost": (
+        formulas,
+        "(0,) * len(block) + (-1,)",
+        "(0,) * len(block) + (1,)",  # -det([[B, 0], [0, 1]]) = -det B
         differences_match_the_raw_matrix,
     ),
     "differences: the column step skipped": (
@@ -315,14 +327,14 @@ MUTANTS = {
     ),
     "differences: the root placed first": (
         formulas,
-        "root = g.n - 1",
-        "root = 0",  # the same values from a tree rooted at vertex 1
+        "level = rows[-1]",
+        "level = rows[0]",  # a tree rooted at vertex 1, its cofactor still read at n
         differences_match_the_raw_matrix,
     ),
     "differences: D itself eliminated": (
         formulas,
-        "m = _difference_congruence(d, parents)",
-        "m, parents = d, [None] * g.n",  # U = I and u = 1: the same values
+        "m = _difference_congruence(rows, parents)",
+        "m = rows",  # U = I: the same det and inertia, but D's (n, n) cofactor
         differences_match_the_raw_matrix,
     ),
 }

@@ -12,8 +12,13 @@ from test_graphs import degree, neighbors
 
 from cpgraphs import cli, linalg, suites
 from cpgraphs.errors import InputError, ResourceLimit
-from cpgraphs.formulas import GraphInvariants, distance_invariants, tree_invariants
-from cpgraphs.linalg import Inertia, determinant
+from cpgraphs.formulas import (
+    GraphInvariants,
+    distance_invariants,
+    family_invariants,
+    tree_invariants,
+)
+from cpgraphs.linalg import Inertia, cofactor_sum, det_and_inertia, determinant
 from cpgraphs.reduction import reduced_graph
 from cpgraphs.sequences import (
     CliquePathSpec,
@@ -537,6 +542,13 @@ def test_walk_matches_random_families(n, seed):
     assert walk_matches_members([s.q], 64) == min(64, count_neighborhood_sequences(s))
 
 
+def dense_invariants(d):
+    """det, inertia and cofactor sum from two eliminations of D itself, which
+    shares no BFS-tree differences with the walk's fallback."""
+    m = IntMatrix.from_rows(d)
+    return GraphInvariants(*det_and_inertia(m), cofactor_sum(m))
+
+
 @pytest.mark.parametrize("last", [2, 3, 4])
 def test_walk_falls_back_below_a_zero_leading_minor(last):
     # D_7 = 0 in every member, so pivot 6 is zero before the last one; with
@@ -545,7 +557,23 @@ def test_walk_falls_back_below_a_zero_leading_minor(last):
     for _, _, d, inv in suites._grow([s.q]):
         assert determinant(IntMatrix.from_rows(d).leading(7)) == 0
         assert (inv.det == 0) == (last == 3)
+        assert inv == dense_invariants(d)
     assert walk_matches_members([s.q]) == count_neighborhood_sequences(s)
+
+
+def test_walk_fallback_matches_the_dense_route_up_to_order_9(monkeypatch):
+    # every member below a zero interior pivot, which walk_matches_members
+    # compares with its own route, against D itself and its reduced graph
+    calls = []
+    real = suites._distance_matrix_invariants
+    monkeypatch.setattr(suites, "_distance_matrix_invariants", lambda d: calls.append(d) or real(d))
+    reduced = cache(lambda q: family_invariants(NonLeapingSequence(q)))
+    checked = 0
+    for q, _, d, inv in suites._grow(every_family(9)):
+        if len(calls) > checked:  # this member took the fallback
+            checked += 1
+            assert inv == dense_invariants(d) == reduced(q), (q, d)
+    assert checked == len(calls) == 722
 
 
 def test_walk_verdict_on_wrong_targets():
