@@ -147,6 +147,53 @@ def test_distance_matrix_is_metric():
                     assert d.rows[i][j] <= d.rows[i][k] + d.rows[k][j]
 
 
+def bfs_rows(g):
+    """The distance matrix's rows by one single-source BFS per vertex."""
+    return tuple(tuple(bfs_distances(g, s)[1:]) for s in range(1, g.n + 1))
+
+
+def random_graph(rng):
+    """A graph on 0..40 vertices whose edges each occur with one drawn
+    probability below 0.3; about half of them are disconnected."""
+    n = rng.randint(0, 40)
+    p = rng.random() * 0.3
+    return LabeledGraph(n, tuple(e for e in combinations(range(1, n + 1), 2) if rng.random() < p))
+
+
+def test_distances_match_per_source_bfs():
+    rng = random.Random(5)
+    disconnected = 0
+    for _ in range(300):
+        g = random_graph(rng)
+        if is_connected(g):
+            rows = all_pairs_distances(g).rows
+            assert rows == bfs_rows(g), g
+            assert all(type(x) is int for row in rows for x in row)
+        else:
+            disconnected += 1
+            with pytest.raises(Disconnected, match="^vertex 1 cannot reach every vertex$"):
+                all_pairs_distances(g)
+    assert 100 < disconnected < 200
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 300])
+def test_distances_across_the_lane_width(n):
+    # P_256's diameter 255 is the most a one-byte lane holds
+    g = path_graph(n)
+    assert all_pairs_distances(g).rows == bfs_rows(g)
+
+
+def test_diameter_above_a_byte():
+    # the only graph on 257 vertices with diameter 256 is a path; shuffled
+    # labels put its ends in arbitrary lanes
+    order = list(range(1, 258))
+    random.Random(6).shuffle(order)
+    g = LabeledGraph(257, tuple(zip(order, order[1:])))
+    d = all_pairs_distances(g)
+    assert d.rows == bfs_rows(g)
+    assert max(map(max, d.rows)) == 256
+
+
 def test_build_cp_graph_smallest():
     s = NonLeapingSequence((0, 1, 2))
     (ns,) = list(enumerate_neighborhood_sequences(s))

@@ -15,10 +15,18 @@ from dataclasses import astuple
 
 import pytest
 from test_formulas import eliminated_matrix, has_difference_shape, hypercube, raw_invariants
+from test_graphs import bfs_rows, random_graph
 from test_suites import ROOTED_TREES, all_codes, class_counts, heap_growth
 
-from cpgraphs import addressing, formulas, sequences, suites
-from cpgraphs.graphs import LabeledGraph, build_cp_graph, complete_graph, cycle_graph, path_graph
+from cpgraphs import addressing, formulas, graphs, sequences, suites
+from cpgraphs.graphs import (
+    LabeledGraph,
+    build_cp_graph,
+    complete_graph,
+    cycle_graph,
+    is_connected,
+    path_graph,
+)
 from cpgraphs.reduction import reduced_graph
 from cpgraphs.sequences import NonLeapingSequence, iter_nonleaping_sequences
 from cpgraphs.suites import random_member
@@ -87,6 +95,35 @@ def layout_is_bfs_order(mod):
         mod._layout(cycle_graph(5))[1] == (1, 2, 5, 3, 4)
         and mod._layout(path_graph(3))[1] == (1, 2, 3)
     )
+
+
+# seeded random graphs on up to 40 vertices, some disconnected, and the paths
+# on both sides of the one-byte lane; each with its per-source BFS rows, or
+# None where it is disconnected
+_rng = random.Random(7)
+DISTANCE_GRAPHS = tuple(
+    (g, bfs_rows(g) if is_connected(g) else None)
+    for g in [random_graph(_rng) for _ in range(60)] + [path_graph(256), path_graph(257)]
+)
+
+
+def distances_match_bfs(mod):
+    """all_pairs_distances of `mod`, a graphs module, gives the per-source BFS
+    rows on each connected graph of DISTANCE_GRAPHS and refuses each
+    disconnected one with the text every caller prints."""
+    for g, rows in DISTANCE_GRAPHS:
+        if rows is not None:
+            if mod.all_pairs_distances(g).rows != rows:
+                return False
+            continue
+        try:
+            mod.all_pairs_distances(g)
+        except mod.Disconnected as e:
+            if str(e) != "vertex 1 cannot reach every vertex":
+                return False
+        else:
+            return False
+    return True
 
 
 # K_4, C_5, Q_3, P_4, a star centred at vertex 3 (not the BFS root) and a CP member
@@ -294,6 +331,37 @@ MUTANTS = {
         "in_order = [self.no_one]",  # loses P4's 000, 001, 011, 111
         searches_match_the_oracle,
     ),
+    # graphs.all_pairs_distances: one BFS from every vertex at once, in lanes
+    "distances: lanes pinned at one byte": (
+        graphs,
+        "width, code = next(lane for lane in _LANES if n <= 1 << lane[0])",
+        "width, code = _LANES[0]",  # P_257's distance 256 carries out of its lane
+        distances_match_bfs,
+    ),
+    "distances: a lane one bit too narrow": (
+        graphs,
+        "if n <= 1 << lane[0])",
+        "if n <= 2 << lane[0])",  # byte lanes up to n = 512
+        distances_match_bfs,
+    ),
+    "distances: level 1 not seeded by the edge pass": (
+        graphs,
+        "        reach[u] |= bit[v]\n        reach[v] |= bit[u]\n",
+        "",
+        distances_match_bfs,
+    ),
+    "distances: acc started at level 1, not level 0": (
+        graphs,
+        "acc = [full ^ b for b in bit]",
+        "acc = [full ^ r for r in reach]",
+        distances_match_bfs,
+    ),
+    "distances: rows decoded big-endian": (
+        graphs,
+        'a.to_bytes(n * width // 8, "little")',
+        'a.to_bytes(n * width // 8, "big")',
+        distances_match_bfs,
+    ),
     # formulas._distance_matrix_invariants: M = U^T D U over a BFS tree rooted at vertex n
     "differences: a parent at the same level as its child": (
         formulas,
@@ -351,6 +419,13 @@ EQUIVALENT = {
         # n <= 9), so column k of E^T D E comes out the same
         member_suites_pass,
     ),
+    "distances: complete rows still stepped": (
+        graphs,
+        "if r != full:",
+        "if True:",
+        # full ^ full adds 0 to acc, and ORing into a full reach set adds nothing
+        distances_match_bfs,
+    ),
 }
 
 
@@ -362,6 +437,7 @@ EQUIVALENT = {
     (layout_is_bfs_order, addressing),
     (searches_match_the_oracle, addressing),
     (differences_match_the_raw_matrix, formulas),
+    (distances_match_bfs, graphs),
 ])
 def test_checks_pass_on_the_package(check, module):
     assert check(module)
