@@ -78,7 +78,8 @@ def _difference_congruence(rows, parents) -> tuple[tuple[int, ...], ...]:
 
 
 def distance_invariants(g: LabeledGraph) -> GraphInvariants:
-    """det, inertia and cofactor sum of g's distance matrix (see _distance_matrix_invariants)."""
+    """det, inertia and cofactor sum of g's distance matrix (see
+    _distance_matrix_invariants); a D already computed on g is reused."""
     return _distance_matrix_invariants(all_pairs_distances(g).rows)
 
 

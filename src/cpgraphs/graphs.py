@@ -7,6 +7,12 @@ distance matrix comes from one multi-source BFS whose frontiers are Python
 ints with one lane per vertex, so each step ORs whole rows at C speed; and
 blocks come from a textbook Hopcroft-Tarjan decomposition.
 
+A graph is immutable, so _adj and the distance matrix are computed once per
+graph object and kept in its __dict__ (all_pairs_distances stores D the way
+functools.cached_property stores _adj). Nothing is kept by equality: such a
+table would hold every graph seen, and would make a rerun on equal inputs
+cheaper than the first, so timing reruns would measure the repetition.
+
 Validation happens once, where a graph enters from outside: the LabeledGraph
 constructor (behind edge files, JSON and user calls) range-checks, orders and
 deduplicates every edge. Graphs built from an already-valid neighborhood
@@ -169,7 +175,14 @@ def all_pairs_distances(g: LabeledGraph) -> IntMatrix:
     at d(v, w). OR sets single bits, and acc's lanes only climb by 0 or 1 to
     d(v, w) <= n - 1 < 2**width, so no lane ever carries into the next. A
     step that adds nothing while a lane is missing means a disconnected graph.
+
+    D is stored on g (see the module docstring): later calls for the same
+    object return it, an equal graph built anew computes its own, and a
+    disconnected graph stores nothing and raises on every call.
     """
+    memo = g.__dict__
+    if "_distances" in memo:
+        return memo["_distances"]
     n = g.n
     width, code = next(lane for lane in _LANES if n <= 1 << lane[0])
     bit = [1 << (width * v) for v in range(n)]
@@ -198,7 +211,9 @@ def all_pairs_distances(g: LabeledGraph) -> IntMatrix:
         reach, acc = grown, counted
     # little-endian standard sizes: the same lanes on every platform
     row = Struct(f"<{n}{code}").unpack
-    return IntMatrix._of(tuple([row(a.to_bytes(n * width // 8, "little")) for a in acc]))
+    d = IntMatrix._of(tuple([row(a.to_bytes(n * width // 8, "little")) for a in acc]))
+    memo["_distances"] = d
+    return d
 
 
 class AttachResult(NamedTuple):

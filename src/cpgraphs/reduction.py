@@ -49,6 +49,20 @@ class WeightedGraph:
         object.__setattr__(self, "edges", tuple(sorted(norm)))
         object.__setattr__(self, "vertex_weights", vw)
 
+    @classmethod
+    def _of(
+        cls, n: int, vertex_weights: tuple[int, ...], edges: tuple[tuple[int, int, int], ...]
+    ) -> "WeightedGraph":
+        """Wrap the fields without checking them. Precondition: vertex_weights
+        is a tuple of n ints and edges a sorted tuple of (u, v, w) with distinct
+        pairs 1 <= u < v <= n and int w != 0; the graph then equals, and
+        hashes like, WeightedGraph(n, vertex_weights, edges)."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "n", n)
+        object.__setattr__(h, "vertex_weights", vertex_weights)
+        object.__setattr__(h, "edges", edges)
+        return h
+
     def adjacency_matrix(self) -> IntMatrix:
         rows = [[0] * self.n for _ in range(self.n)]
         for i in range(self.n):
@@ -92,9 +106,8 @@ def reduced_graph(s: NonLeapingSequence) -> WeightedGraph:
     for k, b_prev, b_k in zip(range(3, s.n + 1), s.b[1:], s.b[2:]):
         for key, w in (((b_prev, k), 1), ((b_k, k), -1), ((k - 1, k), 1)):
             acc[key] = acc.get(key, 0) + w
-    edges = tuple((u, v, w) for (u, v), w in acc.items() if w != 0)
-    vw = (0, 0) + (-2,) * (s.n - 2)
-    return WeightedGraph(s.n, vw, edges)
+    edges = tuple(sorted((u, v, w) for (u, v), w in acc.items() if w != 0))
+    return WeightedGraph._of(s.n, (0, 0) + (-2,) * (s.n - 2), edges)
 
 
 def reducing_matrix(ns: NeighborhoodSequence) -> IntMatrix:

@@ -760,7 +760,9 @@ ARGUMENTS = {
     "address exact-n": lambda draw: (
         ["-", *_option(draw, "--budget", budgets)], draw(graph_texts()), None
     ),
-    # a suite's own scales run for up to about 50 s below its cap, and its
+    # scales come from -3..3 and from `huge`, which also draws mid-size scales
+    # below a suite's cap; those run in full: `check attach --scale 712` takes
+    # about 5 s under tracemalloc, most of this test's 6-12 s. A suite's
     # default runs are timed in test_check_all_default_counts
     "check": lambda draw: (
         [

@@ -5,6 +5,8 @@ from itertools import combinations
 import pytest
 
 from cpgraphs.errors import InputError
+from cpgraphs.fixtures import FIXTURE_NAMES, fixture_graph
+from cpgraphs.formulas import distance_invariants
 from cpgraphs.graphs import (
     Disconnected,
     DuplicateEdge,
@@ -192,6 +194,29 @@ def test_diameter_above_a_byte():
     d = all_pairs_distances(g)
     assert d.rows == bfs_rows(g)
     assert max(map(max, d.rows)) == 256
+
+
+def test_distances_kept_per_graph_object():
+    g = cycle_graph(6)
+    d = all_pairs_distances(g)
+    assert all_pairs_distances(g) is d
+    # an equal graph built anew computes its own D: nothing is keyed by equality
+    fresh = LabeledGraph(6, g.edges)
+    assert all_pairs_distances(fresh) == d and all_pairs_distances(fresh) is not d
+    assert fresh == g and hash(fresh) == hash(g)
+    other = path_graph(6)
+    assert all_pairs_distances(other).rows == bfs_rows(other)
+    assert all_pairs_distances(g) is d
+    split = LabeledGraph(4, ((1, 2), (3, 4)))
+    for _ in range(2):
+        with pytest.raises(Disconnected, match="^vertex 1 cannot reach every vertex$"):
+            all_pairs_distances(split)
+
+
+@pytest.mark.parametrize("g", [*map(fixture_graph, FIXTURE_NAMES), path_graph(256)])
+def test_invariants_read_the_stored_distances(g):
+    all_pairs_distances(g)
+    assert distance_invariants(g) == distance_invariants(LabeledGraph(g.n, g.edges))
 
 
 def test_build_cp_graph_smallest():

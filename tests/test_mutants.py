@@ -110,8 +110,11 @@ DISTANCE_GRAPHS = tuple(
 def distances_match_bfs(mod):
     """all_pairs_distances of `mod`, a graphs module, gives the per-source BFS
     rows on each connected graph of DISTANCE_GRAPHS and refuses each
-    disconnected one with the text every caller prints."""
+    disconnected one with the text every caller prints. Each check runs on
+    fresh graph objects, since a graph keeps the D computed on it: a mutant
+    would otherwise read the D another module stored."""
     for g, rows in DISTANCE_GRAPHS:
+        g = LabeledGraph._of(g.n, g.edges)
         if rows is not None:
             if mod.all_pairs_distances(g).rows != rows:
                 return False
@@ -360,6 +363,12 @@ MUTANTS = {
         graphs,
         'a.to_bytes(n * width // 8, "little")',
         'a.to_bytes(n * width // 8, "big")',
+        distances_match_bfs,
+    ),
+    "distances: D stored where every graph reads it": (
+        graphs,
+        "memo = g.__dict__",
+        "memo = globals()",  # each graph after the first gets the first's D
         distances_match_bfs,
     ),
     # formulas._distance_matrix_invariants: M = U^T D U over a BFS tree rooted at vertex n

@@ -1,8 +1,9 @@
 """Values the package builds without re-validation equal their validated forms.
 
-IntMatrix._of, LabeledGraph._of and NeighborhoodSequence._of skip the
-constructor checks; these tests rebuild every such value through the public
-constructor and require the same fields, equality and hash.
+IntMatrix._of, LabeledGraph._of, NeighborhoodSequence._of and
+WeightedGraph._of skip the constructor checks; these tests rebuild every such
+value through the public constructor and require the same fields, equality
+and hash.
 """
 
 from itertools import islice
@@ -14,6 +15,7 @@ from cpgraphs.graphs import LabeledGraph, all_pairs_distances, build_cp_graph
 from cpgraphs.linalg import _bordered
 from cpgraphs.matrices import IntMatrix
 from cpgraphs.reduction import (
+    WeightedGraph,
     congruence_reduce,
     reduced_graph,
     reducing_matrix,
@@ -44,6 +46,12 @@ def assert_valid_graph(g):
     checked = LabeledGraph(g.n, g.edges)
     assert checked.edges == g.edges
     assert checked == g and hash(checked) == hash(g)
+
+
+def assert_valid_weighted_graph(h):
+    checked = WeightedGraph(h.n, h.vertex_weights, h.edges)
+    assert checked.vertex_weights == h.vertex_weights and checked.edges == h.edges
+    assert checked == h and hash(checked) == hash(h)
 
 
 def package_built_matrices(ns):
@@ -80,6 +88,7 @@ def members(draw, n_max=14):
 @given(members())
 def test_random_members_build_valid_values(ns):
     assert_valid_graph(build_cp_graph(ns))
+    assert_valid_weighted_graph(reduced_graph(ns.base))
     for m in package_built_matrices(ns):
         assert_valid_matrix(m)
     for member in islice(enumerate_neighborhood_sequences(ns.base), 50):
@@ -91,6 +100,7 @@ def test_random_members_build_valid_values(ns):
 def test_every_small_family_builds_valid_values():
     for n in range(2, 9):
         for s in iter_nonleaping_sequences(n):
+            assert_valid_weighted_graph(reduced_graph(s))
             for ns in enumerate_neighborhood_sequences(s):
                 assert ns == NeighborhoodSequence(s, ns.anchors)
                 assert_valid_graph(build_cp_graph(ns))
