@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import or_
+from operator import index, or_
 
 from .errors import InputError, ResourceLimit
 from .graphs import LabeledGraph, all_pairs_distances
@@ -72,7 +72,7 @@ def scheme_to_json_obj(s: AddressScheme) -> dict:
 
 def scheme_from_json_obj(obj: dict) -> AddressScheme:
     try:
-        d, addr = int(obj["d"]), tuple(str(a) for a in obj["addr"])
+        d, addr = index(obj["d"]), tuple(str(a) for a in obj["addr"])
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InputError(f"bad scheme object: {e}") from None
     return AddressScheme(d, addr)

@@ -83,7 +83,7 @@ def parse_graph_input(text: str):
     if stripped.startswith("{"):
         try:
             obj = json.loads(stripped)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # bad syntax, or an int literal above the digit limit
             raise InputError(f"bad JSON graph: {e}") from e
         return graph_from_json_obj(obj)
     return parse_edge_list(text)
@@ -337,7 +337,7 @@ def _cmd_address_verify(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, "address verify")
     try:
         obj = json.loads(_read_text(args.scheme))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad syntax, or an int literal above the digit limit
         raise InputError(f"bad JSON scheme: {e}") from e
     scheme = scheme_from_json_obj(obj)
     ok = verify_scheme(g, scheme)

@@ -9,7 +9,9 @@ divisions). Descartes' rule counts roots exactly for real-rooted
 polynomials, and symmetric matrices have only real eigenvalues, so the sign
 counts are the inertia. The address search here tests every candidate word
 against each assigned vertex and the column order one by one, where
-addressing.search_scheme works on bitmasks.
+addressing.search_scheme works on bitmasks. Distances come from one plain
+breadth-first search per source over neighbour lists, where
+graphs.all_pairs_distances runs every source at once in integer lanes.
 """
 
 from __future__ import annotations
@@ -21,6 +23,35 @@ from .errors import InputError
 from .graphs import LabeledGraph, all_pairs_distances
 from .linalg import Inertia, NotSymmetric
 from .matrices import IntMatrix
+
+
+def bfs_distances(g: LabeledGraph, source: int) -> list[int]:
+    """Hop counts from source; -1 marks unreachable. 1-based, slot 0 unused."""
+    if not 1 <= source <= g.n:
+        raise InputError(f"vertex {source} outside 1..{g.n}")
+    adj: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = [-1] * (g.n + 1)
+    dist[source] = 0
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def is_connected(g: LabeledGraph) -> bool:
+    """Does vertex 1 reach every vertex? The empty graph counts as connected."""
+    return g.n == 0 or -1 not in bfs_distances(g, 1)[1:]
 
 
 def det_by_cofactor_expansion(m: IntMatrix) -> int:

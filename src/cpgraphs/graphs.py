@@ -2,16 +2,17 @@
 
 Vertices are labeled 1..n everywhere; edges are stored as sorted (u, v)
 pairs with u < v. Instances stay small (the acceptance suites top out in the
-low hundreds of vertices). Single-source BFS answers connectivity; the
-distance matrix comes from one multi-source BFS whose frontiers are Python
-ints with one lane per vertex, so each step ORs whole rows at C speed; and
-blocks come from a textbook Hopcroft-Tarjan decomposition.
+low hundreds of vertices). The distance matrix comes from one multi-source
+BFS whose frontiers are Python ints with one lane per vertex, so each step
+ORs whole rows at C speed; blocks come from a textbook Hopcroft-Tarjan
+decomposition.
 
-A graph is immutable, so _adj and the distance matrix are computed once per
-graph object and kept in its __dict__ (all_pairs_distances stores D the way
-functools.cached_property stores _adj). Nothing is kept by equality: such a
-table would hold every graph seen, and would make a rerun on equal inputs
-cheaper than the first, so timing reruns would measure the repetition.
+A graph is immutable, so its distance matrix is computed once per graph
+object and kept in its __dict__; it is the only thing a graph keeps. Nothing
+here is kept by equality: such a table would hold every graph seen, and
+would make a rerun on equal inputs cheaper than the first, so timing reruns
+would measure the repetition. The one exception in the package is
+addressing._layout, a one-entry cache keyed by graph equality.
 
 Validation happens once, where a graph enters from outside: the LabeledGraph
 constructor (behind edge files, JSON and user calls) range-checks, orders and
@@ -23,7 +24,7 @@ assumes sorted, distinct (u, v) pairs with 1 <= u < v <= n and checks nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from operator import index
 from struct import Struct
 from typing import NamedTuple
 
@@ -90,24 +91,6 @@ class LabeledGraph:
         object.__setattr__(g, "edges", edges)
         return g
 
-    @cached_property
-    def _adj(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        # edges are sorted with u < v, so each list is already ascending
-        return tuple(map(tuple, nbrs))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_set
-
-    @cached_property
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
 
 def path_graph(n: int) -> LabeledGraph:
     return LabeledGraph(n, tuple((i, i + 1) for i in range(1, n)))
@@ -133,31 +116,6 @@ def build_cp_graph(ns: NeighborhoodSequence) -> LabeledGraph:
     # a_k < b_k, so each pair (w, k) arises once, at step k
     edges.sort()
     return LabeledGraph._of(ns.n, tuple(edges))
-
-
-def is_connected(g: LabeledGraph) -> bool:
-    return g.n == 0 or -1 not in bfs_distances(g, 1)[1:]
-
-
-def bfs_distances(g: LabeledGraph, source: int) -> list[int]:
-    """Hop counts from source; -1 marks unreachable. 1-based, slot 0 unused."""
-    if not 1 <= source <= g.n:
-        raise InputError(f"vertex {source} outside 1..{g.n}")
-    adj = g._adj
-    dist = [-1] * (g.n + 1)
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
 
 
 # (lane bits, struct code) for all_pairs_distances, narrowest first
@@ -231,9 +189,9 @@ def attach(base: LabeledGraph, edge: tuple[int, int], cp: LabeledGraph) -> Attac
     v1, v2 = edge
     if v1 == v2:
         raise SelfLoop(f"attachment edge ({v1}, {v2}) is degenerate")
-    if not (1 <= v1 <= base.n and 1 <= v2 <= base.n) or not base.has_edge(v1, v2):
+    if (min(edge), max(edge)) not in base.edges:
         raise EdgeNotInBase(f"({v1}, {v2}) is not an edge of the base graph")
-    if cp.n < 2 or not cp.has_edge(1, 2):
+    if (1, 2) not in cp.edges:
         raise InputError("attached graph must contain the edge {1, 2}")
     cp_map = {1: v1, 2: v2}
     for k in range(3, cp.n + 1):
@@ -266,7 +224,11 @@ def blocks(g: LabeledGraph) -> list[Block]:
     """
     if g.n == 0:
         return []
-    adj = g._adj
+    # edges are sorted with u < v, so each neighbour list comes out ascending
+    adj: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     disc = [0] * (g.n + 1)
     low = [0] * (g.n + 1)
     timer = 1
@@ -371,10 +333,11 @@ def graph_to_json_obj(g: LabeledGraph) -> dict:
 
 
 def graph_from_json_obj(obj: dict) -> LabeledGraph:
+    # index() refuses floats and numeric strings; no silent rounding
     try:
-        n = int(obj["n"])
-        edges = tuple((int(u), int(v)) for u, v in obj["edges"])
-    except (KeyError, TypeError, ValueError) as e:
+        n = index(obj["n"])
+        edges = tuple((index(u), index(v)) for u, v in obj["edges"])
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InputError(f"bad graph object: {e}") from None
     return LabeledGraph(n, edges)
 

@@ -27,7 +27,7 @@ from cpgraphs.addressing import (
     search_scheme,
     verify_scheme,
 )
-from cpgraphs.crosschecks import brute_search_scheme
+from cpgraphs.crosschecks import brute_search_scheme, is_connected
 from cpgraphs.errors import InputError
 from cpgraphs.graphs import (
     LabeledGraph,
@@ -35,7 +35,6 @@ from cpgraphs.graphs import (
     build_cp_graph,
     complete_graph,
     cycle_graph,
-    is_connected,
     path_graph,
 )
 from cpgraphs.sequences import (

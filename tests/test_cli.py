@@ -483,6 +483,64 @@ def test_address_verify_malformed_scheme(capsys, tmp_path):
         assert code == 2 and err.startswith("error: bad scheme object") and not out, text
 
 
+def bad_json(capsys, tmp_path, graph, scheme=None):
+    """(exit code, stderr) of `graph distance` on the JSON text `graph`, or of
+    `address verify` when a scheme's JSON text is given; either must refuse
+    the input on one line, with nothing on stdout."""
+    p = tmp_path / "g.json"
+    p.write_text(graph)
+    argv = ["graph", "distance", str(p)]
+    if scheme is not None:
+        sp = tmp_path / "scheme.json"
+        sp.write_text(scheme)
+        argv = ["address", "verify", str(p), "--scheme", str(sp)]
+    code, out, err = run(capsys, *argv)
+    assert not out and err.count("\n") == 1 and "Traceback" not in err, (graph, scheme, err)
+    return code, err
+
+
+K3_JSON = '{"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]}'
+
+
+def test_json_number_beyond_a_float_is_bad_input(capsys, tmp_path):
+    # 1e400 reads as inf, which int() refused with an OverflowError
+    code, err = bad_json(capsys, tmp_path, '{"n": 1e400, "edges": []}')
+    assert code == 2 and err.startswith("error: bad graph object:")
+    code, err = bad_json(capsys, tmp_path, '{"n": 2, "edges": [[1, 1e400]]}')
+    assert code == 2 and err.startswith("error: bad graph object:")
+    code, err = bad_json(capsys, tmp_path, K3_JSON, '{"d": 1e400, "addr": []}')
+    assert code == 2 and err.startswith("error: bad scheme object:")
+
+
+def test_json_int_literal_above_the_digit_limit_is_bad_input(capsys, tmp_path):
+    # json.loads raises a plain ValueError on an int of more than 4300 digits
+    big = "9" * 5000
+    code, err = bad_json(capsys, tmp_path, f'{{"n": {big}, "edges": []}}')
+    assert code == 2 and err.startswith("error: bad JSON graph:")
+    code, err = bad_json(capsys, tmp_path, K3_JSON, f'{{"d": {big}, "addr": []}}')
+    assert code == 2 and err.startswith("error: bad JSON scheme:")
+
+
+def test_json_floats_and_numeric_strings_are_not_rounded(capsys, tmp_path):
+    # int() read the first as the 2-vertex path, and the others as n = 3
+    for graph in ('{"n": 2.9, "edges": [[1.7, 2.2]]}', '{"n": "3", "edges": []}',
+                  '{"n": 3.0, "edges": []}', '{"n": 3, "edges": [[1, "2"]]}'):
+        code, err = bad_json(capsys, tmp_path, graph)
+        assert code == 2 and err.startswith("error: bad graph object:"), graph
+    for scheme in ('{"d": 2.0, "addr": ["00", "01", "1*"]}', '{"d": "2", "addr": ["00", "01", "1*"]}'):
+        code, err = bad_json(capsys, tmp_path, K3_JSON, scheme)
+        assert code == 2 and err.startswith("error: bad scheme object:"), scheme
+    # the same values as JSON integers are read
+    p, sp = tmp_path / "g.json", tmp_path / "scheme.json"
+    p.write_text('{"n": 2, "edges": [[1, 2]]}')
+    code, obj = run_json(capsys, "graph", "distance", str(p))
+    assert code == 0 and obj["results"]["distances"] == [[0, 1], [1, 0]]
+    p.write_text(K3_JSON)
+    sp.write_text('{"d": 2, "addr": ["00", "01", "1*"]}')
+    code, obj = run_json(capsys, "address", "verify", str(p), "--scheme", str(sp))
+    assert code == 0 and obj["results"]["ok"] is True
+
+
 def test_exact_n_searches_each_length_once(capsys, tmp_path, monkeypatch):
     # K_{2,3}: the inertia bound is 3, the minimum length 4
     edges = ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))
@@ -672,15 +730,28 @@ anchor_literals = st.one_of(
 )
 
 
+# JSON numbers where a graph or a scheme wants an int: floats (NaN and the
+# infinities among them), 1e400 (inf once read) and int literals above the
+# 4300-digit limit of int()
+bad_numbers = st.one_of(
+    st.floats().map(json.dumps),
+    st.sampled_from(["1e400", "-1e400", "NaN", "9" * 5000, "-" + "1" * 5000]),
+)
+
+
 @st.composite
 def graph_texts(draw):
-    kind = draw(st.sampled_from(["small", "text", "path", "json", "header"]))
+    kind = draw(st.sampled_from(["small", "text", "path", "json", "header", "bad json"]))
     if kind == "small":
         n = draw(st.integers(0, 6))
         pairs = draw(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=10))
         return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
     if kind == "text":
         return draw(st.text(alphabet="0123456789 n#\n{}", max_size=20))
+    if kind == "bad json":
+        x = draw(bad_numbers)
+        where = [f'{{"n": {x}, "edges": []}}', f'{{"n": 3, "edges": [[1, {x}]]}}']
+        return draw(st.sampled_from(where))
     # above the 256-vertex cap: a path, as an edge list or JSON, or a bare header
     n = draw(st.integers(257, 300))
     if kind == "path":
@@ -697,6 +768,7 @@ scheme_texts = st.one_of(
         st.lists(st.text(alphabet="01*", max_size=4), max_size=7),
     ),
     st.text(alphabet='{}[]"d:adr01*, ', max_size=20),
+    bad_numbers.map(lambda x: f'{{"d": {x}, "addr": ["0", "1"]}}'),
 )
 
 budgets = st.one_of(st.integers(-50, -1), st.just(0), st.integers(1, 300), huge)

@@ -9,12 +9,33 @@ from test_matrices import identity, zeros
 
 from cpgraphs import suites
 from cpgraphs.crosschecks import (
+    bfs_distances,
     characteristic_polynomial,
     det_by_cofactor_expansion,
     inertia_by_charpoly_signs,
+    is_connected,
 )
+from cpgraphs.errors import InputError
+from cpgraphs.graphs import LabeledGraph, path_graph
 from cpgraphs.linalg import Inertia, NotSymmetric, determinant, inertia_congruence
 from cpgraphs.matrices import IntMatrix
+
+
+def test_bfs_distances():
+    g = path_graph(5)
+    # slot 0 of the 1-indexed list is unused and stays -1
+    assert bfs_distances(g, 1) == [-1, 0, 1, 2, 3, 4]
+    assert bfs_distances(g, 3) == [-1, 2, 1, 0, 1, 2]
+    split = LabeledGraph(4, ((1, 2), (3, 4)))
+    assert bfs_distances(split, 1) == [-1, 0, 1, -1, -1]
+    assert is_connected(g) and is_connected(LabeledGraph(0, ())) and is_connected(path_graph(1))
+    assert not is_connected(split)
+
+
+@pytest.mark.parametrize("bad", [0, 6, -1])
+def test_bfs_distances_refuses_a_source_outside_the_graph(bad):
+    with pytest.raises(InputError, match=rf"^vertex {bad} outside 1\.\.5$"):
+        bfs_distances(path_graph(5), bad)
 
 
 def test_expansion_small():

@@ -2,7 +2,8 @@ import pytest
 
 from cpgraphs import fixtures as fx
 from cpgraphs.errors import InputError
-from cpgraphs.graphs import build_cp_graph, is_connected
+from cpgraphs.crosschecks import is_connected
+from cpgraphs.graphs import build_cp_graph
 from cpgraphs.sequences import NeighborhoodSequence, NonLeapingSequence
 
 

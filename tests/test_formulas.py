@@ -11,7 +11,7 @@ from test_suites import all_codes, dense_invariants
 
 from cpgraphs import formulas
 from cpgraphs.cli import MAX_VERTICES
-from cpgraphs.crosschecks import det_by_cofactor_expansion
+from cpgraphs.crosschecks import det_by_cofactor_expansion, is_connected
 from cpgraphs.formulas import (
     BlockCliquePathRecipe,
     BlockPart,
@@ -39,7 +39,6 @@ from cpgraphs.graphs import (
     build_cp_graph,
     complete_graph,
     cycle_graph,
-    is_connected,
     path_graph,
 )
 from cpgraphs.linalg import (

@@ -1,9 +1,12 @@
 import random
+import re
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
+from cpgraphs.crosschecks import bfs_distances, is_connected
 from cpgraphs.errors import InputError
 from cpgraphs.fixtures import FIXTURE_NAMES, fixture_graph
 from cpgraphs.formulas import distance_invariants
@@ -16,7 +19,6 @@ from cpgraphs.graphs import (
     SelfLoop,
     all_pairs_distances,
     attach,
-    bfs_distances,
     blocks,
     build_cp_graph,
     complete_graph,
@@ -24,7 +26,6 @@ from cpgraphs.graphs import (
     graph_from_json_obj,
     graph_to_dot,
     graph_to_json_obj,
-    is_connected,
     parse_edge_list,
     path_graph,
 )
@@ -34,12 +35,11 @@ from cpgraphs.sequences import (
     enumerate_neighborhood_sequences,
     iter_nonleaping_sequences,
 )
-from cpgraphs.suites import tree_from_pruefer
 
 
 def neighbors(g, v):
     """The vertices joined to v, ascending."""
-    return g._adj[v]
+    return tuple(sorted(w for e in g.edges if v in e for w in e if w != v))
 
 
 def degree(g, v):
@@ -93,45 +93,16 @@ def test_neighbors_and_degree():
     g = cycle_graph(5)
     assert neighbors(g, 1) == (2, 5)
     assert degree(g, 3) == 2
-    assert g.has_edge(5, 1) and not g.has_edge(1, 3)
+    # edges are sorted (u, v) pairs with u < v
+    assert (1, 5) in g.edges and (5, 1) not in g.edges and (1, 3) not in g.edges
 
 
-def test_adjacency_lists_ascending():
-    # _adj relies on sorted edges instead of sorting each neighbour list
-    rng = random.Random(12)
-    graphs = []
-    for _ in range(20):
-        n = rng.randint(2, 9)
-        edges = [(u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < 0.5]
-        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
-        rng.shuffle(edges)
-        graphs.append(LabeledGraph(n, tuple(edges)))
-        cp = build_cp_graph(random_member(rng, rng.randint(3, 9)))
-        graphs.append(cp)
-        graphs.append(tree_from_pruefer(n, tuple(rng.randint(1, n) for _ in range(n - 2))))
-        base = graphs[-1]
-        graphs.append(attach(base, base.edges[rng.randrange(len(base.edges))], cp).graph)
-        graphs += [b.graph for b in blocks(cp)]
-    for g in graphs:
-        for v in range(g.n + 1):
-            assert g._adj[v] == tuple(sorted(g._adj[v]))
-
-
-def test_bfs_and_distance_matrix():
-    g = path_graph(5)
-    # slot 0 of the 1-indexed bfs list is unused and stays -1
-    assert bfs_distances(g, 1) == [-1, 0, 1, 2, 3, 4]
-    d = all_pairs_distances(g)
+def test_distance_matrix():
+    d = all_pairs_distances(path_graph(5))
     assert d.rows[0] == (0, 1, 2, 3, 4)
     assert d.is_symmetric()
-    g2 = LabeledGraph(4, ((1, 2), (3, 4)))
-    assert not is_connected(g2)
-    assert bfs_distances(g2, 1)[3] == -1
     with pytest.raises(Disconnected):
-        all_pairs_distances(g2)
-    for bad in (0, 6):
-        with pytest.raises(InputError):
-            bfs_distances(g, bad)
+        all_pairs_distances(LabeledGraph(4, ((1, 2), (3, 4))))
 
 
 def test_distance_matrix_is_metric():
@@ -234,7 +205,7 @@ def test_window_cliques():
         for k in range(2, ns.n + 1):
             members = sorted(window(ns, k) | {k})
             for u, v in combinations(members, 2):
-                assert g.has_edge(u, v), (ns, k)
+                assert (u, v) in g.edges, (ns, k)
 
 
 def test_cp_edge_count():
@@ -294,10 +265,14 @@ def test_column_difference_consecutive_anchors():
 def test_attach_requires_base_edge_and_shared_edge():
     base = cycle_graph(5)
     tri = complete_graph(3)
-    with pytest.raises(EdgeNotInBase):
-        attach(base, (1, 3), tri)
-    with pytest.raises(InputError):
+    for edge in ((1, 3), (5, 9), (0, 1)):
+        text = re.escape(f"{edge} is not an edge of the base graph")
+        with pytest.raises(EdgeNotInBase, match=f"^{text}$"):
+            attach(base, edge, tri)
+    with pytest.raises(InputError, match=r"^attached graph must contain the edge \{1, 2\}$"):
         attach(base, (1, 2), LabeledGraph(3, ((1, 3), (2, 3))))
+    with pytest.raises(SelfLoop, match=r"^attachment edge \(2, 2\) is degenerate$"):
+        attach(base, (2, 2), tri)
 
 
 def test_attach_labels_and_edges():
@@ -306,7 +281,7 @@ def test_attach_labels_and_edges():
     res = attach(base, (2, 3), tri)
     assert res.graph.n == 6
     assert res.cp_map == {1: 2, 2: 3, 3: 6}
-    assert res.graph.has_edge(2, 6) and res.graph.has_edge(3, 6)
+    assert (2, 6) in res.graph.edges and (3, 6) in res.graph.edges
     assert set(base.edges) <= set(res.graph.edges)
     # flipping the receiving edge swaps the roles of its two ends
     res2 = attach(base, (3, 2), tri)
@@ -366,6 +341,15 @@ def test_blocks_examples():
     assert [b.vertices for b in blocks(cycle_graph(5))] == [(1, 2, 3, 4, 5)]
 
 
+def blocks_split_at_cut_vertices(g, bs):
+    """Each edge of g lies in exactly one of the blocks bs, and the vertices
+    in more than one block are g's cut vertices."""
+    seen = sorted((b.vertices[x - 1], b.vertices[y - 1]) for b in bs for x, y in b.graph.edges)
+    membership = Counter(v for b in bs for v in b.vertices)
+    cuts = sorted(v for v, c in membership.items() if c > 1)
+    return seen == list(g.edges) and cuts == brute_cut_vertices(g)
+
+
 def test_blocks_partition_edges_and_cut_vertices():
     rng = random.Random(6)
     for _ in range(30):
@@ -373,19 +357,7 @@ def test_blocks_partition_edges_and_cut_vertices():
         edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
         edges |= {(u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < 0.25}
         g = LabeledGraph(n, tuple(sorted(edges)))
-        bs = blocks(g)
-        seen = []
-        for b in bs:
-            for x, y in b.graph.edges:
-                seen.append((b.vertices[x - 1], b.vertices[y - 1]))
-        assert sorted(seen) == list(g.edges)  # each edge in exactly one block
-        membership = {}
-        for b in bs:
-            for v in b.vertices:
-                membership.setdefault(v, 0)
-                membership[v] += 1
-        cuts = sorted(v for v, c in membership.items() if c > 1)
-        assert cuts == brute_cut_vertices(g)
+        assert blocks_split_at_cut_vertices(g, blocks(g)), g
 
 
 def test_blocks_deeper_than_recursion_limit():

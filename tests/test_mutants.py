@@ -15,21 +15,22 @@ from dataclasses import astuple
 
 import pytest
 from test_formulas import eliminated_matrix, has_difference_shape, hypercube, raw_invariants
-from test_graphs import bfs_rows, random_graph
+from test_graphs import bfs_rows, blocks_split_at_cut_vertices, random_graph
 from test_suites import ROOTED_TREES, all_codes, class_counts, heap_growth
 
 from cpgraphs import addressing, formulas, graphs, sequences, suites
+from cpgraphs.crosschecks import is_connected
+from cpgraphs.errors import InputError
 from cpgraphs.graphs import (
     LabeledGraph,
     build_cp_graph,
     complete_graph,
     cycle_graph,
-    is_connected,
     path_graph,
 )
 from cpgraphs.reduction import reduced_graph
 from cpgraphs.sequences import NonLeapingSequence, iter_nonleaping_sequences
-from cpgraphs.suites import random_member
+from cpgraphs.suites import random_connected_graph, random_member
 
 
 def load(module, source):
@@ -98,8 +99,8 @@ def layout_is_bfs_order(mod):
 
 
 # seeded random graphs on up to 40 vertices, some disconnected, and the paths
-# on both sides of the one-byte lane; each with its per-source BFS rows, or
-# None where it is disconnected
+# on both sides of the one-byte lane; each with the rows of the crosschecks
+# oracle's per-source BFS, or None where that oracle finds it disconnected
 _rng = random.Random(7)
 DISTANCE_GRAPHS = tuple(
     (g, bfs_rows(g) if is_connected(g) else None)
@@ -108,7 +109,7 @@ DISTANCE_GRAPHS = tuple(
 
 
 def distances_match_bfs(mod):
-    """all_pairs_distances of `mod`, a graphs module, gives the per-source BFS
+    """all_pairs_distances of `mod`, a graphs module, gives the oracle's BFS
     rows on each connected graph of DISTANCE_GRAPHS and refuses each
     disconnected one with the text every caller prints. Each check runs on
     fresh graph objects, since a graph keeps the D computed on it: a mutant
@@ -127,6 +128,46 @@ def distances_match_bfs(mod):
         else:
             return False
     return True
+
+
+def attach_follows_the_edge(mod):
+    """attach of `mod`, a graphs module, glues K_3 onto each edge of C_5 given
+    in either order, CP vertex 1 on the edge's first end; it refuses a
+    non-edge and a CP graph without the edge {1, 2}, each with its own error
+    and text."""
+    base, tri = cycle_graph(5), complete_graph(3)
+    for u, v in base.edges:
+        for a, b in ((u, v), (v, u)):
+            res = mod.attach(base, (a, b), tri)
+            want = tuple(sorted({*base.edges, (a, 6), (b, 6)}))
+            if res.graph.edges != want or res.cp_map != {1: a, 2: b, 3: 6}:
+                return False
+    refusals = (
+        ((1, 3), tri, mod.EdgeNotInBase, "(1, 3) is not an edge of the base graph"),
+        ((1, 2), LabeledGraph(3, ((1, 3), (2, 3))), InputError,
+         "attached graph must contain the edge {1, 2}"),
+    )
+    for edge, cp, error, text in refusals:
+        try:
+            mod.attach(base, edge, cp)
+        except InputError as e:
+            if type(e) is not error or str(e) != text:
+                return False
+            continue
+        return False
+    return True
+
+
+# seeded random connected graphs on 2..8 vertices
+_rng = random.Random(6)
+BLOCK_GRAPHS = tuple(random_connected_graph(_rng, _rng.randint(2, 8)) for _ in range(30))
+
+
+def blocks_match_the_cut_oracle(mod):
+    """blocks of `mod`, a graphs module, puts each edge of every graph of
+    BLOCK_GRAPHS in one block, and shares exactly the brute-force cut
+    vertices between blocks."""
+    return all(blocks_split_at_cut_vertices(g, mod.blocks(g)) for g in BLOCK_GRAPHS)
 
 
 # K_4, C_5, Q_3, P_4, a star centred at vertex 3 (not the BFS root) and a CP member
@@ -371,6 +412,19 @@ MUTANTS = {
         "memo = globals()",  # each graph after the first gets the first's D
         distances_match_bfs,
     ),
+    # graphs.attach and graphs.blocks: each builds what it needs from g.edges
+    "attach: the base edge looked up as given, not as (min, max)": (
+        graphs,
+        "if (min(edge), max(edge)) not in base.edges:",
+        "if tuple(edge) not in base.edges:",  # refuses (3, 2) on C_5
+        attach_follows_the_edge,
+    ),
+    "blocks: each edge listed under its lower end only": (
+        graphs,
+        "        adj[v].append(u)\n    disc",
+        "    disc",
+        blocks_match_the_cut_oracle,
+    ),
     # formulas._distance_matrix_invariants: M = U^T D U over a BFS tree rooted at vertex n
     "differences: a parent at the same level as its child": (
         formulas,
@@ -447,6 +501,8 @@ EQUIVALENT = {
     (searches_match_the_oracle, addressing),
     (differences_match_the_raw_matrix, formulas),
     (distances_match_bfs, graphs),
+    (attach_follows_the_edge, graphs),
+    (blocks_match_the_cut_oracle, graphs),
 ])
 def test_checks_pass_on_the_package(check, module):
     assert check(module)
