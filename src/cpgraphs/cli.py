@@ -7,7 +7,8 @@ Big integers that can outgrow doubles (determinants, cofactor sums, member
 counts) are rendered as decimal strings.
 
 Exit codes: 0 success, 1 a verification answered "no" or a suite failed,
-2 bad input, 3 a resource guard tripped.
+2 bad input, 3 a resource guard tripped. Graph and scheme text pass once
+through _read_text (unreadable, not UTF-8) and _json (malformed, over-nested).
 """
 
 from __future__ import annotations
@@ -69,23 +70,30 @@ from .suites import _grow, member_reduces, run_suite
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The UTF-8 text at `path` (stdin for "-"). Other bytes are refused from
+    either; stdin may hold them as lone surrogates, which do not encode."""
     try:
-        return Path(path).read_text()
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from e
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        text.encode()
+    except (OSError, UnicodeError) as e:
+        raise InputError(f"cannot read {path}: {e}") from None
+    return text
+
+
+def _json(text: str, what: str):
+    """The JSON value in `text`; bad syntax, an int literal above the digit
+    limit and nesting past the recursion limit are bad input."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise InputError(f"bad JSON {what}: {e}") from None
 
 
 def parse_graph_input(text: str):
     """Edge-list text, or a JSON object with "n" and "edges"."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        try:
-            obj = json.loads(stripped)
-        except ValueError as e:  # bad syntax, or an int literal above the digit limit
-            raise InputError(f"bad JSON graph: {e}") from e
-        return graph_from_json_obj(obj)
+        return graph_from_json_obj(_json(stripped, "graph"))
     return parse_edge_list(text)
 
 
@@ -335,11 +343,7 @@ def _cmd_invariants(args) -> tuple[dict, int]:
 
 def _cmd_address_verify(args) -> tuple[dict, int]:
     g = _load_graph(args.graph, "address verify")
-    try:
-        obj = json.loads(_read_text(args.scheme))
-    except ValueError as e:  # bad syntax, or an int literal above the digit limit
-        raise InputError(f"bad JSON scheme: {e}") from e
-    scheme = scheme_from_json_obj(obj)
+    scheme = scheme_from_json_obj(_json(_read_text(args.scheme), "scheme"))
     ok = verify_scheme(g, scheme)
     inputs = {"graph": args.graph, "scheme": args.scheme}
     return _report("address verify", inputs, {"ok": ok}), 0 if ok else 1

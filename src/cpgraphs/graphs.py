@@ -14,11 +14,12 @@ would make a rerun on equal inputs cheaper than the first, so timing reruns
 would measure the repetition. The one exception in the package is
 addressing._layout, a one-entry cache keyed by graph equality.
 
-Validation happens once, where a graph enters from outside: the LabeledGraph
-constructor (behind edge files, JSON and user calls) range-checks, orders and
-deduplicates every edge. Graphs built from an already-valid neighborhood
-sequence or Pruefer code go through the private LabeledGraph._of, which
-assumes sorted, distinct (u, v) pairs with 1 <= u < v <= n and checks nothing.
+Validation happens once, where a graph enters from outside: parse_edge_list
+checks each edge of an edge file with its line number, and the LabeledGraph
+constructor (behind JSON and user calls) range-checks, orders and
+deduplicates every edge. Parsed edge files and graphs built from a valid
+neighborhood sequence or Pruefer code go through the private LabeledGraph._of,
+which assumes sorted, distinct pairs 1 <= u < v <= n and checks nothing.
 """
 
 from __future__ import annotations
@@ -283,7 +284,8 @@ def parse_edge_list(text: str) -> LabeledGraph:
     """Read the plain text format: one `u v` pair per line.
 
     `#` starts a comment, blank lines are skipped, and an optional `n <N>`
-    line fixes the vertex count (otherwise the largest label wins).
+    line fixes the vertex count (otherwise the largest label wins). Every
+    edge is checked here, so the graph is built unchecked.
     """
     n_declared = None
     pairs: list[tuple[int, int]] = []
@@ -325,7 +327,7 @@ def parse_edge_list(text: str) -> LabeledGraph:
         for u, v in pairs:
             if v > n:
                 raise ParseError(0, f"edge ({u}, {v}) exceeds declared n = {n}")
-    return LabeledGraph(n, tuple(pairs))
+    return LabeledGraph._of(n, tuple(sorted(pairs)))
 
 
 def graph_to_json_obj(g: LabeledGraph) -> dict:

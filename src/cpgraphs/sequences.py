@@ -8,15 +8,16 @@ b_k = k - q_k + 1. The size sequence q must not leap: q_1 = 0, q_2 = 1, and
 W_{k-1}, which is what makes consecutive neighborhoods overlap in a clique.
 
 This module owns the combinatorics: validating q, expanding the p_1..p_m
-clique-path shorthand, computing the admissible anchors at each step, and
-enumerating or counting all anchor choices for a fixed q.
+clique-path shorthand, the admissible anchors at each step (one rule,
+_anchor_choices), and enumerating or counting all anchor choices for a
+fixed q.
 
 Validation happens once, where a sequence enters from outside: the
 NonLeapingSequence and NeighborhoodSequence constructors check every term
-and every anchor. The members enumerate_neighborhood_sequences yields are
-admissible by construction, so it builds them with the private
-NeighborhoodSequence._of, which assumes a tuple of admissible anchors and
-checks nothing.
+and every anchor, the latter in one O(n) pass against _anchor_choices. The
+members enumerate_neighborhood_sequences yields are admissible by
+construction, so it builds them with the private NeighborhoodSequence._of,
+which assumes a tuple of admissible anchors and checks nothing.
 """
 
 from __future__ import annotations
@@ -81,12 +82,9 @@ class NonLeapingSequence:
 
     def bk(self, k: int) -> int:
         """Start of the contiguous run [b_k, k-1] joined at step k."""
-        self._check_index(k)
-        return self.b[k - 1]
-
-    def _check_index(self, k: int):
         if not 1 <= k <= self.n:
             raise IndexOutOfRange(f"index {k} outside 1..{self.n}")
+        return self.b[k - 1]
 
 
 @dataclass(frozen=True)
@@ -118,24 +116,25 @@ def expand_clique_path_spec(spec: CliquePathSpec) -> NonLeapingSequence:
     return NonLeapingSequence(tuple(q))
 
 
+def _anchor_choices(b: tuple[int, ...], k: int, prev: int) -> tuple[int, range]:
+    """The anchor rule: step k's choices (3 <= k <= n, b = NonLeapingSequence.b),
+    ascending, are prev = a_(k-1), with a_2 = 1, then b_(k-1) .. b_k - 1: the
+    members of W_(k-1) below b_k, as a_(k-1) < b_(k-1) <= b_k <= k - 1."""
+    return prev, range(b[k - 2], b[k - 1])
+
+
 def admissible_anchors(
     base: NonLeapingSequence, k: int, prior_anchors: Sequence[int]
 ) -> frozenset[int]:
-    """Anchor choices at step k given the anchors chosen for steps 3..k-1.
-
-    These are the members of W_{k-1} lying below b_k. The set always has
-    exactly 1 + b_k - b_{k-1} elements, whatever the prior choices were.
-    """
+    """The _anchor_choices at step k, as a set, given the anchors chosen for
+    steps 3..k-1: always 1 + b_k - b_{k-1} of them, whatever those were."""
     if not 3 <= k <= base.n:
         raise IndexOutOfRange(f"anchor index {k} outside 3..{base.n}")
     prior = tuple(prior_anchors)
     if len(prior) != k - 3:
         raise InputError(f"expected {k - 3} prior anchors for step {k}, got {len(prior)}")
-    if k == 3:
-        window_prev = {1}
-    else:
-        window_prev = {prior[-1], *range(base.bk(k - 1), k - 1)}
-    return frozenset(x for x in window_prev if x < base.bk(k))
+    first, run = _anchor_choices(base.b, k, prior[-1] if prior else 1)
+    return frozenset(x for x in (first, *run) if x < base.b[k - 1])
 
 
 @dataclass(frozen=True)
@@ -152,16 +151,17 @@ class NeighborhoodSequence:
             raise InputError(
                 f"need {self.base.n - 2} anchors for n = {self.base.n}, got {len(anchors)}"
             )
-        for k in range(3, self.base.n + 1):
-            a = anchors[k - 3]
-            if a not in admissible_anchors(self.base, k, anchors[: k - 3]):
+        b = self.base.b
+        for k, a, prev in zip(range(3, self.base.n + 1), anchors, (1, *anchors)):
+            first, run = _anchor_choices(b, k, prev)
+            if a != first and a not in run:
                 raise InputError(f"anchor a_{k} = {a} is not admissible")
 
     @classmethod
     def _of(cls, base: NonLeapingSequence, anchors: tuple[int, ...]) -> "NeighborhoodSequence":
         """Wrap anchors without checking them. Precondition: anchors is a tuple
-        with a_k in admissible_anchors(base, k, anchors[:k - 3]) for k = 3..n;
-        the result then equals, and hashes like, NeighborhoodSequence(base, anchors)."""
+        whose a_k follows _anchor_choices for k = 3..n; the result then
+        equals, and hashes like, NeighborhoodSequence(base, anchors)."""
         ns = object.__new__(cls)
         object.__setattr__(ns, "base", base)
         object.__setattr__(ns, "anchors", anchors)
@@ -174,14 +174,10 @@ class NeighborhoodSequence:
 
 def enumerate_neighborhood_sequences(base: NonLeapingSequence) -> Iterator[NeighborhoodSequence]:
     """All anchor choices for the given size sequence, in ascending anchor
-    order: an odometer over the sorted admissible sets, last step fastest.
-
-    Since a_{k-1} < b_{k-1} <= b_k, the step-k set sorts as a_{k-1}, b_{k-1},
-    ..., b_k - 1 (with a_2 = 1), so digit d at step k picks a_{k-1} for d = 0
-    and b_{k-1} + d - 1 otherwise. Anchors rise with the digit, so counting
-    the digits up lists the anchor vectors in ascending order; resetting the
-    digits after a carry to 0 repeats the anchor just changed.
-    """
+    order: an odometer over each step's _anchor_choices, last step fastest.
+    Digit d at step k picks a_{k-1} for d = 0 and b_{k-1} + d - 1 otherwise,
+    so anchors rise with the digit; resetting the digits after a carry to 0
+    repeats the anchor just changed."""
     b = base.b  # b[k - 1] = b_k
     m = base.n - 2
     anchors = [1] * m
@@ -213,11 +209,8 @@ def count_neighborhood_sequences(base: NonLeapingSequence) -> int:
 
 
 def minimal_anchors(base: NonLeapingSequence) -> tuple[int, ...]:
-    """The member taking the smallest admissible anchor at every step: all ones.
-
-    a_(k-1) < b_(k-1) <= b_k, so a_(k-1) is the least admissible anchor at
-    step k, and a_3 = 1 (W_2 = {1}).
-    """
+    """The member taking the least of _anchor_choices at every step, a_(k-1),
+    so all ones from a_3 = 1 (W_2 = {1}) on."""
     return (1,) * (base.n - 2)
 
 

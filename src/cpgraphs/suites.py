@@ -62,7 +62,7 @@ from .sequences import (
     CliquePathSpec,
     NeighborhoodSequence,
     NonLeapingSequence,
-    admissible_anchors,
+    _anchor_choices,
     count_neighborhood_sequences,
     enumerate_neighborhood_sequences,
     expand_clique_path_spec,
@@ -132,10 +132,11 @@ def random_nonleaping(rng: random.Random, n: int) -> NonLeapingSequence:
 
 
 def random_member(rng: random.Random, s: NonLeapingSequence) -> NeighborhoodSequence:
-    anchors: list[int] = []
+    anchors = [1]  # a_2 = 1, then a_3 .. a_n
     for k in range(3, s.n + 1):
-        anchors.append(rng.choice(sorted(admissible_anchors(s, k, anchors))))
-    return NeighborhoodSequence(s, tuple(anchors))
+        first, run = _anchor_choices(s.b, k, anchors[-1])
+        anchors.append(rng.choice((first, *run)))
+    return NeighborhoodSequence(s, tuple(anchors[1:]))
 
 
 def random_connected_graph(rng: random.Random, n: int) -> LabeledGraph:

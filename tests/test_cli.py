@@ -1,21 +1,24 @@
 import argparse
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpgraphs import addressing, cli, sequences, suites
 from cpgraphs.addressing import AddressScheme
 from cpgraphs.cli import build_parser, main, parse_graph_input
-from cpgraphs.errors import ResourceLimit
-from cpgraphs.graphs import LabeledGraph, path_graph
+from cpgraphs.errors import InputError, ResourceLimit
+from cpgraphs.graphs import LabeledGraph, parse_edge_list, path_graph
 
 
 def run(capsys, *argv):
@@ -541,6 +544,102 @@ def test_json_floats_and_numeric_strings_are_not_rounded(capsys, tmp_path):
     assert code == 0 and obj["results"]["ok"] is True
 
 
+DEEP = 10**5  # JSON nesting far past the recursion limit
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+def stdin_bytes(data, errors="strict"):
+    """A stdin that reads `data` as UTF-8, as the interpreter's own does:
+    undecodable bytes raise (errors="strict") or read as lone surrogates
+    (errors="surrogateescape", under a C or POSIX locale)."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+
+
+def refused(capsys, monkeypatch, argv, stdin=b"", errors="strict"):
+    """(exit code, stderr) of a call that must refuse its input on one
+    `error:` line, with no traceback and nothing on stdout."""
+    monkeypatch.setattr("sys.stdin", stdin_bytes(stdin, errors))
+    code, out, err = run(capsys, *argv)
+    assert not out and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_deeply_nested_json_graph_is_bad_input(capsys, monkeypatch, tmp_path):
+    # json.loads raises RecursionError past the recursion limit
+    nested = _nested(DEEP)
+    for graph in (f'{{"n": {nested}, "edges": []}}', f'{{"n": 3, "edges": [[1, {nested}]]}}'):
+        p = tmp_path / "g.json"
+        p.write_text(graph)
+        for path, errors in ((str(p), "strict"), ("-", "strict"), ("-", "surrogateescape")):
+            argv = ["graph", "distance", path]
+            code, err = refused(capsys, monkeypatch, argv, graph.encode(), errors)
+            assert code == 2 and err.startswith("error: bad JSON graph: maximum recursion depth")
+
+
+def test_deeply_nested_json_scheme_is_bad_input(capsys, monkeypatch, tmp_path):
+    k3 = tmp_path / "k3.json"
+    k3.write_text(K3_JSON)
+    scheme = f'{{"d": {_nested(DEEP)}, "addr": []}}'
+    p = tmp_path / "scheme.json"
+    p.write_text(scheme)
+    for path in (str(p), "-"):
+        argv = ["address", "verify", str(k3), "--scheme", path]
+        code, err = refused(capsys, monkeypatch, argv, scheme.encode())
+        assert code == 2 and err.startswith("error: bad JSON scheme: maximum recursion depth")
+
+
+def test_undecodable_graph_is_bad_input(capsys, monkeypatch, tmp_path):
+    # 0xff never occurs in UTF-8
+    graph = b"1 2\n\xff\n"
+    p = tmp_path / "bad.edges"
+    p.write_bytes(graph)
+    code, err = refused(capsys, monkeypatch, ["graph", "distance", str(p)])
+    assert code == 2 and err.startswith(f"error: cannot read {p}: 'utf-8' codec can't decode")
+    for errors in ("strict", "surrogateescape"):
+        code, err = refused(capsys, monkeypatch, ["graph", "distance", "-"], graph, errors)
+        assert code == 2 and err.startswith("error: cannot read -: 'utf-8' codec can't")
+
+
+def test_undecodable_scheme_is_a_read_error(capsys, monkeypatch, tmp_path):
+    # not "bad JSON scheme": the bytes are refused before any JSON is read
+    k3 = tmp_path / "k3.json"
+    k3.write_text(K3_JSON)
+    scheme = b'{"d": 2, "addr": ["00", "01", "1\xff"]}'
+    sp = tmp_path / "scheme.json"
+    sp.write_bytes(scheme)
+    argv = ["address", "verify", str(k3), "--scheme", str(sp)]
+    code, err = refused(capsys, monkeypatch, argv)
+    assert code == 2 and err.startswith(f"error: cannot read {sp}: 'utf-8' codec can't decode")
+    for errors in ("strict", "surrogateescape"):
+        argv = ["address", "verify", str(k3), "--scheme", "-"]
+        code, err = refused(capsys, monkeypatch, argv, scheme, errors)
+        assert code == 2 and err.startswith("error: cannot read -: 'utf-8' codec can't")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"1 2\n\xff\n", f'{{"n": {_nested(DEEP)}, "edges": []}}'.encode()],
+    ids=["undecodable", "nested json"],
+)
+def test_same_bytes_same_exit_from_a_file_and_stdin(tmp_path, data):
+    # the interpreter's own stdin, in both of its error modes
+    p = tmp_path / "g"
+    p.write_bytes(data)
+    src = str(Path(cli.__file__).parents[1])
+    for path, encoding in ((str(p), "utf-8"), ("-", "utf-8:strict"), ("-", "utf-8:surrogateescape")):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": encoding}
+        done = subprocess.run(
+            [sys.executable, "-m", "cpgraphs.cli", "graph", "distance", path],
+            input=data, capture_output=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2 and not done.stdout, (path, encoding, done.stderr)
+        assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1
+
+
 def test_exact_n_searches_each_length_once(capsys, tmp_path, monkeypatch):
     # K_{2,3}: the inertia bound is 3, the minimum length 4
     edges = ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))
@@ -741,17 +840,22 @@ bad_numbers = st.one_of(
 
 @st.composite
 def graph_texts(draw):
-    kind = draw(st.sampled_from(["small", "text", "path", "json", "header", "bad json"]))
+    """Graph input for stdin: str, or bytes that are not UTF-8."""
+    kinds = ["small", "text", "path", "json", "header", "bad json", "nested json", "undecodable"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "small":
         n = draw(st.integers(0, 6))
         pairs = draw(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=10))
         return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
     if kind == "text":
         return draw(st.text(alphabet="0123456789 n#\n{}", max_size=20))
-    if kind == "bad json":
-        x = draw(bad_numbers)
+    if kind in ("bad json", "nested json"):
+        x = draw(bad_numbers if kind == "bad json" else st.integers(1, DEEP).map(_nested))
         where = [f'{{"n": {x}, "edges": []}}', f'{{"n": 3, "edges": [[1, {x}]]}}']
         return draw(st.sampled_from(where))
+    if kind == "undecodable":  # bytes, with 0xff, which never occurs in UTF-8
+        text = draw(st.text(alphabet="0123456789 n\n", max_size=10))
+        return text.encode() + b"\xff" + draw(st.binary(max_size=8))
     # above the 256-vertex cap: a path, as an edge list or JSON, or a bare header
     n = draw(st.integers(257, 300))
     if kind == "path":
@@ -769,6 +873,8 @@ scheme_texts = st.one_of(
     ),
     st.text(alphabet='{}[]"d:adr01*, ', max_size=20),
     bad_numbers.map(lambda x: f'{{"d": {x}, "addr": ["0", "1"]}}'),
+    st.integers(1, DEEP).map(lambda depth: f'{{"d": {_nested(depth)}, "addr": []}}'),
+    st.binary(max_size=12).map(lambda data: data + b"\xff"),  # not UTF-8
 )
 
 budgets = st.one_of(st.integers(-50, -1), st.just(0), st.integers(1, 300), huge)
@@ -857,7 +963,8 @@ def test_every_command_has_a_fuzz_strategy():
 
 @st.composite
 def cli_calls(draw):
-    """(argv, stdin text, --scheme file text or None) for any command of the parser."""
+    """(argv, stdin, --scheme file content or None) for any command of the
+    parser; stdin and the scheme are str, or bytes that are not UTF-8."""
     command = draw(st.sampled_from(COMMANDS))
     arguments, stdin, scheme = ARGUMENTS[command](draw)
     return [*command.split(), *arguments], stdin, scheme
@@ -876,10 +983,11 @@ FUZZ_PEAK = 4 * 2**20  # bytes traced by one call; the calls drawn peak under 1.
 def test_cli_fuzz_exit_codes(scheme_file, call):
     argv, stdin, scheme = call
     if scheme is not None:
-        scheme_file.write_text(scheme)
+        scheme_file.write_bytes(scheme if isinstance(scheme, bytes) else scheme.encode())
         argv = [*argv, "--scheme", str(scheme_file)]
     out, err = io.StringIO(), io.StringIO()
-    fed = mock.patch("sys.stdin", io.StringIO(stdin))
+    data = stdin if isinstance(stdin, bytes) else stdin.encode()
+    fed = mock.patch("sys.stdin", stdin_bytes(data, "surrogateescape"))
     tracemalloc.start()
     try:
         with fed, redirect_stdout(out), redirect_stderr(err):
@@ -890,3 +998,47 @@ def test_cli_fuzz_exit_codes(scheme_file, call):
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()
     assert peak < FUZZ_PEAK, (argv, peak)
+
+
+def edge_list_reading(text):
+    """(n, pairs) of an edge-list text read plainly, with none of
+    parse_edge_list's checks, or None where a line is neither one `n <N>`
+    header nor `u v`, or where nothing fixes n."""
+    n, pairs = None, []
+    for line in text.splitlines():
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            return None
+        try:
+            if tokens[0] == "n" and n is None:
+                n = int(tokens[1])
+            else:
+                pairs.append((int(tokens[0]), int(tokens[1])))
+        except ValueError:
+            return None
+    if n is None and not pairs:
+        return None
+    return (max(map(max, pairs)) if n is None else n), tuple(pairs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(graph_texts())
+def test_parsed_edge_list_is_the_constructors_graph(text):
+    # parse_edge_list is the only check on an edge file: it must accept
+    # exactly the texts whose plain reading LabeledGraph accepts, and give
+    # the same graph, although it builds that graph unchecked
+    assume(isinstance(text, str) and not text.lstrip().startswith("{"))
+    reading = edge_list_reading(text)
+    try:
+        want = reading and LabeledGraph(*reading)
+    except InputError:
+        want = None
+    try:
+        got = parse_edge_list(text)
+    except InputError:
+        got = None
+    assert got == want, text
+    if got is not None:
+        assert got.edges == tuple(sorted(got.edges)) and hash(got) == hash(want)

@@ -9,16 +9,23 @@ rewrites a targeted function re-points its entries.
 """
 
 import inspect
+import io
 import random
+import tempfile
 import types
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import astuple
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from test_cli import stdin_bytes
 from test_formulas import eliminated_matrix, has_difference_shape, hypercube, raw_invariants
 from test_graphs import bfs_rows, blocks_split_at_cut_vertices, random_graph
+from test_sequences import per_step_mismatches, random_draws_match
 from test_suites import ROOTED_TREES, all_codes, class_counts, heap_growth
 
-from cpgraphs import addressing, formulas, graphs, sequences, suites
+from cpgraphs import addressing, cli, formulas, graphs, sequences, suites
 from cpgraphs.crosschecks import is_connected
 from cpgraphs.errors import InputError
 from cpgraphs.graphs import (
@@ -81,6 +88,18 @@ def enumeration_matches_the_walk(mod):
     )
 
 
+def anchor_rule_matches_the_per_step_sets(mod):
+    """NeighborhoodSequence and admissible_anchors of `mod`, a sequences
+    module, agree with the per-step oracle on every family with n <= 7."""
+    return not per_step_mismatches(mod, 7)[0]
+
+
+def random_members_draw_as_before(mod):
+    """random_member of `mod`, a suites module, draws the anchors the sorted
+    per-step sets gave, on 100 seeded families."""
+    return random_draws_match(mod.random_member, 100)
+
+
 def trees_decode_and_classes(mod):
     """The trees suite's decoder in `mod`, a suites module, matches the heap
     oracle on every code with n <= 6, and its rooted-class key gives the
@@ -127,6 +146,77 @@ def distances_match_bfs(mod):
                 return False
         else:
             return False
+    return True
+
+
+# edge-list texts with their plain (n, pairs) reading: reversed, unsorted and
+# commented pairs, a bare header; and texts the parser alone refuses, each
+# with its error class and text
+EDGE_TEXTS = (
+    ("3 4\n1 2\n2 3\n", (4, ((3, 4), (1, 2), (2, 3)))),
+    ("n 6\n# a comment\n4 2\n1 5 # and another\n2 1\n", (6, ((4, 2), (1, 5), (2, 1)))),
+    ("5 3\n", (5, ((5, 3),))),
+    ("n 4\n", (4, ())),
+)
+EDGE_REFUSALS = (
+    ("1 2\n2 1\n", "DuplicateEdge", "line 2: edge (1, 2) repeated"),
+    ("n 3\n1 2\n2 3\n3 1\n1 3\n", "DuplicateEdge", "line 5: edge (1, 3) repeated"),
+    ("n 2\n1 2\n1 3\n", "ParseError", "line 0: edge (1, 3) exceeds declared n = 2"),
+    ("n 3\n2 2\n", "SelfLoop", "line 2: self loop at vertex 2"),
+    ("0 1\n", "ParseError", "line 1: vertex labels start at 1"),
+)
+
+
+def edge_lists_match_the_constructor(mod):
+    """parse_edge_list of `mod`, a graphs module, gives the fields of
+    LabeledGraph(n, pairs) on each text of EDGE_TEXTS, and refuses each text
+    of EDGE_REFUSALS with its own error and text."""
+    for text, (n, pairs) in EDGE_TEXTS:
+        g = mod.parse_edge_list(text)
+        if (g.n, g.edges) != (n, LabeledGraph(n, pairs).edges):
+            return False
+    for text, error, message in EDGE_REFUSALS:
+        try:
+            mod.parse_edge_list(text)
+        except InputError as e:
+            if type(e).__name__ != error or str(e) != message:
+                return False
+            continue
+        return False
+    return True
+
+
+def bad_text_is_refused(mod):
+    """main of `mod`, a cli module, refuses a deeply nested JSON graph or
+    scheme and bytes that are not UTF-8, from a file or from a stdin that
+    reads undecodable bytes as lone surrogates, each with exit 2 and one
+    error line that names the problem."""
+    nested = "[" * 10**5 + "]" * 10**5
+    graph = f'{{"n": {nested}, "edges": []}}'.encode()
+    scheme = f'{{"d": {nested}, "addr": []}}'.encode()
+    undecodable = b"1 2\n\xff\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        k3, deep, bad = (Path(tmp) / name for name in ("k3.edges", "deep.json", "bad.edges"))
+        k3.write_text("n 3\n1 2\n2 3\n1 3\n")
+        deep.write_bytes(graph)
+        bad.write_bytes(undecodable)
+        calls = (
+            (["graph", "distance", str(deep)], b"", "bad JSON graph: maximum recursion depth"),
+            (["graph", "distance", "-"], graph, "bad JSON graph: maximum recursion depth"),
+            (["address", "verify", str(k3), "--scheme", "-"], scheme, "bad JSON scheme: maximum"),
+            (["graph", "distance", str(bad)], b"", f"cannot read {bad}: 'utf-8' codec"),
+            (["graph", "distance", "-"], undecodable, "cannot read -: 'utf-8' codec"),
+            (["address", "verify", str(k3), "--scheme", str(bad)], b"", f"cannot read {bad}:"),
+        )
+        for argv, stdin, error in calls:
+            err = io.StringIO()
+            fed = stdin_bytes(stdin, "surrogateescape")
+            with mock.patch("sys.stdin", fed), redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = mod.main(argv)
+            if code != 2 or err.getvalue().count("\n") != 1:
+                return False
+            if not err.getvalue().startswith(f"error: {error}"):
+                return False
     return True
 
 
@@ -425,6 +515,81 @@ MUTANTS = {
         "    disc",
         blocks_match_the_cut_oracle,
     ),
+    # graphs.parse_edge_list: the only check on an edge file, so it builds unchecked
+    "edge list: parsed edges wrapped unsorted": (
+        graphs,
+        "LabeledGraph._of(n, tuple(sorted(pairs)))",
+        "LabeledGraph._of(n, tuple(pairs))",
+        edge_lists_match_the_constructor,
+    ),
+    "edge list: a repeated edge let through": (
+        graphs,
+        "if key in seen:",
+        "if False:",
+        edge_lists_match_the_constructor,
+    ),
+    "edge list: an edge one past the declared n let through": (
+        graphs,
+        "if v > n:",
+        "if v > n + 1:",
+        edge_lists_match_the_constructor,
+    ),
+    "edge list: a reversed pair kept as given": (
+        graphs,
+        "key = (min(u, v), max(u, v))",
+        "key = (u, v)",
+        edge_lists_match_the_constructor,
+    ),
+    # sequences._anchor_choices and the one O(n) pass of NeighborhoodSequence
+    "anchors: the run's end b_k taken inclusive": (
+        sequences,
+        "range(b[k - 2], b[k - 1])",
+        "range(b[k - 2], b[k - 1] + 1)",
+        anchor_rule_matches_the_per_step_sets,
+    ),
+    "anchors: the run started one past b_(k-1)": (
+        sequences,
+        "range(b[k - 2], b[k - 1])",
+        "range(b[k - 2] + 1, b[k - 1])",
+        anchor_rule_matches_the_per_step_sets,
+    ),
+    "anchors: the first choice pinned at a_2 = 1, not a_(k-1)": (
+        sequences,
+        "return prev, range(",
+        "return 1, range(",
+        anchor_rule_matches_the_per_step_sets,
+    ),
+    "anchors: each anchor checked against itself, not a_(k-1)": (
+        sequences,
+        "anchors, (1, *anchors))",
+        "anchors, anchors)",
+        anchor_rule_matches_the_per_step_sets,
+    ),
+    "random members: the run drawn before a_(k-1)": (
+        suites,
+        "rng.choice((first, *run))",
+        "rng.choice((*run, first))",
+        random_members_draw_as_before,
+    ),
+    # cli._read_text and cli._json: graph and scheme text enter through them
+    "read: RecursionError not caught": (
+        cli,
+        "except (ValueError, RecursionError) as e:",
+        "except ValueError as e:",
+        bad_text_is_refused,
+    ),
+    "read: a file that is not UTF-8 not caught": (
+        cli,
+        "except (OSError, UnicodeError) as e:",
+        "except OSError as e:",
+        bad_text_is_refused,
+    ),
+    "read: stdin's lone surrogates passed on": (
+        cli,
+        "        text.encode()\n",
+        "",  # parse_edge_list then refuses the line, not the bytes
+        bad_text_is_refused,
+    ),
     # formulas._distance_matrix_invariants: M = U^T D U over a BFS tree rooted at vertex n
     "differences: a parent at the same level as its child": (
         formulas,
@@ -497,12 +662,16 @@ EQUIVALENT = {
     (listed_walks_pass, suites),
     (trees_decode_and_classes, suites),
     (enumeration_matches_the_walk, sequences),
+    (anchor_rule_matches_the_per_step_sets, sequences),
+    (random_members_draw_as_before, suites),
     (layout_is_bfs_order, addressing),
     (searches_match_the_oracle, addressing),
     (differences_match_the_raw_matrix, formulas),
     (distances_match_bfs, graphs),
     (attach_follows_the_edge, graphs),
     (blocks_match_the_cut_oracle, graphs),
+    (edge_lists_match_the_constructor, graphs),
+    (bad_text_is_refused, cli),
 ])
 def test_checks_pass_on_the_package(check, module):
     assert check(module)

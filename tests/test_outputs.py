@@ -31,6 +31,18 @@ def _path(n):
     return "".join(f"{v} {v + 1}\n" for v in range(1, n))
 
 
+def _catalogue():
+    """(order, minimum address length, edge-list text) of each graph in the
+    benchmark's catalogue of connected graphs on 4 to 6 vertices."""
+    path = Path(__file__).parents[1] / "bench" / "graphs_4to6.txt"
+    out = []
+    for line in path.read_text().splitlines():
+        if line and not line.startswith("#"):
+            n, k, *edges = line.split()
+            out.append((n, int(k), f"n {n}\n" + "".join(e.replace("-", " ") + "\n" for e in edges)))
+    return out
+
+
 # name -> edge-list text, fed on stdin
 GRAPHS = {
     **{f"fixture {name}": fixture_text(name) for name in FIXTURE_NAMES},
@@ -39,6 +51,7 @@ GRAPHS = {
     "1 2": "1 2\n",
     "disconnected": "n 4\n1 2\n3 4\n",
     "path 256": _path(256),
+    "path 256 squared": _path(256) + "".join(f"{v} {v + 2}\n" for v in range(1, 255)),
 }
 C5 = "n 5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
 ATTACH = ["graph", "attach", "-", "--cp-seq", "0,1,2,2,3", "--edge"]
@@ -66,8 +79,21 @@ def calls():
     out["graph attach C5 --edge 2,3 --dot"] = ([*ATTACH, "2,3", "--dot"], C5)
     for command, argv in CAPPED.items():
         out[f"{command} < path 257"] = (argv, _path(257))
+    for i, (n, k, text) in enumerate(_catalogue()):
+        out[f"address exact-n < catalogue {i} (order {n})"] = (["address", "exact-n", "-"], text)
+        search = ["address", "search", "-", "--length", str(k - 1)]
+        out[f"address search --length {k - 1} < catalogue {i} (order {n})"] = (search, text)
+    for limit in (None, "0", "2", "-1", str(10**20)):
+        argv = ["family", "enumerate", "0,1,2,2,3"] + (["--limit", limit] if limit else [])
+        out[" ".join(argv)] = (argv, "")
+    for sequence, anchors in (("0,1,2,2,3", "1,2,2"), ("0,1,2,3,3,2", "1,1,2,4")):
+        for action in ("verify", "matrix"):
+            argv = ["reduce", action, sequence, "--anchors", anchors]
+            out[" ".join(argv)] = (argv, "")
     out["check attach"] = (["check", "attach"], "")
+    out["check all"] = (["check", "all"], "")
     out["check all --seed 7"] = (["check", "all", "--seed", "7"], "")
+    out["check all --scale 5"] = (["check", "all", "--scale", "5"], "")
     return out
 
 

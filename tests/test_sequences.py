@@ -5,6 +5,7 @@ from itertools import islice, product
 import pytest
 from test_graphs import anchor, window
 
+from cpgraphs import sequences
 from cpgraphs.errors import InputError
 from cpgraphs.sequences import (
     CliquePathSpec,
@@ -25,6 +26,7 @@ from cpgraphs.sequences import (
     parse_sequence_literal,
     parse_spec_literal,
 )
+from cpgraphs.suites import random_member, random_nonleaping
 
 
 def brute_nonleaping(n):
@@ -164,6 +166,101 @@ def test_anchor_validation():
         NeighborhoodSequence(s, (2, 1, 1, 1, 1, 1))
     with pytest.raises(InputError):
         NeighborhoodSequence(s, (1, 1, 1))
+
+
+def per_step_sets(s, anchors):
+    """Oracle: the admissible set of each step k = 3..n, rebuilt from the
+    slice of the anchors before it, as NeighborhoodSequence checked them
+    before the rule became one O(n) pass: {a_(k-1)} and [b_(k-1), k - 1)
+    (W_2 = {1} at k = 3), each below b_k."""
+    for k in range(3, s.n + 1):
+        prior = anchors[: k - 3]
+        window_prev = {1} if k == 3 else {prior[-1], *range(s.bk(k - 1), k - 1)}
+        yield k, frozenset(x for x in window_prev if x < s.bk(k))
+
+
+def per_step_error(s, anchors):
+    """The text NeighborhoodSequence(s, anchors) refused with under the
+    per-step rule, or None where it accepted."""
+    if len(anchors) != s.n - 2:
+        return f"need {s.n - 2} anchors for n = {s.n}, got {len(anchors)}"
+    for k, allowed in per_step_sets(s, anchors):
+        if anchors[k - 3] not in allowed:
+            return f"anchor a_{k} = {anchors[k - 3]} is not admissible"
+    return None
+
+
+def anchor_vectors(rng, s, members):
+    """Members, each first three changed by -1 or +1 at every step, seeded
+    random vectors over 0..n+1 and vectors one too short and one too long."""
+    m = s.n - 2
+    yield from members
+    for a in members[:3]:
+        for i in range(m):
+            for d in (-1, 1):
+                yield a[:i] + (a[i] + d,) + a[i + 1 :]
+    for _ in range(20):
+        yield tuple(rng.randint(0, s.n + 1) for _ in range(m))
+    yield (1,) * (m + 1)
+    if m:
+        yield (1,) * (m - 1)
+
+
+def per_step_mismatches(module, n_max):
+    """(mismatches, refusals) of NeighborhoodSequence and admissible_anchors
+    of `module`, a sequences module, against the per-step oracle: each
+    (q, anchors) of anchor_vectors, over every family with n <= n_max, that
+    is accepted or refused otherwise or with another text, or one of whose
+    steps gets another admissible set; and how many vectors were refused."""
+    rng = random.Random(29)
+    mismatches, refused = [], 0
+    for n in range(2, n_max + 1):
+        for s in iter_nonleaping_sequences(n):
+            members = [ns.anchors for ns in enumerate_neighborhood_sequences(s)]
+            for a in anchor_vectors(rng, s, members):
+                want = per_step_error(s, a)
+                try:
+                    module.NeighborhoodSequence(s, a)
+                    got = None
+                except InputError as e:
+                    got = str(e)
+                refused += want is not None
+                if got != want:
+                    mismatches.append((s.q, a))
+            for a in members:
+                if any(module.admissible_anchors(s, k, a[: k - 3]) != allowed
+                       for k, allowed in per_step_sets(s, a)):
+                    mismatches.append((s.q, a))
+    return mismatches, refused
+
+
+def test_anchor_rule_matches_the_per_step_sets():
+    mismatches, refused = per_step_mismatches(sequences, 8)
+    assert not mismatches and refused > 4000
+
+
+def per_step_draws(rng, s):
+    """Oracle: the anchors random_member drew with `rng` when it chose each
+    step's anchor as rng.choice(sorted(per-step set))."""
+    anchors = []
+    for _, allowed in per_step_sets(s, anchors):  # it slices `anchors` as it grows
+        anchors.append(rng.choice(sorted(allowed)))
+    return tuple(anchors)
+
+
+def random_draws_match(random_member, count):
+    """random_member draws per_step_draws's anchors on `count` seeded families."""
+    rng = random.Random(31)
+    for _ in range(count):
+        s = random_nonleaping(rng, rng.randint(2, 14))
+        seed = rng.random()
+        if random_member(random.Random(seed), s).anchors != per_step_draws(random.Random(seed), s):
+            return False
+    return True
+
+
+def test_random_member_draws_from_the_sorted_sets():
+    assert random_draws_match(random_member, 200)
 
 
 def test_windows():
