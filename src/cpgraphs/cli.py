@@ -8,7 +8,8 @@ counts) are rendered as decimal strings.
 
 Exit codes: 0 success, 1 a verification answered "no" or a suite failed,
 2 bad input, 3 a resource guard tripped. Graph and scheme text pass once
-through _read_text (unreadable, not UTF-8) and _json (malformed, over-nested).
+through _read_text (unreadable, stdin closed, not UTF-8) and _json
+(malformed, over-nested).
 """
 
 from __future__ import annotations
@@ -73,11 +74,45 @@ def _read_text(path: str) -> str:
     """The UTF-8 text at `path` (stdin for "-"). Other bytes are refused from
     either; stdin may hold them as lone surrogates, which do not encode."""
     try:
+        if path == "-" and sys.stdin is None:
+            raise OSError("standard input is closed")
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
         text.encode()
     except (OSError, UnicodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from None
     return text
+
+
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, without the pure-Python
+    encoder that indent selects: str keys only, lists and tuples as arrays."""
+    if isinstance(obj, str):
+        return _ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return json.dumps(obj)  # NaN and the infinities as json writes them
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return f"[{inner}{sep.join([_dumps(x, inner) for x in obj])}{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+        return f"{{{inner}{sep.join(items)}{pad}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _json(text: str, what: str):
@@ -501,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
     if isinstance(payload, str):
         print(payload.rstrip("\n"))
     else:
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     return code
 
 

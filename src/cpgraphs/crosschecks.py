@@ -2,21 +2,23 @@
 
 These deliberately avoid the algorithms in linalg: no elimination and no
 Bareiss. The determinant here is Laplace expansion along the first row with
-each minor expanded once, O(n 2^n) work instead of n!. The inertia comes
-from Descartes' rule of signs applied to the exact characteristic polynomial
-(computed by the Faddeev-LeVerrier trace recurrence in integers, with exact
-divisions). Descartes' rule counts roots exactly for real-rooted
-polynomials, and symmetric matrices have only real eigenvalues, so the sign
-counts are the inertia. The address search here tests every candidate word
-against each assigned vertex and the column order one by one, where
-addressing.search_scheme works on bitmasks. Distances come from one plain
-breadth-first search per source over neighbour lists, where
+each minor expanded once, O(n 2^n) work instead of n!; the memo keys a minor
+by the int bitmask of its columns. The inertia comes from Descartes' rule of
+signs applied to the exact characteristic polynomial (computed by the
+Faddeev-LeVerrier trace recurrence in integers, with exact divisions; each
+product entry is one sum(map(mul, row, col))). Descartes' rule counts roots
+exactly for real-rooted polynomials, and symmetric matrices have only real
+eigenvalues, so the sign counts are the inertia. The address search here
+tests every candidate word against each assigned vertex and the column order
+one by one, where addressing.search_scheme works on bitmasks. Distances come
+from one plain breadth-first search per source over neighbour lists, where
 graphs.all_pairs_distances runs every source at once in integer lanes.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 
 from .addressing import ALPHABET, MAX_VERTICES, AddressScheme, BudgetExceeded, TooLarge
 from .errors import InputError
@@ -57,29 +59,35 @@ def is_connected(g: LabeledGraph) -> bool:
 def det_by_cofactor_expansion(m: IntMatrix) -> int:
     """Laplace expansion along the first remaining row, zero entries skipped.
 
-    A minor on the last r rows is fixed by its r remaining columns, and each
-    one is expanded once per call: O(n 2^n) work instead of n!. Small n only.
+    A minor on the last r rows is fixed by its r remaining columns, kept as
+    the set bits of an int, and each one is expanded once per call: O(n 2^n)
+    work instead of n!. Small n only.
     """
     rows = m.rows
     n = m.n
-    # remaining columns -> determinant of rows n - len(cols) .. n - 1 on them
-    minors: dict[tuple[int, ...], int] = {(): 1}
+    # bitmask of remaining columns -> determinant of rows n - r .. n - 1 on them
+    minors = {0: 1}
 
-    def rec(cols: tuple[int, ...]) -> int:
+    def rec(cols: int) -> int:
         known = minors.get(cols)
         if known is not None:
             return known
-        row = rows[n - len(cols)]
+        row = rows[n - cols.bit_count()]
         total = 0
-        for j, c in enumerate(cols):
-            if row[c] == 0:
-                continue
-            term = row[c] * rec(cols[:j] + cols[j + 1 :])
-            total += -term if j & 1 else term
+        negate = False
+        rest = cols
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            x = row[low.bit_length() - 1]
+            if x:
+                term = x * rec(cols ^ low)
+                total += -term if negate else term
+            negate = not negate
         minors[cols] = total
         return total
 
-    return rec(tuple(range(n)))
+    return rec((1 << n) - 1)
 
 
 def characteristic_polynomial(m: IntMatrix) -> list[int]:
@@ -103,7 +111,7 @@ def characteristic_polynomial(m: IntMatrix) -> list[int]:
             for i in range(n):
                 mk[i][i] += ck
             cols = list(zip(*mk))
-            mk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+            mk = [[sum(map(mul, row, col)) for col in cols] for row in a]
     return coeffs
 
 

@@ -524,7 +524,7 @@ def _suite_trees(rec: Recorder, rng, scale) -> dict:
     orders = list(range(2, scale + 1))
     trees = 0
     # a shape fixes the tree up to relabelling and a rooted class up to
-    # isomorphism, so each class is eliminated once
+    # isomorphism, so each class is eliminated once and each shape judged once
     by_shape, by_class = {}, {}
     for n in orders:
         want = tree_invariants(n)
@@ -536,14 +536,14 @@ def _suite_trees(rec: Recorder, rng, scale) -> dict:
         for code in product(range(1, n + 1), repeat=max(0, n - 2)):
             trees += 1
             shape = _pruefer_growth(n, code)[1]
-            got = by_shape.get(shape)
-            if got is None:
+            judged = by_shape.get(shape)
+            if judged is None:
                 key = _rooted_class(shape)
                 got = by_class.get(key)
                 if got is None:
                     got = by_class[key] = distance_invariants(tree_from_pruefer(n, code))
-                by_shape[shape] = got
-            rec.check(got == want, lambda: f"tree code={code}: {got} != {want}")
+                judged = by_shape[shape] = (got, got == want)
+            rec.check(judged[1], lambda: f"tree code={code}: {judged[0]} != {want}")
     return {"orders": orders, "trees": trees}
 
 

@@ -640,6 +640,50 @@ def test_same_bytes_same_exit_from_a_file_and_stdin(tmp_path, data):
         assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1
 
 
+def test_closed_stdin_is_a_read_error(capsys, monkeypatch, tmp_path):
+    # with file descriptor 0 closed at start-up the interpreter sets sys.stdin to None
+    k3 = tmp_path / "k3.json"
+    k3.write_text(K3_JSON)
+    monkeypatch.setattr("sys.stdin", None)
+    for argv in (["graph", "distance", "-"], ["address", "verify", str(k3), "--scheme", "-"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: cannot read -: standard input is closed\n")
+
+
+# payload-shaped values: str-keyed objects, arrays from lists and tuples
+_chars = st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600a ') | st.characters()
+_leaves = st.one_of(
+    st.text(_chars),
+    st.integers(),
+    st.integers(-(2**100), 2**100),
+    st.booleans(),
+    st.none(),
+    st.floats().map(lambda x: round(x, 3)),
+)
+_payloads = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(_chars, max_size=6), kids, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_payloads)
+def test_dumps_writes_the_bytes_of_json_dumps(payload):
+    assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+
+def test_dumps_refuses_what_payloads_never_hold():
+    # json.dumps would write {1: 2} with the key "1"; no payload has an int key
+    for bad in ({1, 2}, {"a": [frozenset()]}, object(), {1: 2}):
+        with pytest.raises(TypeError):
+            cli._dumps(bad)
+
+
 def test_exact_n_searches_each_length_once(capsys, tmp_path, monkeypatch):
     # K_{2,3}: the inertia bound is 3, the minimum length 4
     edges = ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))

@@ -14,18 +14,19 @@ import random
 import tempfile
 import types
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from test_cli import stdin_bytes
+from test_crosschecks import leibniz_det
 from test_formulas import eliminated_matrix, has_difference_shape, hypercube, raw_invariants
 from test_graphs import bfs_rows, blocks_split_at_cut_vertices, random_graph
 from test_sequences import per_step_mismatches, random_draws_match
 from test_suites import ROOTED_TREES, all_codes, class_counts, heap_growth
 
-from cpgraphs import addressing, cli, formulas, graphs, sequences, suites
+from cpgraphs import addressing, cli, crosschecks, formulas, graphs, sequences, suites
 from cpgraphs.crosschecks import is_connected
 from cpgraphs.errors import InputError
 from cpgraphs.graphs import (
@@ -35,6 +36,7 @@ from cpgraphs.graphs import (
     cycle_graph,
     path_graph,
 )
+from cpgraphs.matrices import IntMatrix
 from cpgraphs.reduction import reduced_graph
 from cpgraphs.sequences import NonLeapingSequence, iter_nonleaping_sequences
 from cpgraphs.suites import random_connected_graph, random_member
@@ -107,6 +109,62 @@ def trees_decode_and_classes(mod):
     return class_counts(mod._rooted_class) == ROOTED_TREES and all(
         mod._pruefer_growth(n, code) == heap_growth(n, code) for n, code in all_codes(6)
     )
+
+
+def trees_judge_every_code(mod):
+    """The trees suite of `mod`, a suites module, passes up to order 6 and,
+    with the invariants of every order-5 tree off by one, fails each of the
+    125 codes of order 5 and nothing else."""
+    real = mod.distance_invariants
+
+    def wrong_on_order_5(g):
+        inv = real(g)
+        return replace(inv, det=inv.det + 1) if g.n == 5 else inv
+
+    ok = mod.run_suite("trees", scale=6).ok
+    mod.distance_invariants = wrong_on_order_5
+    try:
+        r = mod.run_suite("trees", scale=5)
+    finally:
+        mod.distance_invariants = real
+    return ok and (r.passed, r.failed) == (4 + 1 + 3 + 16, 125)
+
+
+# seeded square matrices of order 0..5, about two fifths of their entries 0,
+# each with its Leibniz determinant and the Leibniz determinants of x I - A
+# for x = 0..n, the values the characteristic polynomial must take there
+_rng = random.Random(30)
+_SQUARES = [
+    IntMatrix.from_rows(
+        [[_rng.randint(-4, 4) if _rng.random() < 0.65 else 0 for _ in range(n)] for _ in range(n)]
+    )
+    for n in [_rng.randint(0, 5) for _ in range(40)]
+]
+LEIBNIZ = tuple(
+    (
+        m,
+        leibniz_det(m),
+        [
+            leibniz_det(IntMatrix.from_rows(
+                [[(x if i == j else 0) - m.rows[i][j] for j in range(m.n)] for i in range(m.n)]
+            ))
+            for x in range(m.n + 1)
+        ],
+    )
+    for m in _SQUARES
+)
+
+
+def oracles_match_leibniz(mod):
+    """det_by_cofactor_expansion and characteristic_polynomial of `mod`, a
+    crosschecks module, give the Leibniz determinant of each matrix of
+    LEIBNIZ and the Leibniz values of det(x I - A) at x = 0..n."""
+    for m, det, values in LEIBNIZ:
+        coeffs = mod.characteristic_polynomial(m)
+        got = [sum(c * x**k for k, c in enumerate(coeffs)) for x in range(m.n + 1)]
+        if mod.det_by_cofactor_expansion(m) != det or got != values:
+            return False
+    return True
 
 
 def layout_is_bfs_order(mod):
@@ -392,6 +450,12 @@ MUTANTS = {
         "append(tuple(kids[j]))",
         trees_decode_and_classes,
     ),
+    "trees: each shape's verdict stored as a pass": (
+        suites,
+        "(got, got == want)",
+        "(got, True)",
+        trees_judge_every_code,
+    ),
     "enumeration: every fourth member dropped": (
         sequences,
         "    while True:\n        yield NeighborhoodSequence._of(base, tuple(anchors))\n",
@@ -571,6 +635,25 @@ MUTANTS = {
         "rng.choice((*run, first))",
         random_members_draw_as_before,
     ),
+    # crosschecks: the determinant and characteristic-polynomial oracles
+    "expansion: the sign flipped only at nonzero entries": (
+        crosschecks,
+        "                total += -term if negate else term\n            negate = not negate\n",
+        "                total += -term if negate else term\n                negate = not negate\n",
+        oracles_match_leibniz,
+    ),
+    "expansion: the row read one above the minor's first": (
+        crosschecks,
+        "rows[n - cols.bit_count()]",
+        "rows[n - cols.bit_count() - 1]",
+        oracles_match_leibniz,
+    ),
+    "charpoly: product entries summed from x + y, not x * y": (
+        crosschecks,
+        "[[sum(map(mul, row, col))",
+        "[[sum(map(int.__add__, row, col))",  # killed by the exact division's own check
+        oracles_match_leibniz,
+    ),
     # cli._read_text and cli._json: graph and scheme text enter through them
     "read: RecursionError not caught": (
         cli,
@@ -661,6 +744,8 @@ EQUIVALENT = {
     (member_suites_pass, suites),
     (listed_walks_pass, suites),
     (trees_decode_and_classes, suites),
+    (trees_judge_every_code, suites),
+    (oracles_match_leibniz, crosschecks),
     (enumeration_matches_the_walk, sequences),
     (anchor_rule_matches_the_per_step_sets, sequences),
     (random_members_draw_as_before, suites),
