@@ -11,6 +11,9 @@ they are square and hold ints. Matrices the package derives from
 already-valid ones (products, transposes, submatrices, distance and
 change-of-basis matrices) are wrapped by the private IntMatrix._of, which
 assumes a tuple of n tuples of n ints and checks nothing.
+
+The product ``@`` serves reduction.congruence_reduce for an E that
+reducing_matrix did not build, the tests and the benchmark's tracer.
 """
 
 from __future__ import annotations

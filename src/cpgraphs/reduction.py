@@ -5,12 +5,16 @@ member's distance matrix and E the member's reducing matrix: it equals the
 weighted adjacency matrix of a small reduced graph determined by the size
 sequence alone. This module builds both sides of that identity, plus the
 seesaw/weighted-path shapes the reduced graphs of 2-clique paths take.
+
+A reducing matrix keeps its anchors in its __dict__, as a graph keeps its
+distance matrix (see graphs); congruence_reduce forms E^T D E from them by
+row differences, and by IntMatrix.__matmul__ for any other E.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
+from operator import add, index, sub
 
 from .errors import InputError
 from .matrices import DimensionMismatch, IntMatrix
@@ -116,6 +120,11 @@ def reducing_matrix(ns: NeighborhoodSequence) -> IntMatrix:
 
     Unit upper triangular, so det E = 1 and the congruence D -> E^T D E
     preserves determinant and inertia exactly.
+
+    E records ns.anchors, for congruence_reduce. The record cannot go stale:
+    E is frozen, and what builds a new matrix from it (IntMatrix(rows),
+    dataclasses.replace, E.t) records nothing. Equality, hashing and repr
+    read the rows alone, so E equals the same rows without the record.
     """
     n = ns.n
     col = [[0] * n for _ in range(n)]  # col[j][i] = entry (i+1, j+1)
@@ -129,19 +138,39 @@ def reducing_matrix(ns: NeighborhoodSequence) -> IntMatrix:
         c[k - 2] -= 1
         c[prev - 1] += 1
         prev = a
-    return IntMatrix._of(tuple(zip(*col)))
+    e = IntMatrix._of(tuple(zip(*col)))
+    e.__dict__["_anchors"] = ns.anchors
+    return e
+
+
+def _anchor_differences(rows, anchors) -> list[tuple[int, ...]]:
+    """The rows of E^T A, for A given by its rows and E the reducing matrix of
+    these anchors: rows 1 and 2 of A as they are, then for k >= 3 column k of
+    E applied to A's rows, A[k] - A[a_k] - A[k-1] + A[a_(k-1)], with a_2 = 1."""
+    out = [rows[0], rows[1]]
+    prev = rows[0]  # A[a_2]
+    for before, row, a in zip(rows[1:], rows[2:], anchors):
+        anchor = rows[a - 1]
+        out.append(tuple(map(add, map(sub, map(sub, row, anchor), before), prev)))
+        prev = anchor
+    return out
 
 
 def congruence_reduce(d: IntMatrix, e: IntMatrix) -> IntMatrix:
-    """E^T D E for any square D, E of one order, computed as (E^T (E^T D)^T)^T:
-    ``@`` skips zero entries of its left factor, and a reducing matrix's E^T
-    has at most 4 nonzeros per row, all +-1. So the two products are about
-    8n^2 additions and subtractions, not 2n^3 multiply-adds, and ``@`` runs
-    them at C speed."""
+    """E^T D E for any square D, E of one order, as (E^T (E^T D)^T)^T.
+
+    An E from reducing_matrix carries its anchors: each E^T step is then
+    _anchor_differences, about 6n^2 additions and subtractions in all. Any
+    other E (IntMatrix(rows), or no reducing matrix at all) takes two ``@``
+    products, which skip the zero entries of their left factor."""
     if d.n != e.n:
         raise DimensionMismatch(f"orders differ: {d.n} vs {e.n}")
-    et = e.t
-    return (et @ (et @ d).t).t
+    anchors = e.__dict__.get("_anchors")
+    if anchors is None:
+        et = e.t
+        return (et @ (et @ d).t).t
+    x = _anchor_differences(d.rows, anchors)
+    return IntMatrix._of(tuple(zip(*_anchor_differences(list(zip(*x)), anchors))))
 
 
 def weighted_path_matrix(n: int) -> IntMatrix:

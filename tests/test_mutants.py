@@ -23,14 +23,16 @@ from test_cli import stdin_bytes
 from test_crosschecks import leibniz_det
 from test_formulas import eliminated_matrix, has_difference_shape, hypercube, raw_invariants
 from test_graphs import bfs_rows, blocks_split_at_cut_vertices, random_graph
+from test_reduction import brute_congruence, seeded_members, with_upper_noise
 from test_sequences import per_step_mismatches, random_draws_match
 from test_suites import ROOTED_TREES, all_codes, class_counts, heap_growth
 
-from cpgraphs import addressing, cli, crosschecks, formulas, graphs, sequences, suites
+from cpgraphs import addressing, cli, crosschecks, formulas, graphs, reduction, sequences, suites
 from cpgraphs.crosschecks import is_connected
 from cpgraphs.errors import InputError
 from cpgraphs.graphs import (
     LabeledGraph,
+    all_pairs_distances,
     build_cp_graph,
     complete_graph,
     cycle_graph,
@@ -366,6 +368,29 @@ def searches_match_the_oracle(mod):
         except mod.BudgetExceeded:
             continue
         return False
+    return True
+
+
+# seeded members of orders 3 to 12, each with its D and with D plus seeded
+# integers strictly above the diagonal
+_rng = random.Random(32)
+REDUCED_MEMBERS = [
+    (ns, (d, with_upper_noise(d, _rng)))
+    for ns in seeded_members(random.Random(31), (3, 5, 8, 12))
+    for d in [all_pairs_distances(build_cp_graph(ns))]
+]
+
+
+def reductions_match_brute(mod):
+    """congruence_reduce of `mod`, a reduction module, given its own
+    reducing_matrix, equals the brute sum on REDUCED_MEMBERS' matrices, both
+    symmetric and not, and takes no ``@`` product there."""
+    for ns, ds in REDUCED_MEMBERS:
+        e = mod.reducing_matrix(ns)
+        with mock.patch.object(IntMatrix, "__matmul__", side_effect=AssertionError("@ called")):
+            got = [mod.congruence_reduce(d, e).rows for d in ds]
+        if got != [tuple(map(tuple, brute_congruence(d, e))) for d in ds]:
+            return False
     return True
 
 
@@ -716,6 +741,43 @@ MUTANTS = {
         "m = rows",  # U = I: the same det and inertia, but D's (n, n) cofactor
         differences_match_the_raw_matrix,
     ),
+    # reduction: E^T D E read off the anchors a reducing matrix records
+    "congruence: a_(k-1) never advanced past a_2": (
+        reduction,
+        "        prev = anchor\n",
+        "",
+        reductions_match_brute,
+    ),
+    "congruence: the a_(k-1) term subtracted": (
+        reduction,
+        "map(add, map(sub, map(sub, row, anchor), before), prev)",
+        "map(sub, map(sub, map(sub, row, anchor), before), prev)",
+        reductions_match_brute,
+    ),
+    "congruence: the second step run on E^T D, not its transpose": (
+        reduction,
+        "_anchor_differences(list(zip(*x)), anchors)",
+        "_anchor_differences(x, anchors)",
+        reductions_match_brute,
+    ),
+    "congruence: the last transpose dropped": (
+        reduction,
+        "tuple(zip(*_anchor_differences(list(zip(*x)), anchors)))",
+        "tuple(_anchor_differences(list(zip(*x)), anchors))",  # E^T D^T E: the same for a symmetric D
+        reductions_match_brute,
+    ),
+    "congruence: the anchors recorded reversed": (
+        reduction,
+        'e.__dict__["_anchors"] = ns.anchors',
+        'e.__dict__["_anchors"] = ns.anchors[::-1]',
+        reductions_match_brute,
+    ),
+    "congruence: no anchors recorded": (
+        reduction,
+        'e.__dict__["_anchors"] = ns.anchors',
+        "pass",  # the same answers, by two @ products
+        reductions_match_brute,
+    ),
 }
 
 # Mutants that cannot change any answer, with the reason; each must still
@@ -757,6 +819,7 @@ EQUIVALENT = {
     (blocks_match_the_cut_oracle, graphs),
     (edge_lists_match_the_constructor, graphs),
     (bad_text_is_refused, cli),
+    (reductions_match_brute, reduction),
 ])
 def test_checks_pass_on_the_package(check, module):
     assert check(module)

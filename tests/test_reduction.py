@@ -1,5 +1,6 @@
 import random
 from itertools import islice, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -195,22 +196,61 @@ def test_congruence_reduce_any_square_pair(pair):
     assert congruence_reduce(d, e).rows == tuple(tuple(r) for r in brute_congruence(d, e))
 
 
-def test_congruence_reduce_real_pairs_against_brute():
-    # random members' own (D, E) up to n = 40, where E^T is +-1 with at most
-    # 4 nonzeros per row
-    rng = random.Random(40)
-    for n in (2, 3, 7, 12, 19, 26, 33, 40):
+def seeded_members(rng, orders):
+    """One random member per order, of a random family of that order."""
+    for n in orders:
         q = [0, 1]
         for _ in range(n - 2):
             q.append(rng.randint(2, q[-1] + 1))
-        ns = random_member(rng, NonLeapingSequence(tuple(q)))
+        yield random_member(rng, NonLeapingSequence(tuple(q)))
+
+
+def with_upper_noise(d, rng):
+    """d plus seeded integers strictly above the diagonal: a D that is not
+    symmetric, so E^T D E and its transpose differ."""
+    return IntMatrix(tuple(
+        tuple(x + rng.randint(-9, 9) * (j > i) for j, x in enumerate(r)) for i, r in enumerate(d.rows)
+    ))
+
+
+def test_congruence_reduce_real_pairs_against_brute():
+    # random members' own (D, E) up to n = 40, where E^T is +-1 with at most
+    # 4 nonzeros per row: E as reducing_matrix records it takes the anchor
+    # route, the same rows as IntMatrix(rows) the general one, and a D' that
+    # is not symmetric tells E^T D' E from its transpose
+    noise = random.Random(41)
+    for ns in seeded_members(random.Random(40), (2, 3, 7, 12, 19, 26, 33, 40)):
         d, e = all_pairs_distances(build_cp_graph(ns)), reducing_matrix(ns)
-        assert congruence_reduce(d, e).rows == tuple(tuple(r) for r in brute_congruence(d, e))
+        want = tuple(tuple(r) for r in brute_congruence(d, e))
+        assert congruence_reduce(d, e).rows == want
+        assert congruence_reduce(d, IntMatrix(e.rows)).rows == want
+        skew = with_upper_noise(d, noise)
+        assert congruence_reduce(skew, e).rows == tuple(tuple(r) for r in brute_congruence(skew, e))
+
+
+def test_recorded_reducing_matrix_is_its_rows():
+    # the anchors E keeps are no part of its value
+    e = reducing_matrix(NeighborhoodSequence(NonLeapingSequence(fx.CP8_SEQ), fx.CP8_HUB_ANCHORS))
+    plain = IntMatrix(e.rows)
+    assert e == plain and hash(e) == hash(plain) and repr(e) == repr(plain)
+    assert {plain: "found"}[e] == "found"
+
+
+def test_recorded_reducing_matrix_takes_no_product():
+    ns = NeighborhoodSequence(NonLeapingSequence(fx.CP8_SEQ), fx.CP8_CHAIN_ANCHORS)
+    d = all_pairs_distances(build_cp_graph(ns))
+    with mock.patch.object(IntMatrix, "__matmul__", side_effect=AssertionError("@ called")):
+        assert congruence_reduce(d, reducing_matrix(ns)) == fx.CP8_REDUCED_ADJACENCY
 
 
 def test_congruence_reduce_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         congruence_reduce(identity(2), identity(3))
+    # the anchor route would return a matrix of E's order without the check
+    e = reducing_matrix(NeighborhoodSequence(NonLeapingSequence(fx.CP8_SEQ), fx.CP8_HUB_ANCHORS))
+    for n in (7, 9):
+        with pytest.raises(DimensionMismatch):
+            congruence_reduce(identity(n), e)
 
 
 def test_weighted_path_matrix():

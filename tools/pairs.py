@@ -1,11 +1,12 @@
 """Alternating before/after runs of bench/run.py, summarised into one JSON file.
 
     python3 tools/pairs.py --base HEAD --seed 100 --out perf/name.json \\
-        [--workload check-all ...]
+        [--change REV] [--workload check-all ...]
 
 Run from the root of a checkout. The base side is the committed tree of
 --base, exported with `git archive` into a fresh directory; the change side is
-a fresh copy of the working tree's tracked and unignored files. Both sides so
+the committed tree of --change, exported the same way, or without --change a
+fresh copy of the working tree's tracked and unignored files. Both sides so
 run from clean directories, as the benchmark's own before/after check does.
 Each workload runs PAIRS pairs of BENCHMARK.json's `run_seconds` each; pair i
 runs seed --seed + i on both sides, the base first in even pairs and the
@@ -88,7 +89,7 @@ def _git(*args: str) -> str:
     ).stdout.strip()
 
 
-def export_base(rev: str, dest: Path) -> None:
+def export_rev(rev: str, dest: Path) -> None:
     """The committed files of `rev`, written under `dest`."""
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
@@ -122,7 +123,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--base", required=True, help="the revision the working tree is compared with")
+    p.add_argument("--base", required=True, help="the revision the change side is compared with")
+    p.add_argument("--change", help="a revision to run as the change side; the working tree if omitted")
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--workload", action="append",
                    help="repeatable; every workload of BENCHMARK.json if omitted")
@@ -140,14 +142,18 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         for tree in trees.values():
             tree.mkdir()
-        export_base(args.base, trees["base"])
-        copy_working_tree(trees["change"])
-        dirty = bool(_git("status", "--porcelain", "--untracked-files=normal"))
+        export_rev(args.base, trees["base"])
+        if args.change:
+            export_rev(args.change, trees["change"])
+            change = _git("rev-parse", args.change)
+        else:
+            copy_working_tree(trees["change"])
+            dirty = bool(_git("status", "--porcelain", "--untracked-files=normal"))
+            change = _git("rev-parse", "HEAD") + ("+working tree" if dirty else "")
         header = {
             "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                         "platform": platform.platform()},
-            "commits": {"base": _git("rev-parse", args.base),
-                        "change": _git("rev-parse", "HEAD") + ("+working tree" if dirty else "")},
+            "commits": {"base": _git("rev-parse", args.base), "change": change},
             "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
             "seconds": seconds,
             "seeds": [args.seed, args.seed + PAIRS - 1],
