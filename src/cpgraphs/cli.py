@@ -9,7 +9,8 @@ counts) are rendered as decimal strings.
 Exit codes: 0 success, 1 a verification answered "no" or a suite failed,
 2 bad input, 3 a resource guard tripped. Graph and scheme text pass once
 through _read_text (unreadable, stdin closed, not UTF-8) and _json
-(malformed, over-nested).
+(malformed, over-nested). Output that cannot be written (a closed pipe, a
+full device, stdout closed) exits 2 with one error line, through _write.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from itertools import islice
 from pathlib import Path
@@ -81,6 +83,23 @@ def _read_text(path: str) -> str:
     except (OSError, UnicodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from None
     return text
+
+
+def _write(text: str) -> str | None:
+    """Write `text` and a newline to stdout; why that failed, or None."""
+    if sys.stdout is None:
+        return "standard output is closed"
+    try:
+        # two writes, as print makes them: a write that a closing pipe cuts
+        # short returns its count without an error, and only the next one fails
+        print(text, flush=True)
+    except OSError as e:
+        # the interpreter flushes stdout again at exit; with descriptor 1 on
+        # os.devnull (the signal module's documented SIGPIPE recipe) it cannot
+        # raise there
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return str(e)
+    return None
 
 
 _ascii = json.encoder.encode_basestring_ascii
@@ -533,10 +552,10 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimit as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return 3
-    if isinstance(payload, str):
-        print(payload.rstrip("\n"))
-    else:
-        print(_dumps(payload))
+    failed = _write(payload.rstrip("\n") if isinstance(payload, str) else _dumps(payload))
+    if failed:
+        print(f"error: cannot write standard output: {failed}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -116,10 +116,13 @@ def reduced_graph(s: NonLeapingSequence) -> WeightedGraph:
 
 def reducing_matrix(ns: NeighborhoodSequence) -> IntMatrix:
     """Change of basis E: columns 1, 2 are unit vectors; column k >= 3 is
-    e_k - e_{a_k} - e_{k-1} + e_{a_{k-1}} (terms cancel when anchors repeat).
+    e_k - e_{a_k} - e_{k-1} + e_{a_{k-1}}, which is e_k - e_{k-1} when
+    a_k = a_{k-1} (the two anchor terms cancel).
 
     Unit upper triangular, so det E = 1 and the congruence D -> E^T D E
-    preserves determinant and inertia exactly.
+    preserves determinant and inertia exactly. E is written by rows: the
+    identity with each column k's -1 in row k-1, then, where the anchor
+    moves, column k's -1 in row a_k and +1 in row a_{k-1}.
 
     E records ns.anchors, for congruence_reduce. The record cannot go stale:
     E is frozen, and what builds a new matrix from it (IntMatrix(rows),
@@ -127,18 +130,18 @@ def reducing_matrix(ns: NeighborhoodSequence) -> IntMatrix:
     read the rows alone, so E equals the same rows without the record.
     """
     n = ns.n
-    col = [[0] * n for _ in range(n)]  # col[j][i] = entry (i+1, j+1)
-    col[0][0] = 1
-    col[1][1] = 1
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0] = rows[-1][-1] = 1
+    for i in range(1, n - 1):  # row i + 1 holds column i + 2's -e_(i+1)
+        rows[i][i] = 1
+        rows[i][i + 1] = -1
     prev = 1  # a_2
-    for k, a in zip(range(3, n + 1), ns.anchors):
-        c = col[k - 1]
-        c[k - 1] += 1
-        c[a - 1] -= 1
-        c[k - 2] -= 1
-        c[prev - 1] += 1
-        prev = a
-    e = IntMatrix._of(tuple(zip(*col)))
+    for k, a in enumerate(ns.anchors, start=2):  # column k + 1
+        if a != prev:
+            rows[a - 1][k] -= 1
+            rows[prev - 1][k] += 1
+            prev = a
+    e = IntMatrix._of(tuple(map(tuple, rows)))
     e.__dict__["_anchors"] = ns.anchors
     return e
 
@@ -146,13 +149,16 @@ def reducing_matrix(ns: NeighborhoodSequence) -> IntMatrix:
 def _anchor_differences(rows, anchors) -> list[tuple[int, ...]]:
     """The rows of E^T A, for A given by its rows and E the reducing matrix of
     these anchors: rows 1 and 2 of A as they are, then for k >= 3 column k of
-    E applied to A's rows, A[k] - A[a_k] - A[k-1] + A[a_(k-1)], with a_2 = 1."""
+    E applied to A's rows. That is A[k] - A[k-1] when a_k = a_(k-1), and
+    A[k] - A[a_k] - A[k-1] + A[a_(k-1)] otherwise, with a_2 = 1."""
     out = [rows[0], rows[1]]
-    prev = rows[0]  # A[a_2]
+    prev = 1  # a_2
     for before, row, a in zip(rows[1:], rows[2:], anchors):
-        anchor = rows[a - 1]
-        out.append(tuple(map(add, map(sub, map(sub, row, anchor), before), prev)))
-        prev = anchor
+        if a == prev:
+            out.append(tuple(map(sub, row, before)))
+        else:
+            out.append(tuple(map(add, map(sub, map(sub, row, rows[a - 1]), before), rows[prev - 1])))
+            prev = a
     return out
 
 
@@ -160,9 +166,11 @@ def congruence_reduce(d: IntMatrix, e: IntMatrix) -> IntMatrix:
     """E^T D E for any square D, E of one order, as (E^T (E^T D)^T)^T.
 
     An E from reducing_matrix carries its anchors: each E^T step is then
-    _anchor_differences, about 6n^2 additions and subtractions in all. Any
-    other E (IntMatrix(rows), or no reducing matrix at all) takes two ``@``
-    products, which skip the zero entries of their left factor."""
+    _anchor_differences, which costs what E's nonzeros cost: n subtractions
+    for a column k with a_k = a_(k-1), 3n additions and subtractions for any
+    other, so 2n^2 to 6n^2 in all. Any other E (IntMatrix(rows), or no
+    reducing matrix at all) takes two ``@`` products, which skip the zero
+    entries of their left factor."""
     if d.n != e.n:
         raise DimensionMismatch(f"orders differ: {d.n} vs {e.n}")
     anchors = e.__dict__.get("_anchors")

@@ -650,6 +650,42 @@ def test_closed_stdin_is_a_read_error(capsys, monkeypatch, tmp_path):
         assert (code, out, err) == (2, "", "error: cannot read -: standard input is closed\n")
 
 
+def cli_writing(tmp_path, **popen):
+    """`graph distance` of the path on 256 vertices, over 64 KiB of output
+    (more than a pipe holds), started with `popen`'s stdout."""
+    p = tmp_path / "p256.txt"
+    p.write_text("".join(f"{v} {v + 1}\n" for v in range(1, 256)))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "cpgraphs.cli", "graph", "distance", str(p)]
+    return subprocess.Popen(argv, stderr=subprocess.PIPE, env=env, **popen)
+
+
+def assert_write_refused(child):
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 2, err
+    assert err.startswith(b"error: cannot write standard output: ") and err.count(b"\n") == 1, err
+    assert b"Traceback" not in err
+
+
+def test_pipe_closed_by_its_reader_is_a_write_error(tmp_path):
+    child = cli_writing(tmp_path, stdout=subprocess.PIPE)
+    assert child.stdout.read(1) == b"{"
+    child.stdout.close()
+    assert_write_refused(child)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_full_device_is_a_write_error(tmp_path):
+    with open("/dev/full", "wb") as full:
+        assert_write_refused(cli_writing(tmp_path, stdout=full))
+
+
+def test_closed_stdout_is_a_write_error(tmp_path):
+    # with file descriptor 1 closed at start-up the interpreter sets sys.stdout to None
+    child = cli_writing(tmp_path, stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+    assert_write_refused(child)
+
+
 # payload-shaped values: str-keyed objects, arrays from lists and tuples
 _chars = st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600a ') | st.characters()
 _leaves = st.one_of(

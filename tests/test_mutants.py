@@ -23,7 +23,7 @@ from test_cli import stdin_bytes
 from test_crosschecks import leibniz_det
 from test_formulas import eliminated_matrix, has_difference_shape, hypercube, raw_invariants
 from test_graphs import bfs_rows, blocks_split_at_cut_vertices, random_graph
-from test_reduction import brute_congruence, seeded_members, with_upper_noise
+from test_reduction import brute_congruence, e_by_columns, seeded_members, with_upper_noise
 from test_sequences import per_step_mismatches, random_draws_match
 from test_suites import ROOTED_TREES, all_codes, class_counts, heap_growth
 
@@ -40,7 +40,11 @@ from cpgraphs.graphs import (
 )
 from cpgraphs.matrices import IntMatrix
 from cpgraphs.reduction import reduced_graph
-from cpgraphs.sequences import NonLeapingSequence, iter_nonleaping_sequences
+from cpgraphs.sequences import (
+    NonLeapingSequence,
+    enumerate_neighborhood_sequences,
+    iter_nonleaping_sequences,
+)
 from cpgraphs.suites import random_connected_graph, random_member
 
 
@@ -394,6 +398,17 @@ def reductions_match_brute(mod):
     return True
 
 
+def reducing_matrices_match_columns(mod):
+    """reducing_matrix of `mod`, a reduction module, gives the rows of E's
+    column definition for every member with n <= 7."""
+    return all(
+        mod.reducing_matrix(ns).rows == e_by_columns(ns)
+        for n in range(2, 8)
+        for s in iter_nonleaping_sequences(n)
+        for ns in enumerate_neighborhood_sequences(s)
+    )
+
+
 MUTANTS = {
     # suites._grow: vertex k (0-based) joins W = {ak} + [k + 1 - qk, k - 1]
     "walk: anchor dropped from W_k": (
@@ -744,15 +759,63 @@ MUTANTS = {
     # reduction: E^T D E read off the anchors a reducing matrix records
     "congruence: a_(k-1) never advanced past a_2": (
         reduction,
-        "        prev = anchor\n",
-        "",
+        "            prev = a\n    return out",
+        "    return out",  # prev is advanced in the four-term branch alone
         reductions_match_brute,
     ),
     "congruence: the a_(k-1) term subtracted": (
         reduction,
-        "map(add, map(sub, map(sub, row, anchor), before), prev)",
-        "map(sub, map(sub, map(sub, row, anchor), before), prev)",
+        "map(add, map(sub, map(sub, row, rows[a - 1]), before), rows[prev - 1])",
+        "map(sub, map(sub, map(sub, row, rows[a - 1]), before), rows[prev - 1])",
         reductions_match_brute,
+    ),
+    "congruence: a_(k-1) advanced before its row is read": (
+        reduction,
+        "        else:\n            out.append(",
+        "        else:\n            prev = a\n            out.append(",  # A[k] - A[k-1] again
+        reductions_match_brute,
+    ),
+    "congruence: the shortcut taken whenever a_k >= a_(k-1)": (
+        reduction,
+        "if a == prev:",
+        "if a >= prev:",
+        reductions_match_brute,
+    ),
+    "congruence: the two-term row written as A[k] - A[a_k]": (
+        reduction,
+        "tuple(map(sub, row, before))",
+        "tuple(map(sub, row, rows[a - 1]))",
+        reductions_match_brute,
+    ),
+    "reducing matrix: the a_(k-1) term dropped": (
+        reduction,
+        "            rows[prev - 1][k] += 1\n",
+        "",
+        reducing_matrices_match_columns,
+    ),
+    "reducing matrix: the a_k term in the transposed position": (
+        reduction,
+        "rows[a - 1][k] -= 1",
+        "rows[k][a - 1] -= 1",
+        reducing_matrices_match_columns,
+    ),
+    "reducing matrix: the -e_(k-1) term in the transposed position": (
+        reduction,
+        "rows[i][i + 1] = -1",
+        "rows[i + 1][i] = -1",
+        reducing_matrices_match_columns,
+    ),
+    "reducing matrix: a_(k-1) never advanced past a_2": (
+        reduction,
+        "            prev = a\n    e = IntMatrix",
+        "    e = IntMatrix",
+        reducing_matrices_match_columns,
+    ),
+    "reducing matrix: the last diagonal 1 left out": (
+        reduction,
+        "rows[0][0] = rows[-1][-1] = 1",
+        "rows[0][0] = 1",
+        reducing_matrices_match_columns,
     ),
     "congruence: the second step run on E^T D, not its transpose": (
         reduction,
@@ -799,6 +862,14 @@ EQUIVALENT = {
         # full ^ full adds 0 to acc, and ORing into a full reach set adds nothing
         distances_match_bfs,
     ),
+    "congruence: the shortcut taken on a_k <= a_(k-1)": (
+        reduction,
+        "if a == prev:",
+        "if a <= prev:",
+        # anchors never fall: a moved a_k lies in [b_(k-1), b_k - 1], above
+        # a_(k-1) < b_(k-1), and NeighborhoodSequence refuses any other
+        reductions_match_brute,
+    ),
 }
 
 
@@ -820,6 +891,7 @@ EQUIVALENT = {
     (edge_lists_match_the_constructor, graphs),
     (bad_text_is_refused, cli),
     (reductions_match_brute, reduction),
+    (reducing_matrices_match_columns, reduction),
 ])
 def test_checks_pass_on_the_package(check, module):
     assert check(module)

@@ -32,6 +32,7 @@ from cpgraphs.sequences import (
     enumerate_neighborhood_sequences,
     expand_clique_path_spec,
     iter_nonleaping_sequences,
+    minimal_anchors,
 )
 from cpgraphs.suites import random_member
 
@@ -226,6 +227,47 @@ def test_congruence_reduce_real_pairs_against_brute():
         assert congruence_reduce(d, IntMatrix(e.rows)).rows == want
         skew = with_upper_noise(d, noise)
         assert congruence_reduce(skew, e).rows == tuple(tuple(r) for r in brute_congruence(skew, e))
+
+
+def e_by_columns(ns):
+    """E's rows from its column definition: e_1, e_2, then column k is
+    e_k - e_(a_k) - e_(k-1) + e_(a_(k-1)), with a_2 = 1."""
+    n = ns.n
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for k, a, prev in zip(range(3, n + 1), ns.anchors, (1, *ns.anchors)):
+        for i, x in ((a, -1), (k - 1, -1), (prev, 1)):
+            cols[k - 1][i - 1] += x
+    return tuple(zip(*cols))
+
+
+def test_every_member_up_to_order_8_reduces_both_ways():
+    # the anchor route, the @ route on E's bare rows and A(H) agree on all
+    # 1773 members with n <= 8, and E's rows follow its column definition
+    members = 0
+    for n in range(2, 9):
+        for s in iter_nonleaping_sequences(n):
+            h = reduced_graph(s).adjacency_matrix()
+            for ns in enumerate_neighborhood_sequences(s):
+                d, e = all_pairs_distances(build_cp_graph(ns)), reducing_matrix(ns)
+                assert e.rows == e_by_columns(ns)
+                assert congruence_reduce(d, e) == congruence_reduce(d, IntMatrix(e.rows)) == h
+                members += 1
+    assert members == 1773
+
+
+def test_non_symmetric_d_where_anchors_all_repeat_or_all_move():
+    # minimal_anchors takes only two-term columns; on q = 0, 1, 2, ..., 2 the
+    # anchors a_k = k - 2 move at every k >= 4 (a_3 = 1 always repeats a_2)
+    s = NonLeapingSequence((0, 1) + (2,) * 8)
+    rng = random.Random(43)
+    for anchors in (minimal_anchors(s), tuple(range(1, 9))):
+        ns = NeighborhoodSequence(s, anchors)
+        e = reducing_matrix(ns)
+        assert e.rows == e_by_columns(ns)
+        d = with_upper_noise(all_pairs_distances(build_cp_graph(ns)), rng)
+        want = tuple(tuple(r) for r in brute_congruence(d, e))
+        assert congruence_reduce(d, e).rows == want
+        assert congruence_reduce(d, IntMatrix(e.rows)).rows == want
 
 
 def test_recorded_reducing_matrix_is_its_rows():

@@ -16,9 +16,12 @@ an interrupted session keeps what it measured.
 
 It holds, per workload and end-to-end metric, each side's median and
 quartiles, the change's median against the base's in percent, the pairs the
-change won (strictly better, in the direction BENCHMARK.json gives); the raw
-runs once, under `runs`; plus the machine (nproc, Python, platform), both commits and the
-`src/` line count of each side. It states no verdict.
+change won (strictly better, in the direction BENCHMARK.json gives); per
+workload and side, the operations attempted and failed and the failed share;
+the raw runs once, under `runs`; plus the machine (nproc, Python, platform),
+both commits and the `src/` line count of each side. It states no verdict on
+the metrics, but exits 1 when any run failed an operation, after writing
+the file.
 """
 
 from __future__ import annotations
@@ -52,18 +55,32 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     against the base's in percent and its wins out of the pairs.
 
     `runs` holds one record per run: {"workload", "pair", "side", "metrics":
-    {name: value}}. `better` maps each metric to "lower" or "higher"; a pair
-    counts as a win when the change is strictly better than the base in it.
+    {name: value}}, and the run's "attempted" and "failed" operation counts
+    where it reported them. `better` maps each metric to "lower" or "higher";
+    a pair counts as a win when the change is strictly better than the base
+    in it. Under "operations", each side sums the counts of its runs, paired
+    or not, and gives the failed share.
     """
     values: dict[str, dict[str, dict[str, dict[int, float]]]] = {}
+    counts: dict[str, dict[str, dict[str, int]]] = {}
     for run in runs:
         per_metric = values.setdefault(run["workload"], {})
         for name, value in run["metrics"].items():
             sides = per_metric.setdefault(name, {side: {} for side in SIDES})
             sides[run["side"]][run["pair"]] = value
+        if "attempted" in run:
+            tally = counts.setdefault(run["workload"], {
+                side: {"attempted": 0, "failed": 0} for side in SIDES})[run["side"]]
+            tally["attempted"] += run["attempted"]
+            tally["failed"] += run["failed"]
     out: dict[str, dict] = {}
     for workload, per_metric in values.items():
         out[workload] = {}
+        if workload in counts:
+            out[workload]["operations"] = {
+                side: {**c, "failed_share": c["failed"] / c["attempted"] if c["attempted"] else None}
+                for side, c in counts[workload].items()
+            }
         for name, sides in per_metric.items():
             base, change = sides["base"], sides["change"]
             pairs = sorted(base.keys() & change.keys())
@@ -168,13 +185,17 @@ def main(argv=None) -> int:
                     runs.append({"workload": workload, "pair": i, "side": side,
                                  "seed": args.seed + i, "attempted": result["attempted"],
                                  "failed": result["failed"], "metrics": metrics})
-                    print(f"{workload} pair {i} {side}: wall_ref {metrics.get('wall_ref')}",
-                          file=sys.stderr)
+                    print(f"{workload} pair {i} {side}: wall_ref {metrics.get('wall_ref')}, "
+                          f"failed {result['failed']}/{result['attempted']}", file=sys.stderr)
                 args.out.parent.mkdir(parents=True, exist_ok=True)
                 summary = summarise(runs, better)
                 args.out.write_text(json.dumps(
                     {**header, "summary": summary, "runs": runs}, indent=2) + "\n")
-    return 0
+    failing = [run for run in runs if run["failed"]]
+    for run in failing:
+        print(f"pairs: {run['workload']} pair {run['pair']} {run['side']} failed "
+              f"{run['failed']} of {run['attempted']} operations", file=sys.stderr)
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":
