@@ -8,11 +8,15 @@ ORs whole rows at C speed; blocks come from a textbook Hopcroft-Tarjan
 decomposition.
 
 A graph is immutable, so its distance matrix is computed once per graph
-object and kept in its __dict__; it is the only thing a graph keeps. Nothing
-here is kept by equality: such a table would hold every graph seen, and
-would make a rerun on equal inputs cheaper than the first, so timing reruns
-would measure the repetition. The one exception in the package is
-addressing._layout, a one-entry cache keyed by graph equality.
+object and kept in its __dict__. A graph that build_cp_graph makes from an
+enumerated member also keeps the member's record of its enumeration (see
+sequences): while that member is the enumeration's current one, D is read
+off the rows the members share and copied out, and once the walk has moved
+on, the BFS runs as for any other graph. Nothing here is kept by equality:
+such a table would hold every graph seen, and would make a rerun on equal
+inputs cheaper than the first, so timing reruns would measure the
+repetition. The one exception in the package is addressing._layout, a
+one-entry cache keyed by graph equality.
 
 Validation happens once, where a graph enters from outside: parse_edge_list
 checks each edge of an edge file with its line number, and the LabeledGraph
@@ -109,14 +113,18 @@ def complete_graph(n: int) -> LabeledGraph:
 
 def build_cp_graph(ns: NeighborhoodSequence) -> LabeledGraph:
     """Realize a neighborhood sequence: join each vertex k to its window
-    W_k = {a_k} + [b_k, k-1] (W_2 = {1})."""
+    W_k = {a_k} + [b_k, k-1] (W_2 = {1}). The graph of an enumerated member
+    carries the member's record, for all_pairs_distances."""
     edges = [(1, 2)]
     for k, a, bk in zip(range(3, ns.n + 1), ns.anchors, ns.base.b[2:]):
         edges.append((a, k))
         edges += [(w, k) for w in range(bk, k)]
     # a_k < b_k, so each pair (w, k) arises once, at step k
     edges.sort()
-    return LabeledGraph._of(ns.n, tuple(edges))
+    g = LabeledGraph._of(ns.n, tuple(edges))
+    if "_prefix" in ns.__dict__:  # an enumerated member: see all_pairs_distances
+        g.__dict__["_prefix"] = ns.__dict__["_prefix"]
+    return g
 
 
 # (lane bits, struct code) for all_pairs_distances, narrowest first
@@ -137,11 +145,19 @@ def all_pairs_distances(g: LabeledGraph) -> IntMatrix:
 
     D is stored on g (see the module docstring): later calls for the same
     object return it, an equal graph built anew computes its own, and a
-    disconnected graph stores nothing and raises on every call.
+    disconnected graph stores nothing and raises on every call. A graph of
+    the enumeration's current member copies D from the shared rows instead
+    of running the BFS.
     """
     memo = g.__dict__
     if "_distances" in memo:
         return memo["_distances"]
+    record = memo.get("_prefix")  # (the enumeration's shared rows, the member's serial)
+    rows = record[0].rows_at(record[1]) if record else None
+    if rows is not None:
+        d = IntMatrix._of(tuple(map(tuple, rows)))
+        memo["_distances"] = d
+        return d
     n = g.n
     width, code = next(lane for lane in _LANES if n <= 1 << lane[0])
     bit = [1 << (width * v) for v in range(n)]

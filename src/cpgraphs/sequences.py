@@ -10,7 +10,18 @@ W_{k-1}, which is what makes consecutive neighborhoods overlap in a clique.
 This module owns the combinatorics: validating q, expanding the p_1..p_m
 clique-path shorthand, the admissible anchors at each step (one rule,
 _anchor_choices), and enumerating or counting all anchor choices for a
-fixed q.
+fixed q. It also owns the one row step of the growth, _next_row: W_k is a
+clique, so vertex k changes no earlier distance, and its row of D is
+d(k, j) = 1 + min over w in W_k of d(w, j).
+
+enumerate_neighborhood_sequences walks the anchor choices depth first and
+keeps one _Prefix per run: the distance rows its members share, up to the
+first vertex whose window changed. Each member records that prefix and its
+own serial number; graphs.all_pairs_distances reads D off the prefix only
+while the member is the enumeration's current one, and runs its BFS for any
+other. Nothing is keyed by equality: an equal member built any other way
+(the constructor, dataclasses.replace, suites.random_member) carries no
+record.
 
 Validation happens once, where a sequence enters from outside: the
 NonLeapingSequence and NeighborhoodSequence constructors check every term
@@ -172,28 +183,89 @@ class NeighborhoodSequence:
         return self.base.n
 
 
+def _next_row(rows: list[list[int]], anchor: int, lo: int) -> list[int]:
+    """Add vertex k = len(rows), 0-based, to the distance rows of vertices
+    0..k-1, each k entries long, as joined to W = {anchor} + [lo, k - 1].
+
+    W is a clique, so the new vertex changes no earlier distance, and its
+    row is d(k, j) = 1 + min over w in W of d(w, j). Appends that entry to
+    row j, appends the new row, ending in d(k, k) = 0, and returns it."""
+    new = [1 + min(ws) for ws in zip(rows[anchor], *rows[lo:])]
+    for row, x in zip(rows, new):
+        row.append(x)
+    new.append(0)
+    rows.append(new)
+    return new
+
+
+class _Prefix:
+    """The distance rows shared by the members of one enumeration.
+
+    Consecutive members agree on every vertex before the first anchor that
+    changed, and so on those vertices' distances. For each member it yields,
+    the walk advances `serial` and lowers `valid`, the count of rows that
+    still hold, and builds nothing; rows_at grows the missing rows of the
+    current member, and of no other, when they are asked for."""
+
+    __slots__ = ("b", "anchors", "rows", "valid", "serial")
+
+    def __init__(self, b: tuple[int, ...]):
+        self.b = b
+        self.anchors: tuple[int, ...] = ()  # the current member's a_3 .. a_n
+        self.rows = [[0, 1], [1, 0]]  # vertices 1 and 2 are the same in every member
+        self.valid = 2
+        self.serial = 0
+
+    def rows_at(self, serial: int) -> list[list[int]] | None:
+        """D of the member with this serial number, as lists valid until the
+        walk advances, or None once the walk has moved past that member."""
+        if serial != self.serial:
+            return None
+        rows, v = self.rows, self.valid
+        if len(rows) > v:
+            del rows[v:]
+            for row in rows:
+                del row[v:]
+        for k in range(v, len(self.b)):  # row k is vertex k + 1's, with a_(k+1) and b_(k+1)
+            _next_row(rows, self.anchors[k - 2] - 1, self.b[k] - 1)
+        self.valid = len(rows)
+        return rows
+
+
 def enumerate_neighborhood_sequences(base: NonLeapingSequence) -> Iterator[NeighborhoodSequence]:
     """All anchor choices for the given size sequence, in ascending anchor
-    order: an odometer over each step's _anchor_choices, last step fastest.
-    Digit d at step k picks a_{k-1} for d = 0 and b_{k-1} + d - 1 otherwise,
-    so anchors rise with the digit; resetting the digits after a carry to 0
-    repeats the anchor just changed."""
-    b = base.b  # b[k - 1] = b_k
-    m = base.n - 2
-    anchors = [1] * m
-    digits = [0] * m
+    order: a depth-first walk over each step's _anchor_choices, last step
+    fastest. A step first takes a_(k-1), the anchor just chosen before it.
+
+    Each member records (the enumeration's _Prefix, its serial number) in
+    its __dict__, which build_cp_graph copies onto the graph, so that
+    graphs.all_pairs_distances reads D off the rows the members share while
+    that member is the current one. Members are lazy: yielding one builds no
+    rows."""
+    b = base.b
+    prefix = _Prefix(b)
+    anchors: list[int] = []
+    rest: list[Iterator[int]] = []  # rest[i]: the untaken choices of step i + 3
+    a = 1  # a_2
     while True:
-        yield NeighborhoodSequence._of(base, tuple(anchors))
-        i = m - 1  # digit i is step k = i + 3, with radix 1 + b_k - b_{k-1}
-        while i >= 0 and digits[i] == b[i + 2] - b[i + 1]:
-            i -= 1
-        if i < 0:
+        for k in range(len(anchors) + 3, base.n + 1):
+            a, run = _anchor_choices(b, k, a)
+            anchors.append(a)
+            rest.append(iter(run))
+        ns = NeighborhoodSequence._of(base, tuple(anchors))
+        prefix.anchors = ns.anchors
+        prefix.serial += 1
+        ns.__dict__["_prefix"] = (prefix, prefix.serial)
+        yield ns
+        while rest and (a := next(rest[-1], None)) is None:
+            rest.pop()
+            anchors.pop()
+        if not rest:
             return
-        digits[i] += 1
-        anchors[i] = b[i + 1] + digits[i] - 1
-        for j in range(i + 1, m):
-            digits[j] = 0
-            anchors[j] = anchors[i]
+        anchors[-1] = a
+        changed = len(anchors) + 1  # the first vertex, 0-based, whose window changed
+        if changed < prefix.valid:
+            prefix.valid = changed
 
 
 def count_neighborhood_sequences(base: NonLeapingSequence) -> int:

@@ -63,6 +63,7 @@ from .sequences import (
     NeighborhoodSequence,
     NonLeapingSequence,
     _anchor_choices,
+    _next_row,
     count_neighborhood_sequences,
     enumerate_neighborhood_sequences,
     expand_clique_path_spec,
@@ -316,9 +317,10 @@ def _grow(families, h=None):
     reduced_graph(q[:k]) is the leading block of reduced_graph(q).
 
     Every W_k is a clique, so a new vertex changes no earlier distance and
-    its row is d(k, j) = 1 + min over w in W_k of d(w, j); a sibling starts
-    from its parent's state. Column k of E touches rows k, k-1, a_k and
-    a_(k-1) only, so column k of E^T D E needs D's leading (k+1) block.
+    its row is d(k, j) = 1 + min over w in W_k of d(w, j), as
+    sequences._next_row adds it; a sibling starts from its parent's state.
+    Column k of E touches rows k, k-1, a_k and a_(k-1) only, so column k of
+    E^T D E needs D's leading (k+1) block.
     Without h, vertex k adds column k of the symmetric fraction-free
     elimination of [[D, 1], [1^T, 0]], border last, after _symmetric_bareiss's
     step 0 (vertex 2 added into vertex 1, pivot 2), reduced through the
@@ -363,11 +365,7 @@ def _grow(families, h=None):
         here, ak = choice
         qk = here[k]
         anc.append(ak)
-        new = [1 + min(ws) for ws in zip(d[ak], *d[k + 1 - qk : k])]
-        for row, x in zip(d, new):
-            row.append(x)
-        new.append(0)
-        d.append(new)
+        new = _next_row(d, ak, k + 1 - qk)
         if h is not None:
             fam = reads[here]
             if fam not in targets:

@@ -184,6 +184,67 @@ def test_distances_kept_per_graph_object():
             all_pairs_distances(split)
 
 
+def enumerated_distances_hold(
+    n_max, members=enumerate_neighborhood_sequences, build=build_cp_graph,
+    distances=all_pairs_distances,
+):
+    """D of each member of the families with n <= n_max, read through
+    `members` (an enumerator), `build` and `distances`, equals bfs_rows of a
+    fresh equal graph: asked for while the walk stands on the member, and
+    again for every member collected with list() first, last to first and
+    then first to last. Every D taken during a walk is read again once its
+    family is done, so a D that changes as the walk advances shows."""
+    for s in (s for n in range(2, n_max + 1) for s in iter_nonleaping_sequences(n)):
+        taken = []
+        for ns in members(s):
+            g = build(ns)
+            want = bfs_rows(LabeledGraph(g.n, g.edges))
+            taken.append((distances(g), want))
+            if tuple(map(tuple, taken[-1][0].rows)) != want:
+                return False
+        collected = [build(ns) for ns in members(s)]
+        for g in collected[::-1] + [build(ns) for ns in list(members(s))]:
+            if tuple(map(tuple, distances(g).rows)) != bfs_rows(LabeledGraph(g.n, g.edges)):
+                return False
+        if any(tuple(map(tuple, d.rows)) != want for d, want in taken):
+            return False
+    return True
+
+
+def test_enumerated_members_read_the_shared_rows():
+    # 9525 members with n <= 9, each read during the walk against both a
+    # fresh equal graph's BFS and the per-source oracle
+    members = 0
+    for n in range(2, 10):
+        for s in iter_nonleaping_sequences(n):
+            for ns in enumerate_neighborhood_sequences(s):
+                g = build_cp_graph(ns)
+                d = all_pairs_distances(g)
+                fresh = LabeledGraph(g.n, g.edges)
+                assert d == all_pairs_distances(fresh) and d.rows == bfs_rows(fresh), ns
+                assert all(type(row) is tuple for row in d.rows)
+                members += 1
+    assert members == 9525
+    assert enumerated_distances_hold(7)
+
+
+def test_distances_taken_from_the_walk_stay_put():
+    s = NonLeapingSequence((0, 1, 2, 2, 2, 2, 3, 3))
+    walk = enumerate_neighborhood_sequences(s)
+    first = next(walk)
+    g = build_cp_graph(first)
+    d = all_pairs_distances(g)
+    rows = d.rows
+    later = [all_pairs_distances(build_cp_graph(ns)) for ns in walk]
+    # the walk's rows moved on: 15 more members, not all with the first's D
+    assert len(later) == 15 and any(x != d for x in later)
+    assert d.rows == rows == bfs_rows(LabeledGraph(g.n, g.edges))
+    assert all_pairs_distances(g) is d
+    # a member asked for after the walk moved on: the BFS, on its own graph object
+    stale = build_cp_graph(first)
+    assert all_pairs_distances(stale) == d and all_pairs_distances(stale) is not d
+
+
 @pytest.mark.parametrize("g", [*map(fixture_graph, FIXTURE_NAMES), path_graph(256)])
 def test_invariants_read_the_stored_distances(g):
     all_pairs_distances(g)

@@ -22,7 +22,12 @@ import pytest
 from test_cli import stdin_bytes
 from test_crosschecks import leibniz_det
 from test_formulas import eliminated_matrix, has_difference_shape, hypercube, raw_invariants
-from test_graphs import bfs_rows, blocks_split_at_cut_vertices, random_graph
+from test_graphs import (
+    bfs_rows,
+    blocks_split_at_cut_vertices,
+    enumerated_distances_hold,
+    random_graph,
+)
 from test_reduction import brute_congruence, e_by_columns, seeded_members, with_upper_noise
 from test_sequences import per_step_mismatches, random_draws_match
 from test_suites import ROOTED_TREES, all_codes, class_counts, heap_growth
@@ -66,6 +71,25 @@ def mutate(module, old, new):
 def member_suites_pass(mod):
     """The suites that walk every member, run from `mod`, a suites module."""
     return all(mod.run_suite(name, scale=8).ok for name in ("constancy", "congruence"))
+
+
+def walk_rows_pass(mod):
+    """The member suites, with the row step of `mod`, a sequences module, as
+    the one suites._grow calls."""
+    with mock.patch.object(suites, "_next_row", mod._next_row):
+        return member_suites_pass(suites)
+
+
+def enumerated_members_read_d(mod):
+    """D read through an enumeration of every family with n <= 7 is right
+    (see enumerated_distances_hold), with the enumerator of `mod` if it is a
+    sequences module, or build_cp_graph and all_pairs_distances of `mod` if
+    it is a graphs module."""
+    if mod.__name__ == sequences.__name__:
+        return enumerated_distances_hold(7, members=mod.enumerate_neighborhood_sequences)
+    return enumerated_distances_hold(
+        7, build=mod.build_cp_graph, distances=mod.all_pairs_distances
+    )
 
 
 def listed_walks_pass(mod):
@@ -410,13 +434,15 @@ def reducing_matrices_match_columns(mod):
 
 
 MUTANTS = {
-    # suites._grow: vertex k (0-based) joins W = {ak} + [k + 1 - qk, k - 1]
+    # sequences._next_row, the row step of suites._grow: vertex k (0-based)
+    # joins W = {anchor} + [lo, k - 1]
     "walk: anchor dropped from W_k": (
-        suites,
-        "zip(d[ak], *d[k + 1 - qk : k])",
-        "zip(*(d[k + 1 - qk : k] or [d[ak]]))",  # W_2 = {a_2} keeps it
-        member_suites_pass,
+        sequences,
+        "zip(rows[anchor], *rows[lo:])",
+        "zip(*(rows[lo:] or [rows[anchor]]))",  # W_2 = {a_2} keeps it
+        walk_rows_pass,
     ),
+    # suites._grow
     "walk: a_(k-1) offered only where it is the sole anchor": (
         suites,
         "for a in (ak, *range(k + 1 - qk, k + 2 - s))",
@@ -496,12 +522,43 @@ MUTANTS = {
         "(got, True)",
         trees_judge_every_code,
     ),
+    # sequences.enumerate_neighborhood_sequences: the walk and its shared rows
     "enumeration: every fourth member dropped": (
         sequences,
-        "    while True:\n        yield NeighborhoodSequence._of(base, tuple(anchors))\n",
-        "    count = 0\n    while True:\n        count += 1\n        if count % 4:\n"
-        "            yield NeighborhoodSequence._of(base, tuple(anchors))\n",
+        "        yield ns\n",
+        "        if prefix.serial % 4:\n            yield ns\n",
         enumeration_matches_the_walk,
+    ),
+    "enumeration: valid rows not lowered on advance": (
+        sequences,
+        "            prefix.valid = changed",
+        "            pass",
+        enumerated_members_read_d,
+    ),
+    "enumeration: the changed vertex taken one past the anchor's": (
+        sequences,
+        "changed = len(anchors) + 1",
+        "changed = len(anchors) + 2",
+        enumerated_members_read_d,
+    ),
+    "enumeration: serial not advanced": (
+        sequences,
+        "        prefix.serial += 1\n",
+        "",
+        enumerated_members_read_d,
+    ),
+    "enumeration: a stale member read off the shared rows": (
+        sequences,
+        "        if serial != self.serial:\n            return None\n",
+        "",
+        enumerated_members_read_d,
+    ),
+    # graphs: a member's D copied off the shared rows
+    "distances: the shared rows handed out, not copied": (
+        graphs,
+        "IntMatrix._of(tuple(map(tuple, rows)))",
+        "IntMatrix._of(tuple(rows))",
+        enumerated_members_read_d,
     ),
     "search layout: ties broken by descending label": (
         addressing,
@@ -879,7 +936,10 @@ EQUIVALENT = {
     (trees_decode_and_classes, suites),
     (trees_judge_every_code, suites),
     (oracles_match_leibniz, crosschecks),
+    (walk_rows_pass, sequences),
     (enumeration_matches_the_walk, sequences),
+    (enumerated_members_read_d, sequences),
+    (enumerated_members_read_d, graphs),
     (anchor_rule_matches_the_per_step_sets, sequences),
     (random_members_draw_as_before, suites),
     (layout_is_bfs_order, addressing),

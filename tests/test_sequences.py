@@ -1,12 +1,15 @@
 import random
 import sys
+from dataclasses import replace
 from itertools import islice, product
+from unittest import mock
 
 import pytest
 from test_graphs import anchor, window
 
 from cpgraphs import sequences
 from cpgraphs.errors import InputError
+from cpgraphs.graphs import build_cp_graph
 from cpgraphs.sequences import (
     CliquePathSpec,
     HeadMismatch,
@@ -156,6 +159,52 @@ def test_enumeration_deeper_than_recursion_limit():
     # b_k = k - 1, so only the last step has a second choice below b_n = n - 1
     assert first.anchors == (1,) * (n - 2)
     assert second == NeighborhoodSequence(s, (1,) * (n - 3) + (n - 2,))
+
+
+def ascending_members(s):
+    """Oracle: the anchor vectors a_3..a_n of the family s, ascending, grown
+    one step at a time from the rule: a_k lies in W_(k-1) and below b_k."""
+    vecs = [(1,)]  # a_2 = 1
+    for k in range(3, s.n + 1):
+        lo, hi = s.bk(k - 1), s.bk(k)
+        # W_(k-1) = {a_(k-1)} + [b_(k-1), k - 2]
+        vecs = [v + (a,) for v in vecs for a in sorted({v[-1], *range(lo, k - 1)}) if a < hi]
+    return [v[1:] for v in vecs]
+
+
+def test_member_order_up_to_twelve():
+    members = 0
+    for n in range(2, 13):
+        for s in iter_nonleaping_sequences(n):
+            got = [ns.anchors for ns in enumerate_neighborhood_sequences(s)]
+            assert got == ascending_members(s), s.q
+            members += len(got)
+    assert members == 1730178  # the ternary numbers C(3m, m) / (2m + 1), m = 0..10
+
+
+def test_members_built_otherwise_carry_no_record():
+    s = NonLeapingSequence((0, 1, 2, 2, 2, 2, 3, 3))
+    walked = next(enumerate_neighborhood_sequences(s))
+    assert "_prefix" in vars(walked) and "_prefix" in vars(build_cp_graph(walked))
+    for ns in (
+        NeighborhoodSequence(s, walked.anchors),
+        random_member(random.Random(3), s),
+        replace(walked),
+        replace(walked, anchors=(1, 2, 3, 4, 4, 5)),
+    ):
+        assert "_prefix" not in vars(ns) and "_prefix" not in vars(build_cp_graph(ns))
+    assert replace(walked) == walked
+
+
+def test_enumeration_builds_no_rows():
+    # yielding a member, or building its graph, costs O(1) in the shared rows:
+    # only a D asked for grows them
+    s = NonLeapingSequence((0, 1) + (2,) * 998)
+    with mock.patch.object(sequences, "_next_row", side_effect=AssertionError("row built")):
+        members = list(islice(enumerate_neighborhood_sequences(s), 3))
+        graphs = [build_cp_graph(ns) for ns in members]
+    assert [ns.anchors[-2:] for ns in members] == [(1, 1), (1, 998), (997, 997)]
+    assert all(g.n == 1000 for g in graphs)
 
 
 def test_anchor_validation():
