@@ -11,8 +11,11 @@ A graph is immutable, so its distance matrix is computed once per graph
 object and kept in its __dict__. A graph that build_cp_graph makes from an
 enumerated member also keeps the member's record of its enumeration (see
 sequences): while that member is the enumeration's current one, D is read
-off the rows the members share and copied out, and once the walk has moved
-on, the BFS runs as for any other graph. Nothing here is kept by equality:
+off the rows the members share, copied out and given the same record (for
+reduction.congruence_reduce), and once the walk has moved on, the BFS runs
+as for any other graph. Such a graph builds its edges only when they are
+first read (matrices._build_on_read), from its own member, so a walk that
+reads only D never sorts an edge list. Nothing here is kept by equality:
 such a table would hold every graph seen, and would make a rerun on equal
 inputs cheaper than the first, so timing reruns would measure the
 repetition. The one exception in the package is addressing._layout, a
@@ -34,7 +37,7 @@ from struct import Struct
 from typing import NamedTuple
 
 from .errors import InputError
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _build_on_read
 from .sequences import NeighborhoodSequence
 
 
@@ -96,6 +99,11 @@ class LabeledGraph:
         object.__setattr__(g, "edges", edges)
         return g
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: the edges that
+        # build_cp_graph left unbuilt are built here, on first read
+        return _build_on_read(self, name, "edges")
+
 
 def path_graph(n: int) -> LabeledGraph:
     return LabeledGraph(n, tuple((i, i + 1) for i in range(1, n)))
@@ -113,18 +121,28 @@ def complete_graph(n: int) -> LabeledGraph:
 
 def build_cp_graph(ns: NeighborhoodSequence) -> LabeledGraph:
     """Realize a neighborhood sequence: join each vertex k to its window
-    W_k = {a_k} + [b_k, k-1] (W_2 = {1}). The graph of an enumerated member
-    carries the member's record, for all_pairs_distances."""
+    W_k = {a_k} + [b_k, k-1] (W_2 = {1}).
+
+    The graph of an enumerated member carries the member's record, for
+    all_pairs_distances, and builds its edges on first read, from the member
+    itself, so they hold after the walk moves on."""
+    record = ns.__dict__.get("_prefix")
+    if record is None:
+        return LabeledGraph._of(ns.n, _cp_edges(ns))
+    g = object.__new__(LabeledGraph)
+    g.__dict__.update(n=ns.n, _prefix=record, _unbuilt=(_cp_edges, ns))
+    return g
+
+
+def _cp_edges(ns: NeighborhoodSequence) -> tuple[tuple[int, int], ...]:
+    """The sorted edges of build_cp_graph(ns)."""
     edges = [(1, 2)]
     for k, a, bk in zip(range(3, ns.n + 1), ns.anchors, ns.base.b[2:]):
         edges.append((a, k))
         edges += [(w, k) for w in range(bk, k)]
     # a_k < b_k, so each pair (w, k) arises once, at step k
     edges.sort()
-    g = LabeledGraph._of(ns.n, tuple(edges))
-    if "_prefix" in ns.__dict__:  # an enumerated member: see all_pairs_distances
-        g.__dict__["_prefix"] = ns.__dict__["_prefix"]
-    return g
+    return tuple(edges)
 
 
 # (lane bits, struct code) for all_pairs_distances, narrowest first
@@ -147,7 +165,7 @@ def all_pairs_distances(g: LabeledGraph) -> IntMatrix:
     object return it, an equal graph built anew computes its own, and a
     disconnected graph stores nothing and raises on every call. A graph of
     the enumeration's current member copies D from the shared rows instead
-    of running the BFS.
+    of running the BFS, and puts the member's record on that D.
     """
     memo = g.__dict__
     if "_distances" in memo:
@@ -156,6 +174,7 @@ def all_pairs_distances(g: LabeledGraph) -> IntMatrix:
     rows = record[0].rows_at(record[1]) if record else None
     if rows is not None:
         d = IntMatrix._of(tuple(map(tuple, rows)))
+        d.__dict__["_prefix"] = record  # for congruence_reduce
         memo["_distances"] = d
         return d
     n = g.n

@@ -8,7 +8,10 @@ seesaw/weighted-path shapes the reduced graphs of 2-clique paths take.
 
 A reducing matrix keeps its anchors in its __dict__, as a graph keeps its
 distance matrix (see graphs); congruence_reduce forms E^T D E from them by
-row differences, and by IntMatrix.__matmul__ for any other E.
+row differences, and by IntMatrix.__matmul__ for any other E. The D and the
+E of an enumerated member also keep its record of the enumeration (see
+sequences): while it is the current member, E^T D E is copied off the rows
+the members share. Such an E builds its rows only when they are read.
 """
 
 from __future__ import annotations
@@ -120,30 +123,43 @@ def reducing_matrix(ns: NeighborhoodSequence) -> IntMatrix:
     a_k = a_{k-1} (the two anchor terms cancel).
 
     Unit upper triangular, so det E = 1 and the congruence D -> E^T D E
-    preserves determinant and inertia exactly. E is written by rows: the
-    identity with each column k's -1 in row k-1, then, where the anchor
-    moves, column k's -1 in row a_k and +1 in row a_{k-1}.
+    preserves determinant and inertia exactly.
 
-    E records ns.anchors, for congruence_reduce. The record cannot go stale:
-    E is frozen, and what builds a new matrix from it (IntMatrix(rows),
-    dataclasses.replace, E.t) records nothing. Equality, hashing and repr
-    read the rows alone, so E equals the same rows without the record.
+    E records ns.anchors, for congruence_reduce, and an enumerated member's
+    E also its (prefix, serial), as its D does (see sequences); that E's rows
+    are built on first read, from its own anchors, so they hold after the
+    walk moves on. The records cannot go stale: E is frozen, and what builds
+    a new matrix from it (IntMatrix(rows), dataclasses.replace, E.t) records
+    nothing. Equality, hashing and repr read the rows alone, so E equals the
+    same rows without the records.
     """
-    n = ns.n
+    record = ns.__dict__.get("_prefix")
+    if record is None:
+        e = IntMatrix._of(_reducing_rows(ns.anchors))
+    else:
+        e = object.__new__(IntMatrix)
+        e.__dict__.update(_prefix=record, _unbuilt=(_reducing_rows, ns.anchors))
+    e.__dict__["_anchors"] = ns.anchors
+    return e
+
+
+def _reducing_rows(anchors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The rows of the reducing matrix of these anchors a_3 .. a_n: the
+    identity with each column k's -1 in row k-1, then, where the anchor
+    moves, column k's -1 in row a_k and +1 in row a_{k-1}."""
+    n = len(anchors) + 2
     rows = [[0] * n for _ in range(n)]
     rows[0][0] = rows[-1][-1] = 1
     for i in range(1, n - 1):  # row i + 1 holds column i + 2's -e_(i+1)
         rows[i][i] = 1
         rows[i][i + 1] = -1
     prev = 1  # a_2
-    for k, a in enumerate(ns.anchors, start=2):  # column k + 1
+    for k, a in enumerate(anchors, start=2):  # column k + 1
         if a != prev:
             rows[a - 1][k] -= 1
             rows[prev - 1][k] += 1
             prev = a
-    e = IntMatrix._of(tuple(map(tuple, rows)))
-    e.__dict__["_anchors"] = ns.anchors
-    return e
+    return tuple(map(tuple, rows))
 
 
 def _anchor_differences(rows, anchors) -> list[tuple[int, ...]]:
@@ -165,18 +181,29 @@ def _anchor_differences(rows, anchors) -> list[tuple[int, ...]]:
 def congruence_reduce(d: IntMatrix, e: IntMatrix) -> IntMatrix:
     """E^T D E for any square D, E of one order, as (E^T (E^T D)^T)^T.
 
-    An E from reducing_matrix carries its anchors: each E^T step is then
-    _anchor_differences, which costs what E's nonzeros cost: n subtractions
-    for a column k with a_k = a_(k-1), 3n additions and subtractions for any
-    other, so 2n^2 to 6n^2 in all. Any other E (IntMatrix(rows), or no
-    reducing matrix at all) takes two ``@`` products, which skip the zero
-    entries of their left factor."""
-    if d.n != e.n:
-        raise DimensionMismatch(f"orders differ: {d.n} vs {e.n}")
-    anchors = e.__dict__.get("_anchors")
+    An E from reducing_matrix carries its anchors, and its order is theirs
+    plus 2, so this route reads none of E's rows. When D and E hold the same
+    (prefix, serial) record object, the D and the E of one enumerated
+    member, and that member is still the enumeration's current one, E^T D E
+    is copied off the rows the members share (sequences._Prefix.reduced_at).
+    Otherwise each E^T step is _anchor_differences, which costs what E's
+    nonzeros cost: n subtractions for a column k with a_k = a_(k-1), 3n
+    additions and subtractions for any other, so 2n^2 to 6n^2 in all. Any
+    other E (IntMatrix(rows), or no reducing matrix at all) takes two ``@``
+    products, which skip the zero entries of their left factor."""
+    memo = e.__dict__
+    anchors = memo.get("_anchors")
+    n = e.n if anchors is None else len(anchors) + 2
+    if d.n != n:
+        raise DimensionMismatch(f"orders differ: {d.n} vs {n}")
     if anchors is None:
         et = e.t
         return (et @ (et @ d).t).t
+    record = memo.get("_prefix")
+    if record is not None and d.__dict__.get("_prefix") is record:
+        rows = record[0].reduced_at(record[1])
+        if rows is not None:
+            return IntMatrix._of(tuple(map(tuple, rows)))
     x = _anchor_differences(d.rows, anchors)
     return IntMatrix._of(tuple(zip(*_anchor_differences(list(zip(*x)), anchors))))
 

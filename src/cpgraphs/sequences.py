@@ -16,12 +16,17 @@ d(k, j) = 1 + min over w in W_k of d(w, j).
 
 enumerate_neighborhood_sequences walks the anchor choices depth first and
 keeps one _Prefix per run: the distance rows its members share, up to the
-first vertex whose window changed. Each member records that prefix and its
-own serial number; graphs.all_pairs_distances reads D off the prefix only
-while the member is the enumeration's current one, and runs its BFS for any
-other. Nothing is keyed by equality: an equal member built any other way
-(the constructor, dataclasses.replace, suites.random_member) carries no
-record.
+first vertex whose window changed, and the rows of E^T D E they share, up
+to the same vertex, as the one column step _reduced_column forms them (E the
+reducing matrix; suites._grow takes the same step). Each member records that
+prefix and its own serial number, and graphs.build_cp_graph, then
+graphs.all_pairs_distances and reduction.reducing_matrix copy the record
+onto the member's graph, D and E. all_pairs_distances reads D off the
+prefix, and reduction.congruence_reduce reads E^T D E off it for a D and an
+E holding the same record, only while the member is the enumeration's
+current one; for any other member they run the BFS and the anchor route.
+Nothing is keyed by equality: an equal member built any other way (the
+constructor, dataclasses.replace, suites.random_member) carries no record.
 
 Validation happens once, where a sequence enters from outside: the
 NonLeapingSequence and NeighborhoodSequence constructors check every term
@@ -198,22 +203,44 @@ def _next_row(rows: list[list[int]], anchor: int, lo: int) -> list[int]:
     return new
 
 
+def _reduced_column(rows: list[list[int]], anc: list[int], k: int) -> list[int]:
+    """Column k >= 1 (0-based) of E^T D E, its entries 0..k, for D given by
+    its rows, each at least k + 1 long, and E the reducing matrix whose
+    vertex i >= 1 has the 0-based anchor anc[i] (anc[1] = 0: a_2 = 1).
+
+    Column k >= 2 of E is e_k - e_(anc[k]) - e_(k-1) + e_(anc[k-1]), column 1
+    is e_1, and E^T's row i the same combination, so column k of E^T D E needs
+    only D's leading (k + 1) block and the anchors of vertices 1..k."""
+    v = rows[k] if k == 1 else [  # D times column k of E, read at entries 0..k
+        w - x - y + z for w, x, y, z in zip(rows[k], rows[anc[k]], rows[k - 1], rows[anc[k - 1]])
+    ]
+    return v[:2] + [v[i] - v[anc[i]] - v[i - 1] + v[anc[i - 1]] for i in range(2, k + 1)]
+
+
 class _Prefix:
-    """The distance rows shared by the members of one enumeration.
+    """The distance rows, and the rows of E^T D E, shared by the members of
+    one enumeration.
 
     Consecutive members agree on every vertex before the first anchor that
-    changed, and so on those vertices' distances. For each member it yields,
-    the walk advances `serial` and lowers `valid`, the count of rows that
-    still hold, and builds nothing; rows_at grows the missing rows of the
-    current member, and of no other, when they are asked for."""
+    changed, and so on those vertices' distances; column k of E^T D E reads
+    only D's leading (k + 1) block and the anchors up to vertex k, so they
+    share that leading block too. For each member it yields, the walk
+    advances `serial` and lowers `valid` and `reduced_valid`, the counts of
+    rows that still hold, and builds nothing; rows_at and reduced_at grow
+    the missing rows of the current member, and of no other, when they are
+    asked for."""
 
-    __slots__ = ("b", "anchors", "rows", "valid", "serial")
+    __slots__ = ("b", "anchors", "anc", "rows", "valid", "reduced", "reduced_valid", "serial")
 
     def __init__(self, b: tuple[int, ...]):
         self.b = b
         self.anchors: tuple[int, ...] = ()  # the current member's a_3 .. a_n
-        self.rows = [[0, 1], [1, 0]]  # vertices 1 and 2 are the same in every member
+        self.anc = [0] * len(b)  # 0-based anchors for _reduced_column, filled as read
+        # vertices 1 and 2 are the same in every member, and E's columns 1, 2 unit vectors
+        self.rows = [[0, 1], [1, 0]]
         self.valid = 2
+        self.reduced = [[0, 1], [1, 0]]
+        self.reduced_valid = 2
         self.serial = 0
 
     def rows_at(self, serial: int) -> list[list[int]] | None:
@@ -231,6 +258,28 @@ class _Prefix:
         self.valid = len(rows)
         return rows
 
+    def reduced_at(self, serial: int) -> list[list[int]] | None:
+        """E^T D E of the member with this serial number, E its reducing
+        matrix, as lists valid until the walk advances, or None once the walk
+        has moved past that member."""
+        d = self.rows_at(serial)
+        if d is None:
+            return None
+        rows, v = self.reduced, self.reduced_valid
+        if len(rows) > v:
+            del rows[v:]
+            for row in rows:
+                del row[v:]
+        anc, anchors = self.anc, self.anchors
+        for k in range(v, len(d)):  # E^T D E is symmetric: column k is row k
+            anc[k] = anchors[k - 2] - 1
+            col = _reduced_column(d, anc, k)
+            for row, x in zip(rows, col):
+                row.append(x)
+            rows.append(col)
+        self.reduced_valid = len(rows)
+        return rows
+
 
 def enumerate_neighborhood_sequences(base: NonLeapingSequence) -> Iterator[NeighborhoodSequence]:
     """All anchor choices for the given size sequence, in ascending anchor
@@ -238,10 +287,11 @@ def enumerate_neighborhood_sequences(base: NonLeapingSequence) -> Iterator[Neigh
     fastest. A step first takes a_(k-1), the anchor just chosen before it.
 
     Each member records (the enumeration's _Prefix, its serial number) in
-    its __dict__, which build_cp_graph copies onto the graph, so that
-    graphs.all_pairs_distances reads D off the rows the members share while
-    that member is the current one. Members are lazy: yielding one builds no
-    rows."""
+    its __dict__, which build_cp_graph copies onto the graph and
+    reducing_matrix onto E, so that graphs.all_pairs_distances reads D, and
+    reduction.congruence_reduce E^T D E, off the rows the members share
+    while that member is the current one. Members are lazy: yielding one
+    builds no rows."""
     b = base.b
     prefix = _Prefix(b)
     anchors: list[int] = []
@@ -266,6 +316,8 @@ def enumerate_neighborhood_sequences(base: NonLeapingSequence) -> Iterator[Neigh
         changed = len(anchors) + 1  # the first vertex, 0-based, whose window changed
         if changed < prefix.valid:
             prefix.valid = changed
+        if changed < prefix.reduced_valid:
+            prefix.reduced_valid = changed
 
 
 def count_neighborhood_sequences(base: NonLeapingSequence) -> int:

@@ -64,6 +64,7 @@ from .sequences import (
     NonLeapingSequence,
     _anchor_choices,
     _next_row,
+    _reduced_column,
     count_neighborhood_sequences,
     enumerate_neighborhood_sequences,
     expand_clique_path_spec,
@@ -320,7 +321,8 @@ def _grow(families, h=None):
     its row is d(k, j) = 1 + min over w in W_k of d(w, j), as
     sequences._next_row adds it; a sibling starts from its parent's state.
     Column k of E touches rows k, k-1, a_k and a_(k-1) only, so column k of
-    E^T D E needs D's leading (k+1) block.
+    E^T D E needs D's leading (k+1) block, as sequences._reduced_column
+    forms it.
     Without h, vertex k adds column k of the symmetric fraction-free
     elimination of [[D, 1], [1^T, 0]], border last, after _symmetric_bareiss's
     step 0 (vertex 2 added into vertex 1, pivot 2), reduced through the
@@ -373,13 +375,7 @@ def _grow(families, h=None):
                 good = m.n == len(fam) and m.is_symmetric() and m.rows[0][0] == 0
                 targets[fam] = good and m.rows
             if ok[-1] and targets[fam]:
-                # v = D times column k of E, then column k of E^T D E
-                v = new if k == 1 else [
-                    w - x - y + z for w, x, y, z in zip(new, d[ak], d[k - 1], d[anc[k - 1]])
-                ]
-                col = v[:2] + [
-                    v[i] - v[anc[i]] - v[i - 1] + v[anc[i - 1]] for i in range(2, k + 1)
-                ]
+                col = _reduced_column(d, anc, k)
                 ok.append(tuple(col) == targets[fam][k][: k + 1])
             else:
                 ok.append(False)

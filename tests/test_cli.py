@@ -884,6 +884,7 @@ def _literal(terms):
 
 
 huge = st.integers(-(10**20), 10**20)
+LARGEST_CAP = max(cap for *_, cap in suites.SUITES.values() if cap is not None)
 integers = st.one_of(st.integers(-3, 20), huge)
 
 spec_literals = st.one_of(
@@ -1018,16 +1019,20 @@ ARGUMENTS = {
     "address exact-n": lambda draw: (
         ["-", *_option(draw, "--budget", budgets)], draw(graph_texts()), None
     ),
-    # scales come from -3..3 and from `huge`, which also draws mid-size scales
-    # below a suite's cap; those run in full: `check attach --scale 712` takes
-    # about 5 s under tracemalloc, most of this test's 6-12 s. A suite's
-    # default runs are timed in test_check_all_default_counts
+    # scales come from -3..3 and from magnitudes above every suite's cap: a
+    # mid-size scale below a cap runs in full (`check attach --scale 712`
+    # takes about 5 s under tracemalloc). A suite's default runs are timed in
+    # test_check_all_default_counts
     "check": lambda draw: (
         [
             draw(st.sampled_from(suites.available_suites())),
             *_option(draw, "--seed", huge),
             "--scale",
-            str(draw(st.one_of(st.integers(-3, 3), huge))),
+            str(draw(st.one_of(
+                st.integers(-3, 3),
+                st.integers(LARGEST_CAP + 1, 10**20),
+                st.integers(-(10**20), -LARGEST_CAP - 1),
+            ))),
         ],
         "",
         None,

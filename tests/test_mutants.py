@@ -28,7 +28,13 @@ from test_graphs import (
     enumerated_distances_hold,
     random_graph,
 )
-from test_reduction import brute_congruence, e_by_columns, seeded_members, with_upper_noise
+from test_reduction import (
+    brute_congruence,
+    e_by_columns,
+    lazy_reads_match_eager,
+    seeded_members,
+    with_upper_noise,
+)
 from test_sequences import per_step_mismatches, random_draws_match
 from test_suites import ROOTED_TREES, all_codes, class_counts, heap_growth
 
@@ -74,9 +80,12 @@ def member_suites_pass(mod):
 
 
 def walk_rows_pass(mod):
-    """The member suites, with the row step of `mod`, a sequences module, as
-    the one suites._grow calls."""
-    with mock.patch.object(suites, "_next_row", mod._next_row):
+    """The member suites, with the row and column steps of `mod`, a sequences
+    module, as the ones suites._grow calls."""
+    with (
+        mock.patch.object(suites, "_next_row", mod._next_row),
+        mock.patch.object(suites, "_reduced_column", mod._reduced_column),
+    ):
         return member_suites_pass(suites)
 
 
@@ -89,6 +98,77 @@ def enumerated_members_read_d(mod):
         return enumerated_distances_hold(7, members=mod.enumerate_neighborhood_sequences)
     return enumerated_distances_hold(
         7, build=mod.build_cp_graph, distances=mod.all_pairs_distances
+    )
+
+
+# an n = 10 family of 72 members, and the members whose D rows are grown by a
+# _next_row with a planted fault: the last vertex's own distance read as 1
+PLANTED_FAMILY = NonLeapingSequence((0, 1, 2, 2, 3, 3, 4, 3, 3, 2))
+PLANTED = range(1, 72, 4)
+
+
+def planted_row(real, n):
+    """_next_row as `real` adds it, but with d(n - 1, n - 1) = 1: a fault in
+    the last row alone, which the next member's advance always drops."""
+    def step(rows, anchor, lo):
+        new = real(rows, anchor, lo)
+        if len(rows) == n:
+            new[-1] += 1
+        return new
+
+    return step
+
+
+def shared_reduction_sees_each_member(mod):
+    """The members of PLANTED_FAMILY, walked with the enumerator, the graph
+    and D, and E and its congruence of `mod` where it has them, and of the
+    package elsewhere: a member's E^T D E is A(H) unless its D was grown with
+    a planted fault (PLANTED: 18 members), and then it equals (E^T D) E by
+    ``@`` on that D and is not A(H). Before each member's own pair, its E
+    with the previous member's D, and with its D plus seeded noise above the
+    diagonal, must match ``@`` too; and once the walk is done, every
+    member's own pair reads as it did. A stale block of shared rows equals
+    A(H) too, so only the planted faults can show one."""
+    seq = mod if mod.__name__ == sequences.__name__ else sequences
+    enum = getattr(mod, "enumerate_neighborhood_sequences", enumerate_neighborhood_sequences)
+    build = getattr(mod, "build_cp_graph", build_cp_graph)
+    distances = getattr(mod, "all_pairs_distances", all_pairs_distances)
+    reducing = getattr(mod, "reducing_matrix", reduction.reducing_matrix)
+    congruence = getattr(mod, "congruence_reduce", reduction.congruence_reduce)
+    h = reduced_graph(PLANTED_FAMILY).adjacency_matrix()
+    fault = planted_row(seq._next_row, PLANTED_FAMILY.n)
+    rng = random.Random(35)
+
+    def by_products(d, e):
+        e = IntMatrix(e.rows)
+        return e.t @ d @ e
+
+    read = []
+    for i, ns in enumerate(enum(PLANTED_FAMILY)):
+        planted = i in PLANTED
+        with mock.patch.object(seq, "_next_row", fault if planted else seq._next_row):
+            d = distances(build(ns))
+        e = reducing(ns)
+        mixed = [(with_upper_noise(d, rng), e)] + [(x, e) for x, *_ in read[-1:]]
+        if any(congruence(x, y) != by_products(x, y) for x, y in mixed):
+            return False
+        r = congruence(d, e)
+        if (r != h) != planted or r != by_products(d, e):
+            return False
+        read.append((d, e, r))
+    return len(read) == 72 and all(congruence(d, e) == r for d, e, r in read)
+
+
+def lazy_members_read_like_eager(mod):
+    """lazy_reads_match_eager for every family with n <= 7, with
+    build_cp_graph and reducing_matrix of `mod`, a graphs or a reduction
+    module, where it has them. No pickle round trip: pickle finds a function
+    by its module's name, which names the package's module, not `mod`."""
+    return lazy_reads_match_eager(
+        7,
+        build=getattr(mod, "build_cp_graph", build_cp_graph),
+        reducing=getattr(mod, "reducing_matrix", reduction.reducing_matrix),
+        pickled=False,
     )
 
 
@@ -442,6 +522,14 @@ MUTANTS = {
         "zip(*(rows[lo:] or [rows[anchor]]))",  # W_2 = {a_2} keeps it
         walk_rows_pass,
     ),
+    # sequences._reduced_column, the column step of E^T D E that suites._grow
+    # and the enumeration's shared rows both take
+    "walk: a_(k-1) dropped from E's column in D E": (
+        sequences,
+        "w - x - y + z",
+        "w - x - y",
+        walk_rows_pass,
+    ),
     # suites._grow
     "walk: a_(k-1) offered only where it is the sole anchor": (
         suites,
@@ -459,12 +547,6 @@ MUTANTS = {
         suites,
         "pivots, corners, minus = [[2, 2]], [-4], [0]",
         "pivots, corners, minus = [[1, 2]], [-4], [0]",
-        member_suites_pass,
-    ),
-    "walk: a_(k-1) dropped from E's column in D E": (
-        suites,
-        "w - x - y + z",
-        "w - x - y",
         member_suites_pass,
     ),
     "walk: no kernel fallback below a zero pivot": (
@@ -552,6 +634,36 @@ MUTANTS = {
         "        if serial != self.serial:\n            return None\n",
         "",
         enumerated_members_read_d,
+    ),
+    "enumeration: reduced rows not lowered on advance": (
+        sequences,
+        "            prefix.reduced_valid = changed",
+        "            pass",
+        shared_reduction_sees_each_member,
+    ),
+    "enumeration: reduced rows read for a stale serial": (
+        sequences,
+        "d = self.rows_at(serial)",
+        "d = self.rows_at(self.serial)",  # the current member's rows, for any serial
+        shared_reduction_sees_each_member,
+    ),
+    "congruence: shared rows read whenever E has a record": (
+        reduction,
+        'if record is not None and d.__dict__.get("_prefix") is record:',
+        "if record is not None:",
+        shared_reduction_sees_each_member,
+    ),
+    "lazy E rows: built from the walk's current member": (
+        reduction,
+        "_unbuilt=(_reducing_rows, ns.anchors)",
+        "_unbuilt=(_reducing_rows, record[0].anchors)",
+        lazy_members_read_like_eager,
+    ),
+    "lazy edges: built from the walk's current member": (
+        graphs,
+        "_unbuilt=(_cp_edges, ns)",
+        "_unbuilt=(_cp_edges, NeighborhoodSequence._of(ns.base, record[0].anchors))",
+        lazy_members_read_like_eager,
     ),
     # graphs: a member's D copied off the shared rows
     "distances: the shared rows handed out, not copied": (
@@ -864,8 +976,8 @@ MUTANTS = {
     ),
     "reducing matrix: a_(k-1) never advanced past a_2": (
         reduction,
-        "            prev = a\n    e = IntMatrix",
-        "    e = IntMatrix",
+        "            prev = a\n    return tuple(map(tuple, rows))",
+        "    return tuple(map(tuple, rows))",
         reducing_matrices_match_columns,
     ),
     "reducing matrix: the last diagonal 1 left out": (
@@ -904,13 +1016,13 @@ MUTANTS = {
 # pass its check, or the reason no longer holds.
 EQUIVALENT = {
     "walk: a_(i-1) dropped from E^T's row in E^T D E": (
-        suites,
+        sequences,
         "v[i] - v[anc[i]] - v[i - 1] + v[anc[i - 1]]",
         "v[i] - v[anc[i]] - v[i - 1]",
         # the term it drops is always 0: (D E)[a_(i-1)][k] = 0 for every
         # 2 <= i <= k (checked on all 251 771 such pairs of the members with
         # n <= 9), so column k of E^T D E comes out the same
-        member_suites_pass,
+        walk_rows_pass,
     ),
     "distances: complete rows still stepped": (
         graphs,
@@ -952,6 +1064,10 @@ EQUIVALENT = {
     (bad_text_is_refused, cli),
     (reductions_match_brute, reduction),
     (reducing_matrices_match_columns, reduction),
+    (shared_reduction_sees_each_member, sequences),
+    (shared_reduction_sees_each_member, reduction),
+    (lazy_members_read_like_eager, graphs),
+    (lazy_members_read_like_eager, reduction),
 ])
 def test_checks_pass_on_the_package(check, module):
     assert check(module)

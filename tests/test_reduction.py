@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from dataclasses import replace
 from itertools import islice, product
 from unittest import mock
 
@@ -8,8 +11,10 @@ from hypothesis import strategies as st
 from test_matrices import identity
 
 from cpgraphs import fixtures as fx
+from cpgraphs import graphs, reduction, sequences
 from cpgraphs.crosschecks import det_by_cofactor_expansion
 from cpgraphs.errors import InputError
+from cpgraphs.formulas import distance_invariants, family_invariants
 from cpgraphs.graphs import all_pairs_distances, build_cp_graph
 from cpgraphs.linalg import Inertia, determinant, inertia_congruence
 from cpgraphs.matrices import DimensionMismatch, IntMatrix
@@ -288,11 +293,123 @@ def test_recorded_reducing_matrix_takes_no_product():
 def test_congruence_reduce_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         congruence_reduce(identity(2), identity(3))
-    # the anchor route would return a matrix of E's order without the check
-    e = reducing_matrix(NeighborhoodSequence(NonLeapingSequence(fx.CP8_SEQ), fx.CP8_HUB_ANCHORS))
-    for n in (7, 9):
-        with pytest.raises(DimensionMismatch):
-            congruence_reduce(identity(n), e)
+    # the anchor route would return a matrix of E's order without the check;
+    # an enumerated member's E is refused by its anchors' order, rows unbuilt
+    s = NonLeapingSequence(fx.CP8_SEQ)
+    walked = reducing_matrix(next(enumerate_neighborhood_sequences(s)))
+    for e in (reducing_matrix(NeighborhoodSequence(s, fx.CP8_HUB_ANCHORS)), walked):
+        for n in (7, 9):
+            with pytest.raises(DimensionMismatch, match=f"^orders differ: {n} vs 8$"):
+                congruence_reduce(identity(n), e)
+    assert "rows" not in vars(walked)
+
+
+def read_like_eager(x, eager, field, pickled=True):
+    """x was built with `field` unbuilt; x, and its copy.copy and (unless
+    not `pickled`) pickle round trips taken before any read, then equal, hash
+    like and repr like the eagerly built `eager`, as does
+    dataclasses.replace(x)."""
+    if field in vars(x):
+        return False
+    twins = [copy.copy(x), x]
+    if pickled:
+        twins.append(pickle.loads(pickle.dumps(x)))
+    twins.append(replace(x))
+    return all(
+        y == eager and hash(y) == hash(eager) and repr(y) == repr(eager) and field in vars(y)
+        for y in twins
+    )
+
+
+def lazy_reads_match_eager(n_max, build=build_cp_graph, reducing=reducing_matrix, pickled=True):
+    """Each member of the families with n <= n_max gives, through `build` and
+    `reducing`, a graph and an E that read_like_eager the ones built eagerly
+    from an equal member with no record: built and read while the walk
+    stands on the member; built then and read once the walk is done; and
+    built and read, last to first, from a list() of the members."""
+    def like_eager(ns, g, e):
+        plain = NeighborhoodSequence(ns.base, ns.anchors)
+        return read_like_eager(g, build_cp_graph(plain), "edges", pickled) and read_like_eager(
+            e, reducing_matrix(plain), "rows", pickled
+        )
+
+    for s in (s for n in range(2, n_max + 1) for s in iter_nonleaping_sequences(n)):
+        kept = []
+        for ns in enumerate_neighborhood_sequences(s):
+            kept.append((ns, build(ns), reducing(ns)))
+            if not like_eager(ns, build(ns), reducing(ns)):
+                return False
+        listed = [(ns, build(ns), reducing(ns)) for ns in list(enumerate_neighborhood_sequences(s))]
+        if not all(like_eager(*member) for member in kept + listed[::-1]):
+            return False
+    return True
+
+
+def test_enumerated_edges_and_e_rows_are_built_on_first_read():
+    # the edges and E's rows of all 1773 members with n <= 8, built from the
+    # member's own anchors whenever they are read
+    assert lazy_reads_match_eager(8)
+    # the walk's shared rows keep no reference to them: a graph read after
+    # its D was taken, with no rows grown since
+    ns = next(enumerate_neighborhood_sequences(NonLeapingSequence(fx.CP8_SEQ)))
+    g, e = build_cp_graph(ns), reducing_matrix(ns)
+    congruence_reduce(all_pairs_distances(g), e)
+    assert "edges" not in vars(g) and "rows" not in vars(e)
+    assert g.edges == build_cp_graph(NeighborhoodSequence(ns.base, ns.anchors)).edges
+    with pytest.raises(AttributeError, match="^'LabeledGraph' object has no attribute 'rows'$"):
+        g.rows
+    with pytest.raises(AttributeError, match="^'IntMatrix' object has no attribute 'edges'$"):
+        e.edges
+
+
+def test_family_sweep_loop_builds_no_edges_and_no_e_rows():
+    # the benchmark's family-sweep loop over every family with n <= 8 reads
+    # neither a member's edges nor E's rows, and every E^T D E comes off the
+    # shared rows: the builders and the anchor route are patched to raise
+    members = 0
+    with (
+        mock.patch.object(graphs, "_cp_edges", side_effect=AssertionError("edges built")),
+        mock.patch.object(reduction, "_reducing_rows", side_effect=AssertionError("E built")),
+        mock.patch.object(reduction, "_anchor_differences", side_effect=AssertionError("anchors")),
+    ):
+        for s in (s for n in range(2, 9) for s in iter_nonleaping_sequences(n)):
+            h = reduced_graph(s).adjacency_matrix()
+            first = None
+            for ns in enumerate_neighborhood_sequences(s):
+                g = build_cp_graph(ns)
+                d = all_pairs_distances(g)
+                assert congruence_reduce(d, reducing_matrix(ns)) == h
+                first = g if first is None else first
+                members += 1
+            assert distance_invariants(first) == family_invariants(s)
+    assert members == 1773
+
+
+def test_mixed_records_take_the_anchor_route():
+    # a D and an E of different members of one walk, or a walked D with an E
+    # built from an equal member with no record, or a D with seeded noise
+    # above the diagonal: none may read the shared rows, and each equals the
+    # brute sum
+    rng = random.Random(34)
+    s = NonLeapingSequence((0, 1, 2, 3, 3, 2, 3, 3))
+    walked = []
+    with mock.patch.object(sequences._Prefix, "reduced_at", side_effect=AssertionError("shared")):
+        for ns in enumerate_neighborhood_sequences(s):
+            d = all_pairs_distances(build_cp_graph(ns))
+            pairs = [
+                (d, reducing_matrix(NeighborhoodSequence(s, ns.anchors))),
+                (with_upper_noise(d, rng), reducing_matrix(ns)),
+            ]
+            if walked:
+                pairs.append((walked[-1][0], reducing_matrix(ns)))
+                pairs.append((d, walked[0][1]))
+            walked.append((d, reducing_matrix(ns)))
+            for x, e in pairs:
+                assert congruence_reduce(x, e).rows == tuple(map(tuple, brute_congruence(x, e)))
+    assert len(walked) == 12
+    # once the walk has moved on, a member's own D and E read as they should
+    for d, e in walked:
+        assert congruence_reduce(d, e).rows == tuple(map(tuple, brute_congruence(d, e)))
 
 
 def test_weighted_path_matrix():
