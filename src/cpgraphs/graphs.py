@@ -10,8 +10,8 @@ decomposition.
 A graph is immutable, so its distance matrix is computed once per graph
 object and kept in its __dict__. A graph that build_cp_graph makes from an
 enumerated member also keeps the member's record of its enumeration (see
-sequences): while that member is the enumeration's current one, D is read
-off the rows the members share, copied out and given the same record (for
+sequences): while that member is the walk's current one, D is read off
+the rows its store shares, copied out and given the same record (for
 reduction.congruence_reduce), and once the walk has moved on, the BFS runs
 as for any other graph. Such a graph builds its edges only when they are
 first read (matrices._build_on_read), from its own member, so a walk that
@@ -164,13 +164,13 @@ def all_pairs_distances(g: LabeledGraph) -> IntMatrix:
     D is stored on g (see the module docstring): later calls for the same
     object return it, an equal graph built anew computes its own, and a
     disconnected graph stores nothing and raises on every call. A graph of
-    the enumeration's current member copies D from the shared rows instead
+    the walk's current member copies D from the shared rows instead
     of running the BFS, and puts the member's record on that D.
     """
     memo = g.__dict__
     if "_distances" in memo:
         return memo["_distances"]
-    record = memo.get("_prefix")  # (the enumeration's shared rows, the member's serial)
+    record = memo.get("_prefix")  # (the walk's shared rows, the member's serial)
     rows = record[0].rows_at(record[1]) if record else None
     if rows is not None:
         d = IntMatrix._of(tuple(map(tuple, rows)))

@@ -10,8 +10,8 @@ A reducing matrix keeps its anchors in its __dict__, as a graph keeps its
 distance matrix (see graphs); congruence_reduce forms E^T D E from them by
 row differences, and by IntMatrix.__matmul__ for any other E. The D and the
 E of an enumerated member also keep its record of the enumeration (see
-sequences): while it is the current member, E^T D E is copied off the rows
-the members share. Such an E builds its rows only when they are read.
+sequences): while it is the walk's current member, E^T D E is copied off
+the rows the walk's store shares. Such an E builds its rows only when read.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def congruence_reduce(d: IntMatrix, e: IntMatrix) -> IntMatrix:
     An E from reducing_matrix carries its anchors, and its order is theirs
     plus 2, so this route reads none of E's rows. When D and E hold the same
     (prefix, serial) record object, the D and the E of one enumerated
-    member, and that member is still the enumeration's current one, E^T D E
+    member, and that member is still the walk's current one, E^T D E
     is copied off the rows the members share (sequences._Prefix.reduced_at).
     Otherwise each E^T step is _anchor_differences, which costs what E's
     nonzeros cost: n subtractions for a column k with a_k = a_(k-1), 3n

@@ -14,24 +14,24 @@ fixed q. It also owns the one row step of the growth, _next_row: W_k is a
 clique, so vertex k changes no earlier distance, and its row of D is
 d(k, j) = 1 + min over w in W_k of d(w, j).
 
-enumerate_neighborhood_sequences walks the anchor choices depth first and
-keeps one _Prefix per run: the distance rows its members share, up to the
-first vertex whose window changed, and the rows of E^T D E they share, up
-to the same vertex, as the one column step _reduced_column forms them (E the
-reducing matrix; suites._grow takes the same step). Each member records that
-prefix and its own serial number, and graphs.build_cp_graph, then
-graphs.all_pairs_distances and reduction.reducing_matrix copy the record
-onto the member's graph, D and E. all_pairs_distances reads D off the
-prefix, and reduction.congruence_reduce reads E^T D E off it for a D and an
-E holding the same record, only while the member is the enumeration's
-current one; for any other member they run the BFS and the anchor route.
-Nothing is keyed by equality: an equal member built any other way (the
-constructor, dataclasses.replace, suites.random_member) carries no record.
+_Prefix.walk is the one depth-first walk over the anchor choices of one or
+more families, with one store of the rows of D, and of E^T D E (E the
+reducing matrix, _reduced_column its column step), that its members share.
+enumerate_neighborhood_sequences is that walk for one family; suites._grow
+takes it for many. Each enumerated member records the store and its serial
+number, and graphs.build_cp_graph, then graphs.all_pairs_distances and
+reduction.reducing_matrix copy the record onto its graph, D and E.
+all_pairs_distances reads D off the store, and reduction.congruence_reduce
+E^T D E for a D and an E holding the same record, only while the member is
+the walk's current one; any other member takes the BFS and the anchor
+route. Nothing is keyed by equality: an equal member built any other way
+(the constructor, dataclasses.replace, suites.random_member) has no record.
 
 Validation happens once, where a sequence enters from outside: the
 NonLeapingSequence and NeighborhoodSequence constructors check every term
-and every anchor, the latter in one O(n) pass against _anchor_choices. The
-members enumerate_neighborhood_sequences yields are admissible by
+and every anchor, the latter in one O(n) pass against _anchor_choices, as
+admissible_anchors checks the anchors it is given. The members
+enumerate_neighborhood_sequences yields are admissible by
 construction, so it builds them with the private NeighborhoodSequence._of,
 which assumes a tuple of admissible anchors and checks nothing.
 """
@@ -139,18 +139,29 @@ def _anchor_choices(b: tuple[int, ...], k: int, prev: int) -> tuple[int, range]:
     return prev, range(b[k - 2], b[k - 1])
 
 
+def _check_anchors(b: tuple[int, ...], anchors: tuple[int, ...]) -> None:
+    """Check a_3, a_4, ... against _anchor_choices, in one pass, and raise
+    InputError naming the first that is not admissible."""
+    for k, a, prev in zip(range(3, len(anchors) + 3), anchors, (1, *anchors)):
+        first, run = _anchor_choices(b, k, prev)
+        if a != first and a not in run:
+            raise InputError(f"anchor a_{k} = {a} is not admissible")
+
+
 def admissible_anchors(
     base: NonLeapingSequence, k: int, prior_anchors: Sequence[int]
 ) -> frozenset[int]:
     """The _anchor_choices at step k, as a set, given the anchors chosen for
-    steps 3..k-1: always 1 + b_k - b_{k-1} of them, whatever those were."""
+    steps 3..k-1: always 1 + b_k - b_{k-1} of them, whatever those were.
+    Raises InputError naming the first prior anchor that is not admissible."""
     if not 3 <= k <= base.n:
         raise IndexOutOfRange(f"anchor index {k} outside 3..{base.n}")
     prior = tuple(prior_anchors)
     if len(prior) != k - 3:
         raise InputError(f"expected {k - 3} prior anchors for step {k}, got {len(prior)}")
+    _check_anchors(base.b, prior)
     first, run = _anchor_choices(base.b, k, prior[-1] if prior else 1)
-    return frozenset(x for x in (first, *run) if x < base.b[k - 1])
+    return frozenset((first, *run))
 
 
 @dataclass(frozen=True)
@@ -167,11 +178,7 @@ class NeighborhoodSequence:
             raise InputError(
                 f"need {self.base.n - 2} anchors for n = {self.base.n}, got {len(anchors)}"
             )
-        b = self.base.b
-        for k, a, prev in zip(range(3, self.base.n + 1), anchors, (1, *anchors)):
-            first, run = _anchor_choices(b, k, prev)
-            if a != first and a not in run:
-                raise InputError(f"anchor a_{k} = {a} is not admissible")
+        _check_anchors(self.base.b, anchors)
 
     @classmethod
     def _of(cls, base: NonLeapingSequence, anchors: tuple[int, ...]) -> "NeighborhoodSequence":
@@ -203,121 +210,140 @@ def _next_row(rows: list[list[int]], anchor: int, lo: int) -> list[int]:
     return new
 
 
-def _reduced_column(rows: list[list[int]], anc: list[int], k: int) -> list[int]:
+def _reduced_column(rows: list[list[int]], a: list[int], k: int) -> list[int]:
     """Column k >= 1 (0-based) of E^T D E, its entries 0..k, for D given by
     its rows, each at least k + 1 long, and E the reducing matrix whose
-    vertex i >= 1 has the 0-based anchor anc[i] (anc[1] = 0: a_2 = 1).
+    vertex i >= 1 has the anchor a[i], a vertex label (a[1] = 1: a_2 = 1).
 
-    Column k >= 2 of E is e_k - e_(anc[k]) - e_(k-1) + e_(anc[k-1]), column 1
-    is e_1, and E^T's row i the same combination, so column k of E^T D E needs
-    only D's leading (k + 1) block and the anchors of vertices 1..k."""
+    Column k >= 2 of E is e_k - e_(a[k] - 1) - e_(k-1) + e_(a[k-1] - 1),
+    0-based, column 1 is e_1, and E^T's row i the same combination, so column
+    k of E^T D E needs only D's leading (k + 1) block and the anchors of
+    vertices 1..k."""
     v = rows[k] if k == 1 else [  # D times column k of E, read at entries 0..k
-        w - x - y + z for w, x, y, z in zip(rows[k], rows[anc[k]], rows[k - 1], rows[anc[k - 1]])
+        w - x - y + z for w, x, y, z in zip(rows[k], rows[a[k] - 1], rows[k - 1], rows[a[k - 1] - 1])
     ]
-    return v[:2] + [v[i] - v[anc[i]] - v[i - 1] + v[anc[i - 1]] for i in range(2, k + 1)]
+    u = [0, *v]  # v by vertex label
+    return v[:2] + [u[i + 1] - u[a[i]] - u[i] + u[a[i - 1]] for i in range(2, k + 1)]
+
+
+def _cut(rows: list[list[int]], v: int) -> None:
+    """Cut a symmetric table of rows, one per vertex, back to vertices 0..v-1."""
+    if len(rows) > v:
+        del rows[v:]
+        for row in rows:
+            del row[v:]
 
 
 class _Prefix:
-    """The distance rows, and the rows of E^T D E, shared by the members of
-    one enumeration.
+    """The walk over the members of listed families and of their prefixes,
+    and the rows of D, and of E^T D E, those members share.
 
-    Consecutive members agree on every vertex before the first anchor that
-    changed, and so on those vertices' distances; column k of E^T D E reads
-    only D's leading (k + 1) block and the anchors up to vertex k, so they
-    share that leading block too. For each member it yields, the walk
-    advances `serial` and lowers `valid` and `reduced_valid`, the counts of
-    rows that still hold, and builds nothing; rows_at and reduced_at grow
-    the missing rows of the current member, and of no other, when they are
-    asked for."""
+    The first k + 1 vertices of a member of q are a member of q[:k + 1], so
+    the members form one tree: a node adds vertex k (0-based) to its parent,
+    choosing its size and then its anchor from _anchor_choices. Before walk
+    yields a node, it records vertex k's anchor in `anchors`, and in `b` the
+    run starts of a listed family the node is a prefix of; it advances
+    `serial` and lowers `valid` and `reduced_valid`, the counts of rows that
+    still hold, to k. Nodes that differ only past vertex v share D's leading
+    (v + 1) block and, as column k of E^T D E reads only that block of D and
+    the anchors up to vertex k, E^T D E's. rows_at and reduced_at grow the
+    missing rows of the current node, and of no other, when asked for."""
 
-    __slots__ = ("b", "anchors", "anc", "rows", "valid", "reduced", "reduced_valid", "serial")
+    __slots__ = ("anchors", "b", "rows", "valid", "reduced", "reduced_valid", "serial")
 
-    def __init__(self, b: tuple[int, ...]):
-        self.b = b
-        self.anchors: tuple[int, ...] = ()  # the current member's a_3 .. a_n
-        self.anc = [0] * len(b)  # 0-based anchors for _reduced_column, filled as read
-        # vertices 1 and 2 are the same in every member, and E's columns 1, 2 unit vectors
-        self.rows = [[0, 1], [1, 0]]
-        self.valid = 2
-        self.reduced = [[0, 1], [1, 0]]
-        self.reduced_valid = 2
+    def __init__(self):
+        self.anchors = [0]  # anchors[k]: vertex k's anchor, a label, for k = 1..the current node's
+        self.b: tuple[int, ...] = ()
+        self.rows = [[0]]
+        self.valid = 1
+        self.reduced = [[0]]
+        self.reduced_valid = 1
         self.serial = 0
 
+    def walk(self, families: Sequence[NonLeapingSequence]) -> Iterator[tuple[int, NonLeapingSequence, bool]]:
+        """Yields (k, f, listed) per node, depth first, sizes then anchors
+        ascending, last step fastest: its vertex k, a listed family f it is
+        a prefix of (itself, if listed) and whether it is a member of f. A
+        node's next sizes are those the listed families extending it take,
+        so each node is visited once. The walk keeps its own stack, so the
+        recursion limit does not bound it."""
+        root = None  # a node of the tree of prefixes: [f, its children by next size, listed]
+        for f in sorted(families, key=lambda f: f.q):  # so children come by ascending size
+            if root is None:
+                root = [f, {}, False]
+            node = root
+            for s in f.q[2:]:
+                kids = node[1]
+                node = kids.get(s) or kids.setdefault(s, [f, {}, False])
+            node[0], node[2] = f, True
+        # a choice is (the node, its anchor a_(k+1), k), taken from the end of
+        # the stack, so a node's choices are pushed last first; vertex 1
+        # joins W_2 = {1}
+        stack = [(root, 1, 1)] if root else []
+        anchors = self.anchors
+        while stack:
+            (f, kids, listed), a, k = stack.pop()
+            anchors[k:] = (a,)
+            self.b = f.b
+            if k < self.valid:
+                self.valid = k
+            if k < self.reduced_valid:
+                self.reduced_valid = k
+            self.serial += 1
+            for child in reversed(kids.values()):
+                first, run = _anchor_choices(child[0].b, k + 2, a)
+                for x in reversed(run):
+                    stack.append((child, x, k + 1))
+                stack.append((child, first, k + 1))
+            yield k, f, listed
+
     def rows_at(self, serial: int) -> list[list[int]] | None:
-        """D of the member with this serial number, as lists valid until the
-        walk advances, or None once the walk has moved past that member."""
+        """D of the node with this serial number, as lists valid until the
+        walk advances, or None once the walk has moved past that node."""
         if serial != self.serial:
             return None
-        rows, v = self.rows, self.valid
-        if len(rows) > v:
-            del rows[v:]
-            for row in rows:
-                del row[v:]
-        for k in range(v, len(self.b)):  # row k is vertex k + 1's, with a_(k+1) and b_(k+1)
-            _next_row(rows, self.anchors[k - 2] - 1, self.b[k] - 1)
-        self.valid = len(rows)
+        rows, anchors, b = self.rows, self.anchors, self.b
+        if self.valid < len(anchors):
+            _cut(rows, self.valid)
+            for k in range(len(rows), len(anchors)):  # W_(k+1) = {a_(k+1)} + [b_(k+1), k]
+                _next_row(rows, anchors[k] - 1, b[k] - 1)
+            self.valid = len(rows)
         return rows
 
     def reduced_at(self, serial: int) -> list[list[int]] | None:
-        """E^T D E of the member with this serial number, E its reducing
+        """E^T D E of the node with this serial number, E its reducing
         matrix, as lists valid until the walk advances, or None once the walk
-        has moved past that member."""
+        has moved past that node."""
         d = self.rows_at(serial)
         if d is None:
             return None
-        rows, v = self.reduced, self.reduced_valid
-        if len(rows) > v:
-            del rows[v:]
-            for row in rows:
-                del row[v:]
-        anc, anchors = self.anc, self.anchors
-        for k in range(v, len(d)):  # E^T D E is symmetric: column k is row k
-            anc[k] = anchors[k - 2] - 1
-            col = _reduced_column(d, anc, k)
-            for row, x in zip(rows, col):
-                row.append(x)
-            rows.append(col)
-        self.reduced_valid = len(rows)
+        rows = self.reduced
+        if self.reduced_valid < len(d):
+            _cut(rows, self.reduced_valid)
+            for k in range(len(rows), len(d)):  # E^T D E is symmetric: column k is row k
+                col = _reduced_column(d, self.anchors, k)
+                for row, x in zip(rows, col):
+                    row.append(x)
+                rows.append(col)
+            self.reduced_valid = len(rows)
         return rows
 
 
 def enumerate_neighborhood_sequences(base: NonLeapingSequence) -> Iterator[NeighborhoodSequence]:
     """All anchor choices for the given size sequence, in ascending anchor
-    order: a depth-first walk over each step's _anchor_choices, last step
-    fastest. A step first takes a_(k-1), the anchor just chosen before it.
+    order: the members _Prefix.walk visits for the one family.
 
-    Each member records (the enumeration's _Prefix, its serial number) in
-    its __dict__, which build_cp_graph copies onto the graph and
-    reducing_matrix onto E, so that graphs.all_pairs_distances reads D, and
-    reduction.congruence_reduce E^T D E, off the rows the members share
-    while that member is the current one. Members are lazy: yielding one
-    builds no rows."""
-    b = base.b
-    prefix = _Prefix(b)
-    anchors: list[int] = []
-    rest: list[Iterator[int]] = []  # rest[i]: the untaken choices of step i + 3
-    a = 1  # a_2
-    while True:
-        for k in range(len(anchors) + 3, base.n + 1):
-            a, run = _anchor_choices(b, k, a)
-            anchors.append(a)
-            rest.append(iter(run))
-        ns = NeighborhoodSequence._of(base, tuple(anchors))
-        prefix.anchors = ns.anchors
-        prefix.serial += 1
-        ns.__dict__["_prefix"] = (prefix, prefix.serial)
-        yield ns
-        while rest and (a := next(rest[-1], None)) is None:
-            rest.pop()
-            anchors.pop()
-        if not rest:
-            return
-        anchors[-1] = a
-        changed = len(anchors) + 1  # the first vertex, 0-based, whose window changed
-        if changed < prefix.valid:
-            prefix.valid = changed
-        if changed < prefix.reduced_valid:
-            prefix.reduced_valid = changed
+    Each member records (the walk's _Prefix, its serial number) in its
+    __dict__, which build_cp_graph copies onto the graph and reducing_matrix
+    onto E, so that graphs.all_pairs_distances reads D, and
+    reduction.congruence_reduce E^T D E, off the rows the members share while
+    that member is the current one. Yielding a member builds no rows."""
+    prefix = _Prefix()
+    for _, _, listed in prefix.walk([base]):
+        if listed:
+            ns = NeighborhoodSequence._of(base, tuple(prefix.anchors[2:]))
+            ns.__dict__["_prefix"] = (prefix, prefix.serial)
+            yield ns
 
 
 def count_neighborhood_sequences(base: NonLeapingSequence) -> int:

@@ -6,7 +6,9 @@ labeled trees up to n = 7, where every Pruefer code is decoded and checked but
 one tree per rooted isomorphism class is eliminated), seeded-random where it
 is not. Each suite that checks every member of the families it lists (and
 `reduce verify`) makes one walk over the tree of their prefixes, growing each
-member from its parent (see _grow).
+member from its parent (see _grow); it is the walk that
+enumerate_neighborhood_sequences takes for one family, so a fault in it moves
+the member counts those suites check against the product formula.
 Suites are pure given (seed, scale), so reports are reproducible byte for
 byte apart from the wall time.
 """
@@ -63,7 +65,7 @@ from .sequences import (
     NeighborhoodSequence,
     NonLeapingSequence,
     _anchor_choices,
-    _next_row,
+    _Prefix,
     _reduced_column,
     count_neighborhood_sequences,
     enumerate_neighborhood_sequences,
@@ -300,29 +302,20 @@ def member_reduces(ns: NeighborhoodSequence, h: IntMatrix) -> bool:
 
 
 def _grow(families, h=None):
-    """Verify the members of the listed families in one depth-first walk.
-
-    The first k vertices of a member of q are a member of q[:k], so the
-    members form one tree: a child adds one vertex, choosing its size q_k
-    and its anchor a_k, in ascending order. A node's sizes are those the
-    listed families extending it take next, so each node is grown once, but
-    only the members of listed families are yielded, each family's in the
-    order of enumerate_neighborhood_sequences. The walk keeps its own stack,
-    so the recursion limit does not bound it.
+    """Verify the members of the listed families in one depth-first walk,
+    sequences._Prefix.walk, the walk enumerate_neighborhood_sequences
+    takes: each member of a listed family or of a prefix of one is a node,
+    visited once, and the walk's store grows D's rows on the nodes that
+    share them. Only the members of listed families are yielded, each
+    family's in the order of enumerate_neighborhood_sequences.
 
     Yields (q, a, d, got) per member: its sizes and anchors, D as a list of
     rows (valid until the next member) and its GraphInvariants or, given h,
     whether E^T D E == h(q), with h called once per listed family. Column k
-    is checked once, for all descendants, against h of q[:k + 1] or, if that
-    is not listed, of a listed family extending it, which holds as
+    of E^T D E, which sequences._reduced_column forms from the store's D
+    and anchors, is checked once, for all descendants, against h of the
+    listed family the walk gives the node, which holds as
     reduced_graph(q[:k]) is the leading block of reduced_graph(q).
-
-    Every W_k is a clique, so a new vertex changes no earlier distance and
-    its row is d(k, j) = 1 + min over w in W_k of d(w, j), as
-    sequences._next_row adds it; a sibling starts from its parent's state.
-    Column k of E touches rows k, k-1, a_k and a_(k-1) only, so column k of
-    E^T D E needs D's leading (k+1) block, as sequences._reduced_column
-    forms it.
     Without h, vertex k adds column k of the symmetric fraction-free
     elimination of [[D, 1], [1^T, 0]], border last, after _symmetric_bareiss's
     step 0 (vertex 2 added into vertex 1, pivot 2), reduced through the
@@ -333,83 +326,62 @@ def _grow(families, h=None):
     the last is a prefix family's determinant, so every member below it
     goes to formulas._distance_matrix_invariants with its D rows instead.
     """
-    sizes, reads = {}, {}  # per prefix: its next sizes and the listed family whose h it reads
-    for f in families:
-        for k in range(2, len(f)):
-            sizes.setdefault(f[:k], set()).add(f[k])
-            reads.setdefault(f[:k], f)
-        reads[f] = f
-    sizes = {p: sorted(s) for p, s in sizes.items()}
-    d = [[0]]  # D's rows; after vertex k each has k + 1 entries
-    anc = [0]  # anc[k] = a_(k+1) - 1, with a_2 = 1
-    # elimination state: pivots[t] is row t reduced by pivots 0..t-1, its
-    # border entry first (vertex 1's is 1 + 1), then columns t, t + 1, ...;
-    # corners[t] is the bordered minor after pivot t, minus[t] the negative
-    # pivots among 0..t
-    pivots, corners, minus = [[2, 2]], [-4], [0]
-    # ok[k]: columns 0..k of E^T D E match; targets: family -> rows of h, or
-    # False unless h is symmetric, of the family's order and 0 at (1, 1) like E^T D E
-    ok, targets = [True], {}
-    # a choice is (the new vertex's prefix, its anchor); vertex 1 joins vertex 0
-    stack = [iter([((0, 1), 0)])] if reads else []
-    while stack:
-        choice = next(stack[-1], None)
-        if choice is None:
-            stack.pop()
-            continue
-        k = len(stack)  # the vertex this choice adds
-        if len(d) > k:  # back from a sibling's subtree: cut to vertices 0..k-1
-            del d[k:], anc[k:], pivots[k:], corners[k:], minus[k:], ok[k:]
-            for row in d:
-                del row[k:]
-            for t, row in enumerate(pivots):
-                del row[k - t + 1 :]
-        here, ak = choice
-        qk = here[k]
-        anc.append(ak)
-        new = _next_row(d, ak, k + 1 - qk)
+    prefix = _Prefix()
+    n = max(map(len, families), default=2)
+    # per vertex k, written as the walk reaches it: ok[k], whether columns
+    # 0..k of E^T D E match (given h) or pivots 0..k are all nonzero;
+    # pivots[k], row k reduced by pivots 0..k-1, its border entry first
+    # (vertex 1's is 1 + 1), then columns k, k + 1, ... as the walk reaches
+    # them; corners[k], the bordered minor after pivot k; minus[k], the
+    # negative pivots among 0..k. targets: family -> rows of h, or False
+    # unless h is symmetric, of the family's order and 0 at (1, 1)
+    ok, corners, minus, targets = [True] * n, [-4] * n, [0] * n, {}
+    pivots = [[2, 2] + [0] * n] + [[]] * (n - 1)
+    for k, fam, listed in prefix.walk([NonLeapingSequence(q) for q in families]):
         if h is not None:
-            fam = reads[here]
-            if fam not in targets:
-                m = h(fam)
-                good = m.n == len(fam) and m.is_symmetric() and m.rows[0][0] == 0
-                targets[fam] = good and m.rows
-            if ok[-1] and targets[fam]:
-                col = _reduced_column(d, anc, k)
-                ok.append(tuple(col) == targets[fam][k][: k + 1])
+            q = fam.q
+            target = targets.get(q)
+            if target is None:
+                m = h(q)
+                good = m.n == len(q) and m.is_symmetric() and m.rows[0][0] == 0
+                target = targets[q] = good and m.rows
+            if ok[k - 1] and target:
+                col = _reduced_column(prefix.rows_at(prefix.serial), prefix.anchors, k)
+                ok[k] = tuple(col) == target[k][: k + 1]
             else:
-                ok.append(False)
-        elif len(pivots) == k and pivots[-1][1]:  # pivots 0..k-1 are all nonzero
+                ok[k] = False
+        elif ok[k - 1]:  # pivots 0..k-1 are all nonzero
+            new = prefix.rows_at(prefix.serial)[k]
             # row k's border entry, then column k from row t = 0 on, as row t meets it
             col = [1, new[0] + new[1], *new[1:]]
             prev = 1
-            for row in pivots:
+            for row in pivots[:k]:
                 f = col[1]
-                row.append(f)
+                row[len(col) - 1] = f
                 p = row[1]
                 col = [(y * p - u * f) // prev for y, u in zip(col, row)]
                 del col[1]  # row t's own entry, now 0
                 prev = p
             x, p = col
-            pivots.append(col)
-            corners.append((corners[-1] * p - x * x) // prev)
-            minus.append(minus[-1] + ((p > 0) != (prev > 0)))
-        if here in sizes:  # vertex k + 1: size s, anchor a_(k+1) or one in [b_(k+1), b_(k+2))
-            stack.append(iter([
-                (here + (s,), a) for s in sizes[here] for a in (ak, *range(k + 1 - qk, k + 2 - s))
-            ]))
-        if reads[here] != here:  # not listed
+            pivots[k] = col + [0] * (n - k)
+            corners[k] = (corners[k - 1] * p - x * x) // prev
+            minus[k] = minus[k - 1] + ((p > 0) != (prev > 0))
+            ok[k] = p != 0
+        else:
+            ok[k] = False
+        if not listed:
             continue
+        d = prefix.rows_at(prefix.serial)
         if h is not None:
-            got = ok[-1]
-        elif len(pivots) <= k:
+            got = ok[k]
+        elif not ok[k - 1]:
             got = _distance_matrix_invariants(d)
-        elif pivots[-1][1]:
-            inertia = Inertia(k + 1 - minus[-1], minus[-1], 0)
-            got = GraphInvariants(pivots[-1][1], inertia, -corners[-1])
+        elif ok[k]:
+            inertia = Inertia(k + 1 - minus[k], minus[k], 0)
+            got = GraphInvariants(pivots[k][1], inertia, -corners[k])
         else:  # only the last pivot is zero: one zero eigenvalue
-            got = GraphInvariants(0, Inertia(k - minus[-2], minus[-2], 1), -corners[-1])
-        yield here, tuple([x + 1 for x in anc[2:]]), d, got
+            got = GraphInvariants(0, Inertia(k - minus[k - 1], minus[k - 1], 1), -corners[k])
+        yield fam.q, tuple(prefix.anchors[2:]), d, got
 
 
 def _check_members(rec: Recorder, want: dict, label: Callable, h=None) -> int:

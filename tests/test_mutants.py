@@ -35,7 +35,7 @@ from test_reduction import (
     seeded_members,
     with_upper_noise,
 )
-from test_sequences import per_step_mismatches, random_draws_match
+from test_sequences import ascending_members, per_step_mismatches, random_draws_match
 from test_suites import ROOTED_TREES, all_codes, class_counts, heap_growth
 
 from cpgraphs import addressing, cli, crosschecks, formulas, graphs, reduction, sequences, suites
@@ -80,10 +80,11 @@ def member_suites_pass(mod):
 
 
 def walk_rows_pass(mod):
-    """The member suites, with the row and column steps of `mod`, a sequences
-    module, as the ones suites._grow calls."""
+    """The member suites, with the walk and its row step (_Prefix) and the
+    column step of `mod`, a sequences module, as the ones suites._grow
+    takes."""
     with (
-        mock.patch.object(suites, "_next_row", mod._next_row),
+        mock.patch.object(suites, "_Prefix", mod._Prefix),
         mock.patch.object(suites, "_reduced_column", mod._reduced_column),
     ):
         return member_suites_pass(suites)
@@ -159,6 +160,21 @@ def shared_reduction_sees_each_member(mod):
     return len(read) == 72 and all(congruence(d, e) == r for d, e, r in read)
 
 
+def current_members_reduce_off_the_store(mod):
+    """congruence_reduce, given the D and the E of each member of
+    PLANTED_FAMILY while it is the current member of the enumeration of
+    `mod`, a sequences module, copies A(H) off the walk's store: it takes
+    no anchor route."""
+    h = reduced_graph(PLANTED_FAMILY).adjacency_matrix()
+    with mock.patch.object(reduction, "_anchor_differences", side_effect=AssertionError("anchors")):
+        return all(
+            reduction.congruence_reduce(
+                all_pairs_distances(build_cp_graph(ns)), reduction.reducing_matrix(ns)
+            ) == h
+            for ns in mod.enumerate_neighborhood_sequences(PLANTED_FAMILY)
+        )
+
+
 def lazy_members_read_like_eager(mod):
     """lazy_reads_match_eager for every family with n <= 7, with
     build_cp_graph and reducing_matrix of `mod`, a graphs or a reduction
@@ -187,16 +203,21 @@ def listed_walks_pass(mod):
     )
 
 
-def enumeration_matches_the_walk(mod):
+def shared_walk_lists_pass(mod):
+    """listed_walks_pass, with the walk of `mod`, a sequences module, as the
+    one suites._grow takes."""
+    with mock.patch.object(suites, "_Prefix", mod._Prefix):
+        return listed_walks_pass(suites)
+
+
+def enumeration_matches_the_oracle(mod):
     """The enumerator of `mod`, a sequences module, lists each family with
-    n <= 8 as the suites' walk grows it: the same members in the same order."""
-    walked = {}
-    families = [s.q for n in range(2, 9) for s in iter_nonleaping_sequences(n)]
-    for q, a, _, _ in suites._grow(families):
-        walked.setdefault(q, []).append(a)
-    return len(walked) == 197 and all(
-        [ns.anchors for ns in mod.enumerate_neighborhood_sequences(NonLeapingSequence(q))] == a
-        for q, a in walked.items()
+    n <= 8 as ascending_members grows it from W_(k-1): the same members in
+    the same order."""
+    return all(
+        [ns.anchors for ns in mod.enumerate_neighborhood_sequences(s)] == ascending_members(s)
+        for n in range(2, 9)
+        for s in iter_nonleaping_sequences(n)
     )
 
 
@@ -514,8 +535,8 @@ def reducing_matrices_match_columns(mod):
 
 
 MUTANTS = {
-    # sequences._next_row, the row step of suites._grow: vertex k (0-based)
-    # joins W = {anchor} + [lo, k - 1]
+    # sequences._next_row, the row step of the walk's store: vertex k
+    # (0-based) joins W = {anchor} + [lo, k - 1]
     "walk: anchor dropped from W_k": (
         sequences,
         "zip(rows[anchor], *rows[lo:])",
@@ -523,20 +544,33 @@ MUTANTS = {
         walk_rows_pass,
     ),
     # sequences._reduced_column, the column step of E^T D E that suites._grow
-    # and the enumeration's shared rows both take
+    # and the walk's store both take
     "walk: a_(k-1) dropped from E's column in D E": (
         sequences,
         "w - x - y + z",
         "w - x - y",
         walk_rows_pass,
     ),
-    # suites._grow
+    # sequences._Prefix.walk, the one walk over the anchor choices
     "walk: a_(k-1) offered only where it is the sole anchor": (
-        suites,
-        "for a in (ak, *range(k + 1 - qk, k + 2 - s))",
-        "for a in (range(k + 1 - qk, k + 2 - s) or (ak,))",
-        member_suites_pass,
+        sequences,
+        "                stack.append((child, first, k + 1))\n",
+        "                if not run:\n                    stack.append((child, first, k + 1))\n",
+        walk_rows_pass,
     ),
+    "walk: members of prefixes that are not listed yielded": (
+        sequences,
+        "kids.setdefault(s, [f, {}, False])",
+        "kids.setdefault(s, [f, {}, True])",
+        shared_walk_lists_pass,
+    ),
+    "walk: only the smallest next size kept": (
+        sequences,
+        "for child in reversed(kids.values()):",
+        "for child in list(kids.values())[:1]:",
+        shared_walk_lists_pass,
+    ),
+    # suites._grow: the bordered pivots and the h targets
     "walk: pivot update divides by p, not prev": (
         suites,
         "(y * p - u * f) // prev",
@@ -545,32 +579,20 @@ MUTANTS = {
     ),
     "walk: row 0's border entry left at 1": (
         suites,
-        "pivots, corners, minus = [[2, 2]], [-4], [0]",
-        "pivots, corners, minus = [[1, 2]], [-4], [0]",
+        "pivots = [[2, 2] + [0] * n]",
+        "pivots = [[1, 2] + [0] * n]",
         member_suites_pass,
     ),
     "walk: no kernel fallback below a zero pivot": (
         suites,
-        "elif len(pivots) <= k:",
+        "elif not ok[k - 1]:",
         "elif False:",
         member_suites_pass,
     ),
-    "walk: members of prefixes that are not listed yielded": (
-        suites,
-        "        if reads[here] != here:  # not listed\n            continue\n",
-        "",
-        listed_walks_pass,
-    ),
     "walk: h read from the node's own prefix, not its listed family": (
         suites,
-        "fam = reads[here]",
-        "fam = here",
-        listed_walks_pass,
-    ),
-    "walk: only the smallest next size kept": (
-        suites,
-        "sizes = {p: sorted(s) for p, s in sizes.items()}",
-        "sizes = {p: sorted(s)[:1] for p, s in sizes.items()}",
+        "            q = fam.q\n",
+        "            q = fam.q[: k + 1]\n",
         listed_walks_pass,
     ),
     # suites._pruefer_growth and suites._rooted_class, under the trees suite
@@ -604,28 +626,28 @@ MUTANTS = {
         "(got, True)",
         trees_judge_every_code,
     ),
-    # sequences.enumerate_neighborhood_sequences: the walk and its shared rows
+    # sequences.enumerate_neighborhood_sequences, and the walk's shared rows
     "enumeration: every fourth member dropped": (
         sequences,
-        "        yield ns\n",
-        "        if prefix.serial % 4:\n            yield ns\n",
-        enumeration_matches_the_walk,
+        "            yield ns\n",
+        "            if prefix.serial % 4:\n                yield ns\n",
+        enumeration_matches_the_oracle,
     ),
     "enumeration: valid rows not lowered on advance": (
         sequences,
-        "            prefix.valid = changed",
-        "            pass",
+        "                self.valid = k\n",
+        "                pass\n",
         enumerated_members_read_d,
     ),
     "enumeration: the changed vertex taken one past the anchor's": (
         sequences,
-        "changed = len(anchors) + 1",
-        "changed = len(anchors) + 2",
+        "                self.valid = k\n",
+        "                self.valid = k + 1\n",
         enumerated_members_read_d,
     ),
     "enumeration: serial not advanced": (
         sequences,
-        "        prefix.serial += 1\n",
+        "            self.serial += 1\n",
         "",
         enumerated_members_read_d,
     ),
@@ -637,14 +659,38 @@ MUTANTS = {
     ),
     "enumeration: reduced rows not lowered on advance": (
         sequences,
-        "            prefix.reduced_valid = changed",
-        "            pass",
+        "                self.reduced_valid = k\n",
+        "                pass\n",
         shared_reduction_sees_each_member,
     ),
     "enumeration: reduced rows read for a stale serial": (
         sequences,
         "d = self.rows_at(serial)",
         "d = self.rows_at(self.serial)",  # the current member's rows, for any serial
+        shared_reduction_sees_each_member,
+    ),
+    "enumeration: a current member's reduced rows refused": (
+        sequences,
+        "        if d is None:\n            return None\n",
+        "        if d is not None:\n            return None\n",  # the same answers, by the anchors
+        current_members_reduce_off_the_store,
+    ),
+    "enumeration: reduced rows never grown": (
+        sequences,
+        "if self.reduced_valid < len(d):",
+        "if False:",
+        shared_reduction_sees_each_member,
+    ),
+    "enumeration: the reduced rows' vertex 0 started at 1": (
+        sequences,
+        "self.reduced = [[0]]",
+        "self.reduced = [[1]]",
+        shared_reduction_sees_each_member,
+    ),
+    "enumeration: reduced rows lowered only where they already are": (
+        sequences,
+        "if k < self.reduced_valid:",
+        "if k >= self.reduced_valid:",
         shared_reduction_sees_each_member,
     ),
     "congruence: shared rows read whenever E has a record": (
@@ -1017,12 +1063,112 @@ MUTANTS = {
 EQUIVALENT = {
     "walk: a_(i-1) dropped from E^T's row in E^T D E": (
         sequences,
-        "v[i] - v[anc[i]] - v[i - 1] + v[anc[i - 1]]",
-        "v[i] - v[anc[i]] - v[i - 1]",
+        "u[i + 1] - u[a[i]] - u[i] + u[a[i - 1]]",
+        "u[i + 1] - u[a[i]] - u[i]",
         # the term it drops is always 0: (D E)[a_(i-1)][k] = 0 for every
         # 2 <= i <= k (checked on all 251 771 such pairs of the members with
         # n <= 9), so column k of E^T D E comes out the same
         walk_rows_pass,
+    ),
+    "walk: a_(i-1)'s term of E^T's row added, not subtracted": (
+        sequences,
+        "u[i + 1] - u[a[i]] - u[i] + u[a[i - 1]]",
+        "u[i + 1] - u[a[i]] - u[i] - u[a[i - 1]]",
+        # that term is 0 (see the entry above), so its sign is no matter
+        walk_rows_pass,
+    ),
+    "walk: a_(i-2) read for a_(i-1) in E^T's row": (
+        sequences,
+        "u[a[i - 1]] for i",
+        "u[a[i - 2]] for i",
+        # a_(i-2) is an earlier vertex's anchor too, and u[0] = 0 at i = 2,
+        # so the term read is still 0 (see the entry above)
+        walk_rows_pass,
+    ),
+    "walk: E^T's row padded with 1, not 0": (
+        sequences,
+        "u = [0, *v]",
+        "u = [1, *v]",
+        # u[0] is never read: anchors are vertex labels, 1 and up
+        walk_rows_pass,
+    ),
+    "walk: vertex 0's anchor slot started at 1": (
+        sequences,
+        "self.anchors = [0]",
+        "self.anchors = [1]",
+        # vertex 0 has no window: anchors[0] is never read
+        walk_rows_pass,
+    ),
+    "walk: a table cut when it is already at its length": (
+        sequences,
+        "if len(rows) > v:",
+        "if len(rows) >= v:",
+        # deleting from index v of lists v long deletes nothing
+        enumerated_members_read_d,
+    ),
+    "walk: valid rows started at 2": (
+        sequences,
+        "self.valid = 1\n",
+        "self.valid = 2\n",
+        # the first node, vertex 1, lowers it to 1 before any row is read
+        enumerated_members_read_d,
+    ),
+    "walk: valid reduced rows started at 2": (
+        sequences,
+        "self.reduced_valid = 1\n",
+        "self.reduced_valid = 2\n",
+        # the first node, vertex 1, lowers it to 1 before any row is read
+        shared_reduction_sees_each_member,
+    ),
+    "walk: serial started at 1": (
+        sequences,
+        "self.serial = 0\n",
+        "self.serial = 1\n",
+        # a serial is only compared with the current one for equality
+        enumerated_members_read_d,
+    ),
+    "walk: serial counted down": (
+        sequences,
+        "self.serial += 1",
+        "self.serial -= 1",
+        # each node still gets a serial no other node has
+        enumerated_members_read_d,
+    ),
+    "walk: serial counted by 2": (
+        sequences,
+        "self.serial += 1",
+        "self.serial += 2",
+        # each node still gets a serial no other node has
+        enumerated_members_read_d,
+    ),
+    "walk: valid rows lowered also where they already end at k": (
+        sequences,
+        "if k < self.valid:",
+        "if k <= self.valid:",
+        # setting valid = k where it is k changes nothing
+        enumerated_members_read_d,
+    ),
+    "walk: valid reduced rows lowered also where they already end at k": (
+        sequences,
+        "if k < self.reduced_valid:",
+        "if k <= self.reduced_valid:",
+        # setting reduced_valid = k where it is k changes nothing
+        shared_reduction_sees_each_member,
+    ),
+    "walk: rows grown also when all are valid": (
+        sequences,
+        "if self.valid < len(anchors):",
+        "if self.valid <= len(anchors):",
+        # valid never exceeds the node's order, and where it equals it the
+        # cut and the growth do nothing
+        enumerated_members_read_d,
+    ),
+    "walk: reduced rows grown also when all are valid": (
+        sequences,
+        "if self.reduced_valid < len(d):",
+        "if self.reduced_valid <= len(d):",
+        # likewise for the rows of E^T D E
+        shared_reduction_sees_each_member,
     ),
     "distances: complete rows still stepped": (
         graphs,
@@ -1049,7 +1195,8 @@ EQUIVALENT = {
     (trees_judge_every_code, suites),
     (oracles_match_leibniz, crosschecks),
     (walk_rows_pass, sequences),
-    (enumeration_matches_the_walk, sequences),
+    (shared_walk_lists_pass, sequences),
+    (enumeration_matches_the_oracle, sequences),
     (enumerated_members_read_d, sequences),
     (enumerated_members_read_d, graphs),
     (anchor_rule_matches_the_per_step_sets, sequences),
@@ -1065,6 +1212,7 @@ EQUIVALENT = {
     (reductions_match_brute, reduction),
     (reducing_matrices_match_columns, reduction),
     (shared_reduction_sees_each_member, sequences),
+    (current_members_reduce_off_the_store, sequences),
     (shared_reduction_sees_each_member, reduction),
     (lazy_members_read_like_eager, graphs),
     (lazy_members_read_like_eager, reduction),

@@ -105,14 +105,27 @@ def test_admissible_anchor_sets():
     s = NonLeapingSequence((0, 1, 2, 2, 2, 2, 3, 3))
     assert admissible_anchors(s, 3, ()) == frozenset({1})
     assert admissible_anchors(s, 4, (1,)) == frozenset({1, 2})
-    # admissible set = previous anchor plus the window slots below the new cutoff
+    # admissible set = previous anchor plus the window slots below the new
+    # cutoff; a_5 lies in {a_4, 3}, and a prior anchor outside its own step's
+    # set is refused, by name
     for prior in product((1,), (1, 2), (1, 2, 3)):
-        got = admissible_anchors(s, 6, prior)
-        assert got == frozenset({prior[-1]}) | frozenset(range(s.bk(5), s.bk(6)))
+        if prior[2] in (prior[1], 3):
+            got = admissible_anchors(s, 6, prior)
+            assert got == frozenset({prior[-1]}) | frozenset(range(s.bk(5), s.bk(6)))
+        else:
+            with pytest.raises(InputError, match=f"^anchor a_5 = {prior[2]} is not admissible$"):
+                admissible_anchors(s, 6, prior)
     with pytest.raises(IndexOutOfRange):
         admissible_anchors(s, 9, (1,) * 6)
     with pytest.raises(InputError):
         admissible_anchors(s, 4, ())
+    # vertex 0 does not exist, and step 4's choices are {1, 2}: a_4 = 3 would
+    # leave step 5 one choice, {3}, not 1 + b_5 - b_4 = 2
+    t = NonLeapingSequence((0, 1, 2, 2, 2))
+    with pytest.raises(InputError, match="^anchor a_3 = 0 is not admissible$"):
+        admissible_anchors(t, 4, (0,))
+    with pytest.raises(InputError, match="^anchor a_4 = 3 is not admissible$"):
+        admissible_anchors(t, 5, (1, 3))
 
 
 def test_admissible_set_size_is_choice_free():

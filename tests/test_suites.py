@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_graphs import degree, neighbors
 
-from cpgraphs import cli, linalg, suites
+from cpgraphs import cli, linalg, sequences, suites
 from cpgraphs.errors import InputError, ResourceLimit
 from cpgraphs.formulas import (
     GraphInvariants,
@@ -429,6 +429,36 @@ def test_lossy_enumeration_fails_the_member_suites(monkeypatch, suite, scale):
     monkeypatch.setattr(suites, "_grow", lossy)
     r = run_suite(suite, scale=scale)
     assert not r.ok and "q=(0, 1, 2, 2): enumerated 1 members, expected 2" in r.failures
+
+
+def faulty_walk(fault):
+    """sequences._Prefix.walk with a planted fault at the first member of
+    order 8 it reaches: that member dropped, or yielded twice."""
+    real = sequences._Prefix.walk
+
+    def walk(self, families):
+        planted = False
+        for k, f, listed in real(self, families):
+            if listed and k == 7 and not planted:
+                planted = True
+                if fault == "dropped":
+                    continue
+                yield k, f, listed
+            yield k, f, listed
+
+    return walk
+
+
+@pytest.mark.parametrize("suite", ["congruence", "constancy"])
+@pytest.mark.parametrize("fault, count", [("dropped", 31), ("doubled", 33)])
+def test_a_fault_in_the_shared_walk_fails_the_member_suites(monkeypatch, suite, fault, count):
+    # the suites and the enumerator take one walk, so a fault in it moves a
+    # member count, which the suites check against the product formula
+    q = (0, 1, 2, 2, 2, 2, 2, 2)  # the first family of order 8, 32 members
+    monkeypatch.setattr(sequences._Prefix, "walk", faulty_walk(fault))
+    assert len(list(enumerate_neighborhood_sequences(NonLeapingSequence(q)))) == count
+    r = run_suite(suite, scale=8)
+    assert r.failures == [f"q={q}: enumerated {count} members, expected 32"]
 
 
 @pytest.mark.parametrize("suite, passed", [("congruence", 105), ("constancy", 5)])
