@@ -368,7 +368,7 @@ def _cmd_reduce_verify(args) -> tuple[dict, int]:
     else:
         total = count_neighborhood_sequences(s)
         _cap_members(total, "pass --anchors to verify one member")
-        bad = [list(a) for _, a, _, ok in _grow([s.q], lambda _: h) if not ok]
+        bad = [list(a) for _, a, _, ok in _grow([s], lambda _: h) if not ok]
     results = {
         "q": list(s.q),
         "members": total,

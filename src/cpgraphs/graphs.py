@@ -9,12 +9,12 @@ decomposition.
 
 A graph is immutable, so its distance matrix is computed once per graph
 object and kept in its __dict__. A graph that build_cp_graph makes from an
-enumerated member also keeps the member's record of its enumeration (see
-sequences): while that member is the walk's current one, D is read off
-the rows its store shares, copied out and given the same record (for
+enumerated member keeps that member as `_member` (see sequences): while it
+is the walk's current member, D is read off the rows the walk's store
+shares, copied out and given the same `_member` (for
 reduction.congruence_reduce), and once the walk has moved on, the BFS runs
 as for any other graph. Such a graph builds its edges only when they are
-first read (matrices._build_on_read), from its own member, so a walk that
+first read (LabeledGraph.__getattr__), from its member, so a walk that
 reads only D never sorts an edge list. Nothing here is kept by equality:
 such a table would hold every graph seen, and would make a rerun on equal
 inputs cheaper than the first, so timing reruns would measure the
@@ -37,7 +37,7 @@ from struct import Struct
 from typing import NamedTuple
 
 from .errors import InputError
-from .matrices import IntMatrix, _build_on_read
+from .matrices import IntMatrix
 from .sequences import NeighborhoodSequence
 
 
@@ -100,9 +100,13 @@ class LabeledGraph:
         return g
 
     def __getattr__(self, name: str):
-        # reached only for an attribute the instance lacks: the edges that
-        # build_cp_graph left unbuilt are built here, on first read
-        return _build_on_read(self, name, "edges")
+        # reached only for a missing attribute: the edges build_cp_graph left
+        # unbuilt are built here, from the graph's member, on first read
+        memo = self.__dict__
+        if name != "edges" or "_member" not in memo:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "edges", _cp_edges(memo["_member"]))
+        return self.edges
 
 
 def path_graph(n: int) -> LabeledGraph:
@@ -123,14 +127,14 @@ def build_cp_graph(ns: NeighborhoodSequence) -> LabeledGraph:
     """Realize a neighborhood sequence: join each vertex k to its window
     W_k = {a_k} + [b_k, k-1] (W_2 = {1}).
 
-    The graph of an enumerated member carries the member's record, for
-    all_pairs_distances, and builds its edges on first read, from the member
-    itself, so they hold after the walk moves on."""
-    record = ns.__dict__.get("_prefix")
-    if record is None:
+    The graph of an enumerated member keeps the member, for
+    all_pairs_distances, and builds its edges from it on first read, so they
+    hold after the walk moves on. Any other member's graph keeps its edges
+    alone."""
+    if "_prefix" not in ns.__dict__:
         return LabeledGraph._of(ns.n, _cp_edges(ns))
     g = object.__new__(LabeledGraph)
-    g.__dict__.update(n=ns.n, _prefix=record, _unbuilt=(_cp_edges, ns))
+    g.__dict__.update(n=ns.n, _member=ns)
     return g
 
 
@@ -163,20 +167,22 @@ def all_pairs_distances(g: LabeledGraph) -> IntMatrix:
 
     D is stored on g (see the module docstring): later calls for the same
     object return it, an equal graph built anew computes its own, and a
-    disconnected graph stores nothing and raises on every call. A graph of
-    the walk's current member copies D from the shared rows instead
-    of running the BFS, and puts the member's record on that D.
+    disconnected graph stores nothing and raises on every call. The graph
+    of the walk's current member copies D from the shared rows instead of
+    running the BFS, and keeps the member on that D.
     """
     memo = g.__dict__
     if "_distances" in memo:
         return memo["_distances"]
-    record = memo.get("_prefix")  # (the walk's shared rows, the member's serial)
-    rows = record[0].rows_at(record[1]) if record else None
-    if rows is not None:
-        d = IntMatrix._of(tuple(map(tuple, rows)))
-        d.__dict__["_prefix"] = record  # for congruence_reduce
-        memo["_distances"] = d
-        return d
+    member = memo.get("_member")
+    if member is not None:
+        prefix, serial = member._prefix  # the walk's shared rows, the member's serial
+        rows = prefix.rows_at(serial)
+        if rows is not None:
+            d = IntMatrix._of(tuple(map(tuple, rows)))
+            d.__dict__["_member"] = member  # for congruence_reduce
+            memo["_distances"] = d
+            return d
     n = g.n
     width, code = next(lane for lane in _LANES if n <= 1 << lane[0])
     bit = [1 << (width * v) for v in range(n)]

@@ -15,9 +15,9 @@ assumes a tuple of n tuples of n ints and checks nothing.
 The product ``@`` serves reduction.congruence_reduce for an E that
 reducing_matrix did not build, the tests and the benchmark's tracer.
 
-reduction.reducing_matrix leaves an enumerated member's E without its rows;
-_build_on_read builds them on first read, as it does graphs.LabeledGraph's
-edges.
+reduction.reducing_matrix leaves an enumerated member's E without its rows,
+keeping only the member; __getattr__ builds them from its anchors on first
+read.
 """
 
 from __future__ import annotations
@@ -32,25 +32,6 @@ from .errors import InputError
 
 class DimensionMismatch(InputError):
     """Two matrices cannot be combined because their orders differ."""
-
-
-def _build_on_read(obj, name: str, field: str):
-    """The value of `field` for a frozen obj built without it: build(arg),
-    from the record (build, arg) obj keeps as "_unbuilt", stored as the field
-    in place of the record. Any other missing name raises AttributeError.
-
-    Called from __getattr__, which Python calls only when normal lookup
-    fails, so an object built with the field never reaches it. Equality,
-    hashing, repr and dataclasses.replace read the field and so see the
-    eager value; copy and pickle carry the record."""
-    memo = obj.__dict__
-    if name != field or "_unbuilt" not in memo:
-        raise AttributeError(f"{type(obj).__name__!r} object has no attribute {name!r}")
-    build, arg = memo["_unbuilt"]
-    value = build(arg)
-    object.__setattr__(obj, field, value)
-    del memo["_unbuilt"]
-    return value
 
 
 @dataclass(frozen=True)
@@ -77,9 +58,14 @@ class IntMatrix:
         return m
 
     def __getattr__(self, name: str):
-        # reached only for an attribute the instance lacks: rows that
-        # reduction.reducing_matrix left unbuilt are built here, on first read
-        return _build_on_read(self, name, "rows")
+        # reached only for a missing attribute: the rows reducing_matrix left
+        # unbuilt are built here, from E's member, on first read
+        memo = self.__dict__
+        if name != "rows" or "_member" not in memo:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        from .reduction import _reducing_rows  # reduction imports this module
+        object.__setattr__(self, "rows", _reducing_rows(memo["_member"].anchors))
+        return self.rows
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":

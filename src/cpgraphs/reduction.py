@@ -6,12 +6,12 @@ weighted adjacency matrix of a small reduced graph determined by the size
 sequence alone. This module builds both sides of that identity, plus the
 seesaw/weighted-path shapes the reduced graphs of 2-clique paths take.
 
-A reducing matrix keeps its anchors in its __dict__, as a graph keeps its
-distance matrix (see graphs); congruence_reduce forms E^T D E from them by
-row differences, and by IntMatrix.__matmul__ for any other E. The D and the
-E of an enumerated member also keep its record of the enumeration (see
-sequences): while it is the walk's current member, E^T D E is copied off
-the rows the walk's store shares. Such an E builds its rows only when read.
+A reducing matrix keeps the member it came from, as `_member` in its
+__dict__; congruence_reduce forms E^T D E from that member's anchors by row
+differences, and by IntMatrix.__matmul__ for an E without a member. An
+enumerated member's D keeps the member too (see graphs): while it is the
+walk's current member, E^T D E is copied off the rows the walk's store
+shares (see sequences). Such an E builds its rows only when read.
 """
 
 from __future__ import annotations
@@ -125,21 +125,18 @@ def reducing_matrix(ns: NeighborhoodSequence) -> IntMatrix:
     Unit upper triangular, so det E = 1 and the congruence D -> E^T D E
     preserves determinant and inertia exactly.
 
-    E records ns.anchors, for congruence_reduce, and an enumerated member's
-    E also its (prefix, serial), as its D does (see sequences); that E's rows
-    are built on first read, from its own anchors, so they hold after the
-    walk moves on. The records cannot go stale: E is frozen, and what builds
-    a new matrix from it (IntMatrix(rows), dataclasses.replace, E.t) records
-    nothing. Equality, hashing and repr read the rows alone, so E equals the
-    same rows without the records.
+    E keeps ns, for congruence_reduce; an enumerated member's E builds its
+    rows from ns on first read (IntMatrix.__getattr__), so they hold after
+    the walk moves on. The member cannot go stale: both are frozen, and what
+    builds a new matrix from E (IntMatrix(rows), dataclasses.replace, E.t)
+    keeps none. Equality, hashing and repr read the rows alone, so E equals
+    the same rows without the member.
     """
-    record = ns.__dict__.get("_prefix")
-    if record is None:
-        e = IntMatrix._of(_reducing_rows(ns.anchors))
-    else:
+    if "_prefix" in ns.__dict__:
         e = object.__new__(IntMatrix)
-        e.__dict__.update(_prefix=record, _unbuilt=(_reducing_rows, ns.anchors))
-    e.__dict__["_anchors"] = ns.anchors
+    else:
+        e = IntMatrix._of(_reducing_rows(ns.anchors))
+    e.__dict__["_member"] = ns
     return e
 
 
@@ -181,29 +178,34 @@ def _anchor_differences(rows, anchors) -> list[tuple[int, ...]]:
 def congruence_reduce(d: IntMatrix, e: IntMatrix) -> IntMatrix:
     """E^T D E for any square D, E of one order, as (E^T (E^T D)^T)^T.
 
-    An E from reducing_matrix carries its anchors, and its order is theirs
-    plus 2, so this route reads none of E's rows. When D and E hold the same
-    (prefix, serial) record object, the D and the E of one enumerated
-    member, and that member is still the walk's current one, E^T D E
-    is copied off the rows the members share (sequences._Prefix.reduced_at).
-    Otherwise each E^T step is _anchor_differences, which costs what E's
-    nonzeros cost: n subtractions for a column k with a_k = a_(k-1), 3n
-    additions and subtractions for any other, so 2n^2 to 6n^2 in all. Any
-    other E (IntMatrix(rows), or no reducing matrix at all) takes two ``@``
+    An E from reducing_matrix keeps its member, whose order is E's and whose
+    anchors give E^T's rows, so no route for it reads E's rows. When D is
+    the D of the same member object, D and E are one enumerated member's,
+    and while it is still the walk's current member, E^T D E is copied off
+    the rows the members share (sequences._Prefix.reduced_at). Otherwise
+    each E^T step is _anchor_differences, which costs what E's nonzeros
+    cost: n subtractions for a column k with a_k = a_(k-1), 3n additions and
+    subtractions for any other, so 2n^2 to 6n^2 in all. An E without a
+    member (IntMatrix(rows), or no reducing matrix at all) takes two ``@``
     products, which skip the zero entries of their left factor."""
     memo = e.__dict__
-    anchors = memo.get("_anchors")
-    n = e.n if anchors is None else len(anchors) + 2
+    member = memo.get("_member")
+    # a member's D keeps the member too: the (1, 1) entry, 0 in any D and 1 in
+    # any E, tells them apart, and only an E is built without its rows
+    if member is not None and "rows" in memo and not e.rows[0][0]:
+        member = None
+    n = e.n if member is None else member.n
     if d.n != n:
         raise DimensionMismatch(f"orders differ: {d.n} vs {n}")
-    if anchors is None:
+    if member is None:
         et = e.t
         return (et @ (et @ d).t).t
-    record = memo.get("_prefix")
-    if record is not None and d.__dict__.get("_prefix") is record:
-        rows = record[0].reduced_at(record[1])
+    if d.__dict__.get("_member") is member and not d.rows[0][0]:
+        prefix, serial = member._prefix
+        rows = prefix.reduced_at(serial)
         if rows is not None:
             return IntMatrix._of(tuple(map(tuple, rows)))
+    anchors = member.anchors
     x = _anchor_differences(d.rows, anchors)
     return IntMatrix._of(tuple(zip(*_anchor_differences(list(zip(*x)), anchors))))
 

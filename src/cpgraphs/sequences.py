@@ -19,13 +19,13 @@ more families, with one store of the rows of D, and of E^T D E (E the
 reducing matrix, _reduced_column its column step), that its members share.
 enumerate_neighborhood_sequences is that walk for one family; suites._grow
 takes it for many. Each enumerated member records the store and its serial
-number, and graphs.build_cp_graph, then graphs.all_pairs_distances and
-reduction.reducing_matrix copy the record onto its graph, D and E.
-all_pairs_distances reads D off the store, and reduction.congruence_reduce
-E^T D E for a D and an E holding the same record, only while the member is
-the walk's current one; any other member takes the BFS and the anchor
-route. Nothing is keyed by equality: an equal member built any other way
-(the constructor, dataclasses.replace, suites.random_member) has no record.
+number as `_prefix`; its graph, D and E keep the member itself, as
+`_member`, and read the record off it. all_pairs_distances reads D off the
+store, and reduction.congruence_reduce E^T D E for a D and an E keeping the
+same member, only while it is the walk's current one; any other member
+takes the BFS and the anchor route. Nothing is keyed by equality: an equal
+member built any other way (the constructor, dataclasses.replace,
+suites.random_member) has no record.
 
 Validation happens once, where a sequence enters from outside: the
 NonLeapingSequence and NeighborhoodSequence constructors check every term
@@ -333,11 +333,11 @@ def enumerate_neighborhood_sequences(base: NonLeapingSequence) -> Iterator[Neigh
     """All anchor choices for the given size sequence, in ascending anchor
     order: the members _Prefix.walk visits for the one family.
 
-    Each member records (the walk's _Prefix, its serial number) in its
-    __dict__, which build_cp_graph copies onto the graph and reducing_matrix
-    onto E, so that graphs.all_pairs_distances reads D, and
-    reduction.congruence_reduce E^T D E, off the rows the members share while
-    that member is the current one. Yielding a member builds no rows."""
+    Each member records (the walk's _Prefix, its serial number) as
+    `_prefix` in its __dict__. Its graph, D and E keep the member, so that
+    graphs.all_pairs_distances reads D, and reduction.congruence_reduce
+    E^T D E, off the rows the members share while that member is the
+    current one. Yielding a member builds no rows."""
     prefix = _Prefix()
     for _, _, listed in prefix.walk([base]):
         if listed:

@@ -264,8 +264,8 @@ def _suite_fixtures(rec: Recorder, rng, scale) -> dict:
         e = reducing_matrix(ns)
         rec.check(d == want_d, f"{name}: distance matrix differs from the recorded one")
         rec.check(e == want_e, f"{name}: reducing matrix differs from the recorded one")
-        rec.check(
-            congruence_reduce(d, e) == fixtures.CP8_REDUCED_ADJACENCY,
+        rec.check(  # the anchor route, and the general one on the recorded E
+            congruence_reduce(d, e) == congruence_reduce(d, want_e) == fixtures.CP8_REDUCED_ADJACENCY,
             f"{name}: congruence does not give the recorded reduced matrix",
         )
     rec.check(
@@ -302,19 +302,20 @@ def member_reduces(ns: NeighborhoodSequence, h: IntMatrix) -> bool:
 
 
 def _grow(families, h=None):
-    """Verify the members of the listed families in one depth-first walk,
-    sequences._Prefix.walk, the walk enumerate_neighborhood_sequences
-    takes: each member of a listed family or of a prefix of one is a node,
-    visited once, and the walk's store grows D's rows on the nodes that
-    share them. Only the members of listed families are yielded, each
-    family's in the order of enumerate_neighborhood_sequences.
+    """Verify the members of the listed families, NonLeapingSequences, in
+    one depth-first walk, sequences._Prefix.walk, the walk
+    enumerate_neighborhood_sequences takes: each member of a listed family
+    or of a prefix of one is a node, visited once, and the walk's store
+    grows D's rows on the nodes that share them. Only the members of listed
+    families are yielded, each family's in the order of
+    enumerate_neighborhood_sequences.
 
     Yields (q, a, d, got) per member: its sizes and anchors, D as a list of
     rows (valid until the next member) and its GraphInvariants or, given h,
-    whether E^T D E == h(q), with h called once per listed family. Column k
-    of E^T D E, which sequences._reduced_column forms from the store's D
-    and anchors, is checked once, for all descendants, against h of the
-    listed family the walk gives the node, which holds as
+    whether E^T D E == h(s) for its family s, with h called once per listed
+    family. Column k of E^T D E, which sequences._reduced_column forms from
+    the store's D and anchors, is checked once, for all descendants, against
+    h of the listed family the walk gives the node, which holds as
     reduced_graph(q[:k]) is the leading block of reduced_graph(q).
     Without h, vertex k adds column k of the symmetric fraction-free
     elimination of [[D, 1], [1^T, 0]], border last, after _symmetric_bareiss's
@@ -327,24 +328,23 @@ def _grow(families, h=None):
     goes to formulas._distance_matrix_invariants with its D rows instead.
     """
     prefix = _Prefix()
-    n = max(map(len, families), default=2)
+    n = max((s.n for s in families), default=2)
     # per vertex k, written as the walk reaches it: ok[k], whether columns
     # 0..k of E^T D E match (given h) or pivots 0..k are all nonzero;
     # pivots[k], row k reduced by pivots 0..k-1, its border entry first
     # (vertex 1's is 1 + 1), then columns k, k + 1, ... as the walk reaches
     # them; corners[k], the bordered minor after pivot k; minus[k], the
-    # negative pivots among 0..k. targets: family -> rows of h, or False
+    # negative pivots among 0..k. targets: sizes -> rows of h, or False
     # unless h is symmetric, of the family's order and 0 at (1, 1)
     ok, corners, minus, targets = [True] * n, [-4] * n, [0] * n, {}
     pivots = [[2, 2] + [0] * n] + [[]] * (n - 1)
-    for k, fam, listed in prefix.walk([NonLeapingSequence(q) for q in families]):
+    for k, fam, listed in prefix.walk(families):
         if h is not None:
-            q = fam.q
-            target = targets.get(q)
+            target = targets.get(fam.q)
             if target is None:
-                m = h(q)
-                good = m.n == len(q) and m.is_symmetric() and m.rows[0][0] == 0
-                target = targets[q] = good and m.rows
+                m = h(fam)
+                good = m.n == fam.n and m.is_symmetric() and m.rows[0][0] == 0
+                target = targets[fam.q] = good and m.rows
             if ok[k - 1] and target:
                 col = _reduced_column(prefix.rows_at(prefix.serial), prefix.anchors, k)
                 ok[k] = tuple(col) == target[k][: k + 1]
@@ -384,23 +384,23 @@ def _grow(families, h=None):
         yield fam.q, tuple(prefix.anchors[2:]), d, got
 
 
-def _check_members(rec: Recorder, want: dict, label: Callable, h=None) -> int:
-    """Check every member (q, a, d, got) of _grow(want, h) for got == want[q],
+def _check_members(rec: Recorder, families: list, want: dict, label: Callable, h=None) -> int:
+    """Check every member (q, a, d, got) of _grow(families, h) for got == want[q],
     with `label(q, a, got, want[q])` rendering a failure. Then record each
     family whose member count, 0 if the walk never reached it, is not the
     product formula's. Returns the number of members walked."""
     tally = dict.fromkeys(want, 0)
-    for p, a, _, got in _grow(want, h):
+    for p, a, _, got in _grow(families, h):
         tally[p] += 1
         rec.check(got == want[p], lambda: label(p, a, got, want[p]))
-    for p, members in tally.items():
-        expected = count_neighborhood_sequences(NonLeapingSequence(p))
+    for s in families:
+        members, expected = tally[s.q], count_neighborhood_sequences(s)
         if members != expected:
-            rec.check(False, f"q={p}: enumerated {members} members, expected {expected}")
+            rec.check(False, f"q={s.q}: enumerated {members} members, expected {expected}")
     return sum(tally.values())
 
 
-def _every_family(rec: Recorder, n_max: int) -> list[tuple[int, ...]]:
+def _every_family(rec: Recorder, n_max: int) -> list[NonLeapingSequence]:
     """Every size sequence of order 2..n_max. Records each order n whose families'
     product-formula counts do not sum to the ternary number C(3m, m) / (2m + 1), m = n - 2."""
     families = []
@@ -410,17 +410,19 @@ def _every_family(rec: Recorder, n_max: int) -> list[tuple[int, ...]]:
         expected = comb(3 * n - 6, n - 2) // (2 * n - 3)
         if members != expected:
             rec.check(False, f"order {n}: {members} members in all families, expected {expected}")
-        families += (s.q for s in order)
+        families += order
     return families
 
 
 def _suite_congruence(rec: Recorder, rng, scale) -> dict:
-    want = dict.fromkeys(_every_family(rec, scale), True)
+    families = _every_family(rec, scale)
+    want = dict.fromkeys((s.q for s in families), True)
     members = _check_members(
         rec,
+        families,
         want,
         lambda q, a, *_: f"congruence broken for q={q} anchors={a}",
-        lambda q: reduced_graph(NonLeapingSequence(q)).adjacency_matrix(),
+        lambda s: reduced_graph(s).adjacency_matrix(),
     )
     random_checks = 100
     for _ in range(random_checks):
@@ -435,41 +437,43 @@ def _suite_congruence(rec: Recorder, rng, scale) -> dict:
 
 def _suite_constancy(rec: Recorder, rng, scale) -> dict:
     families = _every_family(rec, scale)
-    want = {q: family_invariants(NonLeapingSequence(q)) for q in families}
-    members = _check_members(rec, want, lambda q, a, got, w: (
+    want = {s.q: family_invariants(s) for s in families}
+    members = _check_members(rec, families, want, lambda q, a, got, w: (
         f"invariants vary within q={q}: anchors={a} give {got}, family says {w}"
     ))
     return {"families": len(want), "members": members}
 
 
 def _suite_cp2(rec: Recorder, rng, scale) -> dict:
-    want, specs = {}, {}  # per family: its closed form and its clique sizes
+    families, want, specs = [], {}, {}  # the families; by sizes, closed form and clique sizes
     for m in range(scale + 1):
         for p in product((3, 4, 5), repeat=m):
             spec = CliquePathSpec(p)
             s = expand_clique_path_spec(spec)
+            families.append(s)
             want[s.q], specs[s.q] = cp2_invariants(spec), p
             rec.check(
                 family_invariants(s) == want[s.q],
                 f"reduced-graph invariants disagree with the closed form for 2:{p}",
             )
-    members = _check_members(rec, want, lambda q, a, got, w: (
+    members = _check_members(rec, families, want, lambda q, a, got, w: (
         f"2:{specs[q]} anchors={a}: {got} differs from closed form {w}"
     ))
     return {"specs": len(want), "members": members}
 
 
 def _suite_linear_2tree(rec: Recorder, rng, scale) -> dict:
-    want = {}
+    families, want = [], {}
     for n in range(4, scale + 1):
         spec = CliquePathSpec((3,) * (n - 2))
-        q = expand_clique_path_spec(spec).q
-        want[q] = linear_2tree_invariants(n)
+        s = expand_clique_path_spec(spec)
+        families.append(s)
+        want[s.q] = linear_2tree_invariants(n)
         rec.check(
-            cp2_invariants(spec) == want[q],
+            cp2_invariants(spec) == want[s.q],
             f"linear 2-tree closed form disagrees with 2-clique-path form at n={n}",
         )
-    members = _check_members(rec, want, lambda q, a, got, w: (
+    members = _check_members(rec, families, want, lambda q, a, got, w: (
         f"linear 2-tree n={len(q)} anchors={a}: {got} differs from {w}"
     ))
     return {"orders": list(range(4, scale + 1)), "members": members}

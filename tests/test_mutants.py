@@ -32,13 +32,24 @@ from test_reduction import (
     brute_congruence,
     e_by_columns,
     lazy_reads_match_eager,
+    members_d_and_e_told_apart,
     seeded_members,
     with_upper_noise,
 )
 from test_sequences import ascending_members, per_step_mismatches, random_draws_match
 from test_suites import ROOTED_TREES, all_codes, class_counts, heap_growth
 
-from cpgraphs import addressing, cli, crosschecks, formulas, graphs, reduction, sequences, suites
+from cpgraphs import (
+    addressing,
+    cli,
+    crosschecks,
+    formulas,
+    graphs,
+    matrices,
+    reduction,
+    sequences,
+    suites,
+)
 from cpgraphs.crosschecks import is_connected
 from cpgraphs.errors import InputError
 from cpgraphs.graphs import (
@@ -177,15 +188,29 @@ def current_members_reduce_off_the_store(mod):
 
 def lazy_members_read_like_eager(mod):
     """lazy_reads_match_eager for every family with n <= 7, with
-    build_cp_graph and reducing_matrix of `mod`, a graphs or a reduction
-    module, where it has them. No pickle round trip: pickle finds a function
-    by its module's name, which names the package's module, not `mod`."""
-    return lazy_reads_match_eager(
-        7,
-        build=getattr(mod, "build_cp_graph", build_cp_graph),
-        reducing=getattr(mod, "reducing_matrix", reduction.reducing_matrix),
-        pickled=False,
-    )
+    reducing_matrix of `mod` if it is a reduction module, or else the lazy
+    build of `mod`, LabeledGraph.__getattr__ of a graphs module or
+    IntMatrix.__getattr__ of a matrices module, put on the package's class.
+    The package's class, not `mod`'s: a graph of `mod`'s own LabeledGraph
+    never equals the package's, so any change to `mod` would fail the check."""
+    if mod.__name__ == reduction.__name__:
+        return lazy_reads_match_eager(7, reducing=mod.reducing_matrix)
+    cls = LabeledGraph if mod.__name__ == graphs.__name__ else IntMatrix
+    with mock.patch.object(cls, "__getattr__", getattr(mod, cls.__name__).__getattr__):
+        return lazy_reads_match_eager(7)
+
+
+def d_and_e_told_apart(mod):
+    """members_d_and_e_told_apart, with congruence_reduce of `mod`, a
+    reduction module."""
+    return members_d_and_e_told_apart(mod.congruence_reduce)
+
+
+def fixtures_pass(mod):
+    """check fixtures, with congruence_reduce of `mod`, a reduction module:
+    its congruence check takes both the anchor route and the general one."""
+    with mock.patch.object(suites, "congruence_reduce", mod.congruence_reduce):
+        return suites.run_suite("fixtures").ok
 
 
 def listed_walks_pass(mod):
@@ -194,8 +219,7 @@ def listed_walks_pass(mod):
     paths of up to two cliques, whose nodes take up to three next sizes; and
     one family, each prefix of which reads the family's reduced graph."""
     s = NonLeapingSequence((0, 1, 2, 2, 2, 2, 3, 3))
-    h = reduced_graph(s).adjacency_matrix()
-    verdicts = [ok for *_, ok in mod._grow([s.q], lambda _: h)]
+    verdicts = [ok for *_, ok in mod._grow([s], lambda f: reduced_graph(f).adjacency_matrix())]
     return (
         mod.run_suite("linear-2tree", scale=6).ok
         and mod.run_suite("cp2-formulas", scale=2).ok
@@ -525,13 +549,15 @@ def reductions_match_brute(mod):
 
 def reducing_matrices_match_columns(mod):
     """reducing_matrix of `mod`, a reduction module, gives the rows of E's
-    column definition for every member with n <= 7."""
-    return all(
-        mod.reducing_matrix(ns).rows == e_by_columns(ns)
-        for n in range(2, 8)
-        for s in iter_nonleaping_sequences(n)
-        for ns in enumerate_neighborhood_sequences(s)
-    )
+    column definition for every member with n <= 7, built by the
+    _reducing_rows of `mod` also where IntMatrix builds them on first read."""
+    with mock.patch.object(reduction, "_reducing_rows", mod._reducing_rows):
+        return all(
+            mod.reducing_matrix(ns).rows == e_by_columns(ns)
+            for n in range(2, 8)
+            for s in iter_nonleaping_sequences(n)
+            for ns in enumerate_neighborhood_sequences(s)
+        )
 
 
 MUTANTS = {
@@ -591,8 +617,8 @@ MUTANTS = {
     ),
     "walk: h read from the node's own prefix, not its listed family": (
         suites,
-        "            q = fam.q\n",
-        "            q = fam.q[: k + 1]\n",
+        "m = h(fam)",
+        "m = h(NonLeapingSequence(fam.q[: k + 1]))",
         listed_walks_pass,
     ),
     # suites._pruefer_growth and suites._rooted_class, under the trees suite
@@ -695,20 +721,45 @@ MUTANTS = {
     ),
     "congruence: shared rows read whenever E has a record": (
         reduction,
-        'if record is not None and d.__dict__.get("_prefix") is record:',
-        "if record is not None:",
+        'if d.__dict__.get("_member") is member and not d.rows[0][0]:',
+        'if "_prefix" in member.__dict__:',
         shared_reduction_sees_each_member,
     ),
     "lazy E rows: built from the walk's current member": (
+        matrices,
+        '_reducing_rows(memo["_member"].anchors)',
+        '_reducing_rows(tuple(memo["_member"]._prefix[0].anchors[2:]))',
+        lazy_members_read_like_eager,
+    ),
+    "lazy E rows: the test negated, so they are never built": (
+        matrices,
+        'if name != "rows" or "_member" not in memo:',
+        'if not (name != "rows" or "_member" not in memo):',
+        lazy_members_read_like_eager,
+    ),
+    "lazy E rows: refused when rows are asked for": (
+        matrices,
+        'if name != "rows" or "_member" not in memo:',
+        'if name == "rows" or "_member" not in memo:',
+        lazy_members_read_like_eager,
+    ),
+    "lazy E rows: refused where E keeps a member": (
+        matrices,
+        'if name != "rows" or "_member" not in memo:',
+        'if name != "rows" or "_member" in memo:',
+        lazy_members_read_like_eager,
+    ),
+    "reducing matrix: enumerated members' E built eagerly, any other's lazily": (
         reduction,
-        "_unbuilt=(_reducing_rows, ns.anchors)",
-        "_unbuilt=(_reducing_rows, record[0].anchors)",
+        'if "_prefix" in ns.__dict__:',
+        'if "_prefix" not in ns.__dict__:',
         lazy_members_read_like_eager,
     ),
     "lazy edges: built from the walk's current member": (
         graphs,
-        "_unbuilt=(_cp_edges, ns)",
-        "_unbuilt=(_cp_edges, NeighborhoodSequence._of(ns.base, record[0].anchors))",
+        '_cp_edges(memo["_member"])',
+        '_cp_edges(NeighborhoodSequence._of('
+        'memo["_member"].base, tuple(memo["_member"]._prefix[0].anchors[2:])))',
         lazy_members_read_like_eager,
     ),
     # graphs: a member's D copied off the shared rows
@@ -1046,15 +1097,51 @@ MUTANTS = {
     ),
     "congruence: the anchors recorded reversed": (
         reduction,
-        'e.__dict__["_anchors"] = ns.anchors',
-        'e.__dict__["_anchors"] = ns.anchors[::-1]',
+        'e.__dict__["_member"] = ns',
+        'e.__dict__["_member"] = NeighborhoodSequence._of(ns.base, ns.anchors[::-1])',
         reductions_match_brute,
     ),
     "congruence: no anchors recorded": (
         reduction,
-        'e.__dict__["_anchors"] = ns.anchors',
+        'e.__dict__["_member"] = ns',
         "pass",  # the same answers, by two @ products
         reductions_match_brute,
+    ),
+    "congruence: the D test negated, so E with a member takes the @ route": (
+        reduction,
+        'if member is not None and "rows" in memo and not e.rows[0][0]:',
+        'if not (member is not None and "rows" in memo and not e.rows[0][0]):',
+        reductions_match_brute,
+    ),
+    "congruence: the D test applied only to an E without a member": (
+        reduction,
+        'if member is not None and "rows" in memo and not e.rows[0][0]:',
+        'if member is None and "rows" in memo and not e.rows[0][0]:',
+        d_and_e_told_apart,
+    ),
+    "congruence: the D test applied only to an E without rows": (
+        reduction,
+        'if member is not None and "rows" in memo and not e.rows[0][0]:',
+        'if member is not None and "rows" not in memo and not e.rows[0][0]:',
+        d_and_e_told_apart,
+    ),
+    "congruence: E told from D by its (2, 1) entry": (
+        reduction,
+        "not e.rows[0][0]",
+        "not e.rows[1][0]",  # 0 in E, 1 in D: every E a D, by two @ products
+        reductions_match_brute,
+    ),
+    "congruence: E told from D by its (1, 2) entry": (
+        reduction,
+        "not e.rows[0][0]",
+        "not e.rows[0][1]",  # 0 in E, 1 in D: every E a D, by two @ products
+        reductions_match_brute,
+    ),
+    "congruence: the general route's inner product not transposed": (
+        reduction,
+        "(et @ (et @ d).t).t",
+        "(et @ (et @ d)).t",  # D E E, not E^T D E
+        fixtures_pass,
     ),
 }
 
@@ -1177,6 +1264,14 @@ EQUIVALENT = {
         # full ^ full adds 0 to acc, and ORing into a full reach set adds nothing
         distances_match_bfs,
     ),
+    "distances: lanes widened already at n = 2^width": (
+        graphs,
+        "if n <= 1 << lane[0])",
+        "if n < 1 << lane[0])",
+        # at n = 2^width every distance is at most n - 1 = 2^width - 1, which
+        # fits the narrower lane; the wider one holds the same rows
+        distances_match_bfs,
+    ),
     "congruence: the shortcut taken on a_k <= a_(k-1)": (
         reduction,
         "if a == prev:",
@@ -1215,10 +1310,15 @@ EQUIVALENT = {
     (current_members_reduce_off_the_store, sequences),
     (shared_reduction_sees_each_member, reduction),
     (lazy_members_read_like_eager, graphs),
+    (lazy_members_read_like_eager, matrices),
     (lazy_members_read_like_eager, reduction),
+    (fixtures_pass, reduction),
+    (d_and_e_told_apart, reduction),
 ])
 def test_checks_pass_on_the_package(check, module):
-    assert check(module)
+    # on the module and on an unchanged copy loaded as mutate() loads one: a
+    # check that fails on any copy would kill every mutant of its module
+    assert check(module) and check(load(module, inspect.getsource(module)))
 
 
 @pytest.mark.parametrize("name", MUTANTS)

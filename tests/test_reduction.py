@@ -496,3 +496,51 @@ def test_weighted_json_round_trip():
 def test_weighted_dot():
     dot = weighted_graph_to_dot(seesaw_graph(SeesawParams(1, 1)))
     assert "label" in dot and dot.startswith("graph")
+
+
+def test_derived_objects_keep_only_their_member():
+    # an enumerated member's graph, D and E keep one record, the member
+    # itself, and the graph its D (a cache); the walk's record stays on the
+    # member. Any other member's E keeps it too, for its anchors; its graph
+    # and D keep none
+    s = NonLeapingSequence(fx.CP8_SEQ)
+    for ns in islice(enumerate_neighborhood_sequences(s), 3):
+        g = build_cp_graph(ns)
+        d, e = all_pairs_distances(g), reducing_matrix(ns)
+        assert vars(ns).keys() == {"base", "anchors", "_prefix"}
+        assert vars(g).keys() == {"n", "_member", "_distances"}
+        assert vars(d).keys() == {"rows", "_member"}
+        assert vars(e).keys() == {"_member"}
+        assert g._member is d._member is e._member is ns
+        assert g.edges and e.rows  # built on first read, beside the member
+        assert vars(g).keys() == {"n", "edges", "_member", "_distances"}
+        assert vars(e).keys() == {"rows", "_member"}
+    plain = NeighborhoodSequence(s, fx.CP8_HUB_ANCHORS)
+    g = build_cp_graph(plain)
+    d, e = all_pairs_distances(g), reducing_matrix(plain)
+    assert vars(g).keys() == {"n", "edges", "_distances"}
+    assert vars(d).keys() == {"rows"}
+    assert vars(e).keys() == {"rows", "_member"} and e._member is plain
+
+
+def members_d_and_e_told_apart(congruence=congruence_reduce):
+    """Whether `congruence`, given an enumerated member's D and E in any
+    order, twice the same one included, and one E as both, while the walk
+    stands on the member, forms E^T D E of the matrices it is given: a
+    member's D and E both keep the member."""
+    s = NonLeapingSequence((0, 1, 2, 2, 3, 3))
+    for ns in enumerate_neighborhood_sequences(s):
+        d = all_pairs_distances(build_cp_graph(ns))
+        plain = {"d": d, "e": reducing_matrix(NeighborhoodSequence(ns.base, ns.anchors))}
+        for x, y in product("de", repeat=2):
+            args = [d if v == "d" else reducing_matrix(ns) for v in (x, y)]
+            if congruence(*args).rows != tuple(map(tuple, brute_congruence(plain[x], plain[y]))):
+                return False
+        e = reducing_matrix(ns)
+        if congruence(e, e).rows != tuple(map(tuple, brute_congruence(e, e))):
+            return False
+    return True
+
+
+def test_a_members_d_and_e_are_told_apart():
+    assert members_d_and_e_told_apart()

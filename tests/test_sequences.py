@@ -198,14 +198,14 @@ def test_member_order_up_to_twelve():
 def test_members_built_otherwise_carry_no_record():
     s = NonLeapingSequence((0, 1, 2, 2, 2, 2, 3, 3))
     walked = next(enumerate_neighborhood_sequences(s))
-    assert "_prefix" in vars(walked) and "_prefix" in vars(build_cp_graph(walked))
+    assert "_prefix" in vars(walked) and "_member" in vars(build_cp_graph(walked))
     for ns in (
         NeighborhoodSequence(s, walked.anchors),
         random_member(random.Random(3), s),
         replace(walked),
         replace(walked, anchors=(1, 2, 3, 4, 4, 5)),
     ):
-        assert "_prefix" not in vars(ns) and "_prefix" not in vars(build_cp_graph(ns))
+        assert "_prefix" not in vars(ns) and "_member" not in vars(build_cp_graph(ns))
     assert replace(walked) == walked
 
 

@@ -490,7 +490,7 @@ def test_family_missing_from_the_list_fails_the_order_total(monkeypatch, suite, 
 
 
 def every_family(n_max):
-    return [s.q for n in range(2, n_max + 1) for s in iter_nonleaping_sequences(n)]
+    return [s for n in range(2, n_max + 1) for s in iter_nonleaping_sequences(n)]
 
 
 def walk_matches_members(families, limit=None):
@@ -498,7 +498,7 @@ def walk_matches_members(families, limit=None):
     `limit` members: each family's members in the enumerator's order, same
     D, same invariants, same congruence verdict. Returns the number of
     members compared."""
-    h = cache(lambda p: reduced_graph(NonLeapingSequence(p)).adjacency_matrix())
+    h = cache(lambda s: reduced_graph(s).adjacency_matrix())
     by_family = {}
     walks = islice(zip(suites._grow(families), suites._grow(families, h)), limit)
     for (q1, a1, d1, inv), (q2, a2, d2, ok) in walks:
@@ -508,7 +508,7 @@ def walk_matches_members(families, limit=None):
         assert (q1, a1) == (q2, a2)
         assert tuple(map(tuple, d1)) == tuple(map(tuple, d2)) == d
         assert inv == distance_invariants(g)
-        assert ok == member_reduces(ns, h(q1))
+        assert ok == member_reduces(ns, h(ns.base))
         by_family.setdefault(q1, []).append(ns)
     for members in by_family.values():
         assert members == list(islice(enumerate_neighborhood_sequences(members[0].base), limit))
@@ -522,19 +522,20 @@ def test_walk_matches_every_member_up_to_order_8():
 
 def test_walk_yields_the_listed_families_only():
     cp2 = [
-        expand_clique_path_spec(CliquePathSpec(p)).q
+        expand_clique_path_spec(CliquePathSpec(p))
         for m in range(5)
         for p in product((3, 4, 5), repeat=m)
     ]
-    loose = [(0, 1, 2, 2, 3), (0, 1, 2, 3, 3, 2)]  # no prefix of either is listed
-    loose_members = sum(count_neighborhood_sequences(NonLeapingSequence(q)) for q in loose)
+    # no prefix of either is listed
+    loose = [NonLeapingSequence((0, 1, 2, 2, 3)), NonLeapingSequence((0, 1, 2, 3, 3, 2))]
+    loose_members = sum(map(count_neighborhood_sequences, loose))
     for families, members in ((cp2, 2461), (loose, loose_members)):
         walked = [(q, a) for q, a, _, _ in suites._grow(families)]
         assert len(walked) == len(set(walked)) == members
         by_family = {}
         for q, a in walked:
             by_family.setdefault(q, []).append(a)
-        assert sorted(by_family) == sorted(families)
+        assert sorted(by_family) == sorted(s.q for s in families)
         for q, anchors in by_family.items():
             family = enumerate_neighborhood_sequences(NonLeapingSequence(q))
             assert anchors == [ns.anchors for ns in family]
@@ -545,12 +546,12 @@ def test_walk_calls_h_once_per_listed_family(monkeypatch, capsys):
 
     def counting(real):
         def grow(families, h=None):
-            return real(families, lambda q: calls.append(q) or h(q))
+            return real(families, lambda s: calls.append(s.q) or h(s))
         return grow
 
     monkeypatch.setattr(suites, "_grow", counting(suites._grow))
     assert run_suite("congruence", scale=8).ok
-    assert sorted(calls) == sorted(every_family(8))
+    assert sorted(calls) == sorted(s.q for s in every_family(8))
     calls.clear()
     monkeypatch.setattr(cli, "_grow", counting(cli._grow))
     assert cli.main(["reduce", "verify", "0,1,2,2,2,2,3,3"]) == 0
@@ -561,7 +562,7 @@ def test_walk_calls_h_once_per_listed_family(monkeypatch, capsys):
 def test_walk_is_not_bounded_by_the_recursion_limit():
     s = NonLeapingSequence((0, 1) + (2,) * sys.getrecursionlimit())
     h = reduced_graph(s).adjacency_matrix()
-    q, a, d, ok = next(suites._grow([s.q], lambda _: h))
+    q, a, d, ok = next(suites._grow([s], lambda _: h))
     assert (q, a, len(d), ok) == (s.q, (1,) * (s.n - 2), s.n, True)
 
 
@@ -569,7 +570,7 @@ def test_walk_is_not_bounded_by_the_recursion_limit():
 @given(st.integers(2, 40), st.integers(0, 2**32))
 def test_walk_matches_random_families(n, seed):
     s = random_nonleaping(random.Random(seed), n)
-    assert walk_matches_members([s.q], 64) == min(64, count_neighborhood_sequences(s))
+    assert walk_matches_members([s], 64) == min(64, count_neighborhood_sequences(s))
 
 
 def dense_invariants(d):
@@ -584,11 +585,11 @@ def test_walk_falls_back_below_a_zero_leading_minor(last):
     # D_7 = 0 in every member, so pivot 6 is zero before the last one; with
     # last = 3, det = D_8 = 0 as well
     s = NonLeapingSequence((0, 1, 2, 3, 3, 4, 3, last))
-    for _, _, d, inv in suites._grow([s.q]):
+    for _, _, d, inv in suites._grow([s]):
         assert determinant(IntMatrix.from_rows(d).leading(7)) == 0
         assert (inv.det == 0) == (last == 3)
         assert inv == dense_invariants(d)
-    assert walk_matches_members([s.q]) == count_neighborhood_sequences(s)
+    assert walk_matches_members([s]) == count_neighborhood_sequences(s)
 
 
 def test_walk_fallback_matches_the_dense_route_up_to_order_9(monkeypatch):
@@ -617,6 +618,6 @@ def test_walk_verdict_on_wrong_targets():
     first[0][0] += 1  # column 0, which no vertex's step compares
     for rows in (lower, corner, first, [r[:5] for r in h[:5]]):
         wrong = IntMatrix.from_rows(rows)
-        verdicts = [ok for *_, ok in suites._grow([s.q], lambda _: wrong)]
+        verdicts = [ok for *_, ok in suites._grow([s], lambda _: wrong)]
         assert verdicts == [member_reduces(ns, wrong) for ns in enumerate_neighborhood_sequences(s)]
         assert not any(verdicts)
